@@ -34,7 +34,6 @@ from .queueing import (
     deficit_update,
 )
 from .schedulers import (
-    AllocationPlan,
     DcsaScheduler,
     EdfScheduler,
     RoundRobinScheduler,
@@ -54,7 +53,6 @@ from .traffic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationPlan",
     "ArrivalGenerator",
     "CapacityProfile",
     "ContractViolation",

@@ -305,10 +305,12 @@ def cmd_fig2(cfg: ExperimentConfig) -> int:
 def fig3_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float]]:
     """Delivery ratio per (deadline, rate) grid point.
 
-    Ratios are averaged over ``seeds_per_point`` replicates.  Within one
-    replicate every deadline value reuses the same seed (arrivals do not
-    depend on the deadline), so the deadline axis is compared under common
-    random numbers; seeds vary across rates and replicates.
+    Ratios are averaged over ``seeds_per_point`` replicates; replicate
+    ``rep`` of the ``p``-th rate uses seed ``(seed ^ p) + rep``.  Every
+    deadline value of a rate reuses the same seeds (arrivals do not depend on
+    the deadline), so the deadline axis is compared under common random
+    numbers.  The rates mostly share seeds too: with seed 7 and five
+    replicates, rate 0 uses seeds 7-11 and rate 1 uses 6-10, four in common.
     """
     if len(cfg.sim.services) != 1:
         raise ConfigError("fig3 needs exactly one service")

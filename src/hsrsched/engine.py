@@ -19,6 +19,8 @@ from .schedulers import SCHEDULER_POLICIES, make_scheduler
 from .traffic import ArrivalGenerator, FeasibilityReport, ServiceSpec, feasibility_check, validate_service_ids
 
 TRACE_SCHEMA = 1
+# rows TraceLog.to_csv formats per write; bounds the text held in memory
+CSV_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -166,21 +168,25 @@ class TraceLog:
         return cols
 
     def to_csv(self, path) -> None:
+        """Write the trace as CSV, formatting ``CSV_CHUNK_ROWS`` rows at a time
+        so the text of the whole trace is never held in memory."""
+        n_svc = len(self.service_ids)
+        row_format = ",".join(["%d,%d"] + ["%d,%d,%d,%s,%d"] * n_svc) + "\n"
         with open(path, "w", newline="") as fh:
             fh.write(f"# schema={TRACE_SCHEMA}\n")
             fh.write(",".join(self.csv_header()) + "\n")
-            n_svc = len(self.service_ids)
-            for k in range(self.num_frames):
-                parts = [str(k), str(int(self.capacity[k]))]
+            for lo in range(0, self.num_frames, CSV_CHUNK_ROWS):
+                hi = min(lo + CSV_CHUNK_ROWS, self.num_frames)
+                columns = [range(lo, hi), self.capacity[lo:hi].tolist()]
                 for j in range(n_svc):
-                    parts += [
-                        str(int(self.arrivals[k, j])),
-                        str(int(self.served[k, j])),
-                        str(int(self.drops[k, j])),
-                        f"{self.deficit[k, j]:.9g}",
-                        str(int(self.backlog[k, j])),
+                    columns += [
+                        self.arrivals[lo:hi, j].tolist(),
+                        self.served[lo:hi, j].tolist(),
+                        self.drops[lo:hi, j].tolist(),
+                        [format(y, ".9g") for y in self.deficit[lo:hi, j].tolist()],
+                        self.backlog[lo:hi, j].tolist(),
                     ]
-                fh.write(",".join(parts) + "\n")
+                fh.write("".join([row_format % row for row in zip(*columns)]))
 
 
 def run(config: SimConfig, collect_bucket_detail: bool = False) -> TraceLog:
@@ -203,7 +209,7 @@ def run(config: SimConfig, collect_bucket_detail: bool = False) -> TraceLog:
 
     scheduler = make_scheduler(config.scheduler, specs, lookahead)
 
-    capacity = np.empty(n, dtype=np.int64)
+    capacity = np.array(profile.capacities[:n], dtype=np.int64)
     served_arr = np.zeros((n, n_svc), dtype=np.int64)
     drops_arr = np.zeros((n, n_svc), dtype=np.int64)
     deficit_arr = np.zeros((n, n_svc), dtype=float)
@@ -211,34 +217,33 @@ def run(config: SimConfig, collect_bucket_detail: bool = False) -> TraceLog:
     deficit_state = np.zeros((n, n_svc, 2), dtype=np.int64)
     bucket_served = np.zeros((n, n_svc, max_m), dtype=np.int64) if collect_bucket_detail else None
 
+    sids = [s.service_id for s in specs]
+    per_service = [(sid, queues[sid], deficits[sid]) for sid in sids]
+    caps = profile.capacities
+    plan, decide = scheduler.plan_arrivals, scheduler.decide
+
     for k in range(n):
-        cap = profile[k]
-        capacity[k] = cap
+        cap = caps[k]
+        frame_arrivals = arrivals[k].tolist()
+        for (_, q, _), a in zip(per_service, frame_arrivals):
+            q.admit(a)
+        deficits_now = {sid: dq.value for sid, _, dq in per_service}
+        plan(k, dict(zip(sids, frame_arrivals)), deficits_now)
+        decision = decide(k, cap, queues)
+        decision.validate(cap)
 
-        frame_arrivals = {}
-        for j, spec in enumerate(specs):
-            a = int(arrivals[k, j])
-            frame_arrivals[spec.service_id] = a
-            queues[spec.service_id].admit(a)
-
-        scheduler.plan_arrivals(
-            k, frame_arrivals, {sid: dq.value for sid, dq in deficits.items()}
-        )
-        decision = scheduler.decide(k, cap, queues)
-        decision.validate(queues, cap)
-
-        for j, spec in enumerate(specs):
-            sid = spec.service_id
+        for j, (sid, q, dq) in enumerate(per_service):
             served = decision.counts[sid]
-            dropped = queues[sid].serve_and_age(served)
-            deficits[sid].update(dropped)
+            dropped = q.serve_and_age(served)
+            dq.update(dropped)
             served_arr[k, j] = sum(served)
             drops_arr[k, j] = dropped
-            deficit_arr[k, j] = deficits[sid].value
-            deficit_state[k, j] = deficits[sid].state()
-            backlog_arr[k, j] = queues[sid].backlog()
+            deficit_arr[k, j] = dq.value
+            backlog_arr[k, j] = q.backlog()
+            deficit_state[k, j, 0] = dq.drops_accum
+            deficit_state[k, j, 1] = dq.drain_steps
             if bucket_served is not None:
-                bucket_served[k, j, : spec.deadline] = served
+                bucket_served[k, j, : len(served)] = served
 
     return TraceLog(
         scheduler=config.scheduler,

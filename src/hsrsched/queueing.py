@@ -87,18 +87,20 @@ class DeficitQueue:
     drops_accum: int = 0
     drain_steps: int = 0
     _allowance: Fraction = field(init=False, repr=False)
+    _num: int = field(init=False, repr=False)
+    _den: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.loss_allowance < 0:
             raise ValueError("loss_allowance must be non-negative")
         self._allowance = Fraction(self.loss_allowance)
+        self._num, self._den = self._allowance.as_integer_ratio()
 
     def update(self, dropped: int) -> None:
         if dropped < 0:
             raise ValueError("dropped must be non-negative")
-        p = self._allowance
         # clamp exactly when current value < allowance
-        if self.drops_accum * p.denominator >= (self.drain_steps + 1) * p.numerator:
+        if self.drops_accum * self._den >= (self.drain_steps + 1) * self._num:
             self.drain_steps += 1
             self.drops_accum += dropped
         else:
@@ -112,9 +114,6 @@ class DeficitQueue:
     @property
     def value(self) -> float:
         return self.drops_accum - self.drain_steps * self.loss_allowance
-
-    def state(self) -> tuple[int, int]:
-        return (self.drops_accum, self.drain_steps)
 
 
 def cohort_drops(arrivals: int, scheduled_over_lifetime: Sequence[int]) -> int:
@@ -137,22 +136,15 @@ class FrameServed:
     counts: dict[int, list[int]]
 
     def total(self) -> int:
-        return sum(sum(v) for v in self.counts.values())
+        return sum(map(sum, self.counts.values()))
 
     def service_total(self, service_id: int) -> int:
         return sum(self.counts[service_id])
 
-    def validate(self, queues: dict[int, DeadlineQueue], capacity: int) -> None:
-        """Capacity and no-overserving constraints; raises on violation."""
-        if self.total() > capacity:
-            raise ContractViolation(
-                f"served total {self.total()} exceeds frame capacity {capacity}"
-            )
-        for sid, served in self.counts.items():
-            q = queues[sid]
-            for i, x in enumerate(served):
-                if x < 0 or x > q.buckets[i]:
-                    raise ContractViolation(
-                        f"service {sid}: served {x} from bucket r={i + 1} "
-                        f"holding {q.buckets[i]}"
-                    )
+    def validate(self, capacity: int) -> None:
+        """Frame capacity constraint; raises on violation.  The per-bucket
+        bound (no negative count, none above its bucket) is checked once, by
+        ``DeadlineQueue.serve_and_age``."""
+        total = self.total()
+        if total > capacity:
+            raise ContractViolation(f"served total {total} exceeds frame capacity {capacity}")

@@ -18,48 +18,13 @@ reassigned; the planning step is the complete allocation rule.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import accumulate
+from operator import getitem, sub
 from typing import Callable, Sequence
 
 from .queueing import ContractViolation, DeadlineQueue, FrameServed
 from .traffic import ServiceSpec
-
-
-class AllocationPlan:
-    """Committed future transmissions, per absolute frame / service / bucket."""
-
-    def __init__(self) -> None:
-        self._commits: dict[int, dict[int, dict[int, int]]] = {}
-        self._totals: dict[int, int] = {}
-
-    def commit(self, frame: int, service_id: int, r: int, count: int) -> None:
-        if count <= 0:
-            return
-        row = self._commits.setdefault(frame, {}).setdefault(service_id, {})
-        row[r] = row.get(r, 0) + count
-        self._totals[frame] = self._totals.get(frame, 0) + count
-
-    def total_at(self, frame: int) -> int:
-        return self._totals.get(frame, 0)
-
-    def row(self, frame: int) -> dict[int, dict[int, int]]:
-        return self._commits.get(frame, {})
-
-    def committed_load(self, frame: int, planning_frame: int, specs: Sequence[ServiceSpec]) -> int:
-        """Capacity at ``frame`` already held by batches that arrived before
-        ``planning_frame``: commitments sitting in buckets below the one a
-        planning-frame arrival would occupy."""
-        i = frame - planning_frame
-        load = 0
-        row = self.row(frame)
-        for spec in specs:
-            per_bucket = row.get(spec.service_id, {})
-            load += sum(n for r, n in per_bucket.items() if r <= spec.deadline - i - 1)
-        return load
-
-    def pop_frame(self, frame: int) -> dict[int, dict[int, int]]:
-        self._totals.pop(frame, None)
-        return self._commits.pop(frame, {})
 
 
 def projected_deficit(y: float, loss_allowance: float, future_drops: Sequence[int]) -> float:
@@ -70,7 +35,8 @@ def projected_deficit(y: float, loss_allowance: float, future_drops: Sequence[in
     planning time because every earlier batch is already fully allocated.
     """
     for d in future_drops:
-        y = max(y - loss_allowance, 0.0) + d
+        y -= loss_allowance
+        y = (y if y > 0.0 else 0.0) + d
     return y
 
 
@@ -104,8 +70,8 @@ def allocate_cohorts(
     for sid in order:
         m = deadlines[sid]
         x = min(arrivals[sid], *slack[m - 1 :])
-        for d in range(m - 1, horizon):
-            slack[d] -= x
+        if x:
+            slack[m - 1 :] = [v - x for v in slack[m - 1 :]]
         amounts[sid] = x
     free = list(available)
     out = {sid: [0] * deadlines[sid] for sid in order}
@@ -115,10 +81,13 @@ def allocate_cohorts(
         for i in range(deadlines[sid]):
             if remaining == 0:
                 break
-            x = min(remaining, free[i])
-            alloc[i] = x
-            free[i] -= x
-            remaining -= x
+            x = free[i]
+            if x:
+                if x > remaining:
+                    x = remaining
+                alloc[i] = x
+                free[i] -= x
+                remaining -= x
     return out
 
 
@@ -138,21 +107,40 @@ class Scheduler:
 
 
 class DcsaScheduler(Scheduler):
-    """Lookahead policy planning each batch over its lifetime at arrival."""
+    """Lookahead policy planning each batch over its lifetime at arrival.
+
+    Batches are planned on consecutive frames, so the state is three rings:
+    the free capacity of the planning horizon, and per service the last
+    ``deadline`` batch allocations (the served vector of a frame is their
+    diagonal) and the leftovers of the last ``deadline - 1`` batches (the
+    drops already fixed for the coming frames, oldest first).
+    """
 
     name = "dcsa"
 
     def __init__(self, specs: Sequence[ServiceSpec], capacity_lookahead: Callable[[int], int]):
         super().__init__(specs)
         self.lookahead = capacity_lookahead
-        self.plan = AllocationPlan()
-        # per service: absolute frame -> drop count fixed by past planning
-        self._future_drops: dict[int, dict[int, int]] = {s.service_id: {} for s in self.specs}
+        self._deadlines = {s.service_id: s.deadline for s in self.specs}
+        self._horizon = max(self._deadlines.values())
+        self._next_frame = 0
+        self._free = list(map(capacity_lookahead, range(self._horizon)))
+        self._allocs = {
+            s.service_id: deque([[0] * s.deadline] * s.deadline, maxlen=s.deadline)
+            for s in self.specs
+        }
+        self._leftovers = {
+            s.service_id: deque([0] * (s.deadline - 1), maxlen=s.deadline - 1)
+            for s in self.specs
+        }
 
     def projected(self, spec: ServiceSpec, frame: int, deficit: float) -> float:
-        drops = self._future_drops[spec.service_id]
-        steps = [drops.get(frame + j, 0) for j in range(spec.deadline - 1)]
-        return projected_deficit(deficit, spec.loss_allowance, steps)
+        """Deficit projected to the expiry frame of a batch arriving at
+        ``frame`` over the drops already fixed; ``frame`` must be the next
+        frame to plan."""
+        if frame != self._next_frame:
+            raise ContractViolation(f"frame {frame} is not the next to plan ({self._next_frame})")
+        return projected_deficit(deficit, spec.loss_allowance, self._leftovers[spec.service_id])
 
     def priority_order(self, frame: int, deficits: dict[int, float]) -> list[int]:
         """Service ids by descending projected deficit; ties by ascending id."""
@@ -163,36 +151,30 @@ class DcsaScheduler(Scheduler):
         return [sid for _, sid in sorted(keyed)]
 
     def plan_arrivals(self, frame: int, arrivals: dict[int, int], deficits: dict[int, float]) -> None:
+        """Plan the batch of ``frame``; frames must be planned 0, 1, 2, ..."""
         order = self.priority_order(frame, deficits)
-        deadlines = {s.service_id: s.deadline for s in self.specs}
-        horizon = max(s.deadline for s in self.specs)
-        available = [
-            max(self.lookahead(frame + i) - self.plan.total_at(frame + i), 0)
-            for i in range(horizon)
-        ]
-        alloc = allocate_cohorts(order, arrivals, deadlines, available)
-        for spec in self.specs:
-            sid = spec.service_id
-            committed = 0
-            for i, x in enumerate(alloc[sid]):
-                self.plan.commit(frame + i, sid, spec.deadline - i, x)
-                committed += x
-            leftover = arrivals[sid] - committed
-            if leftover > 0:
-                expiry = frame + spec.deadline - 1
-                drops = self._future_drops[sid]
-                drops[expiry] = drops.get(expiry, 0) + leftover
+        free = self._free
+        if frame:
+            del free[0]
+            free.append(self.lookahead(frame + self._horizon - 1))
+        self._next_frame = frame + 1
+        alloc = allocate_cohorts(order, arrivals, self._deadlines, free)
+        for sid, row in alloc.items():
+            free[: len(row)] = map(sub, free, row)
+            self._allocs[sid].append(row)
+            self._leftovers[sid].append(arrivals[sid] - sum(row))
 
     def decide(self, frame: int, capacity: int, queues: dict[int, DeadlineQueue]) -> FrameServed:
-        row = self.plan.pop_frame(frame)
-        counts = {}
-        for spec in self.specs:
-            served = [0] * spec.deadline
-            for r, n in row.get(spec.service_id, {}).items():
-                served[r - 1] = n
-            counts[spec.service_id] = served
-            self._future_drops[spec.service_id].pop(frame, None)
-        return FrameServed(counts=counts)
+        if frame != self._next_frame - 1:
+            raise ContractViolation(
+                f"decision for frame {frame}; the last planned frame is {self._next_frame - 1}"
+            )
+        return FrameServed(
+            counts={
+                sid: list(map(getitem, ring, range(len(ring) - 1, -1, -1)))
+                for sid, ring in self._allocs.items()
+            }
+        )
 
 
 class RoundRobinScheduler(Scheduler):

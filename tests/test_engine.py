@@ -72,13 +72,40 @@ def test_capacity_and_bucket_limits_hold(policy, table1_traj, table1_radio, two_
 
 
 def test_cohort_drop_equivalence(table1_traj, table1_radio, two_services):
-    cfg = _config(table1_traj, table1_radio, two_services, scheduler="dcsa", seed=4, num_frames=3000)
-    trace = run(cfg, collect_bucket_detail=True)
-    for j, m in enumerate(trace.deadlines):
-        for k in range(trace.num_frames - m + 1):
-            lifetime = [int(trace.bucket_served[k + i, j, m - 1 - i]) for i in range(m)]
-            expected = cohort_drops(int(trace.arrivals[k, j]), lifetime)
-            assert expected == int(trace.drops[k + m - 1, j])
+    # a mix of deadlines 2/5/10 gives each service a different ring length in
+    # the dcsa planner and different bucket counts in the queues; both links
+    # carry less than the offered load, so batches do drop
+    mixed = (
+        ServiceSpec(service_id=1, arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
+        ServiceSpec(service_id=2, arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
+        ServiceSpec(service_id=3, arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
+    )
+    for services, link in ((two_services, 150), (mixed, 100)):
+        for policy in SCHEDULER_POLICIES:
+            cfg = _config(
+                table1_traj,
+                table1_radio,
+                services,
+                scheduler=policy,
+                seed=4,
+                num_frames=3000,
+                capacity_override=link,
+            )
+            trace = run(cfg, collect_bucket_detail=True)
+            assert trace.drops.sum() > 0
+            for j, m in enumerate(trace.deadlines):
+                assert not trace.bucket_served[:, j, m:].any()
+                for k in range(trace.num_frames - m + 1):
+                    lifetime = [int(trace.bucket_served[k + i, j, m - 1 - i]) for i in range(m)]
+                    expected = cohort_drops(int(trace.arrivals[k, j]), lifetime)
+                    assert expected == int(trace.drops[k + m - 1, j]), (policy, j, k)
+
+
+def _run_with(scheduler_cls, table1_traj, table1_radio, services, monkeypatch):
+    import hsrsched.engine as engine_mod
+
+    monkeypatch.setattr(engine_mod, "make_scheduler", lambda *a, **kw: scheduler_cls(services))
+    return run(_config(table1_traj, table1_radio, services, num_frames=10))
 
 
 def test_engine_rejects_overserving_scheduler(table1_traj, table1_radio, two_services, monkeypatch):
@@ -90,12 +117,40 @@ def test_engine_rejects_overserving_scheduler(table1_traj, table1_radio, two_ser
                 counts={s.service_id: [0] * (s.deadline - 1) + [10**6] for s in self.specs}
             )
 
-    import hsrsched.engine as engine_mod
+    with pytest.raises(ContractViolation, match="exceeds frame capacity"):
+        _run_with(Greedy, table1_traj, table1_radio, two_services, monkeypatch)
 
-    monkeypatch.setattr(engine_mod, "make_scheduler", lambda *a, **kw: Greedy(two_services))
-    cfg = _config(table1_traj, table1_radio, two_services, num_frames=10)
-    with pytest.raises(ContractViolation):
-        run(cfg)
+
+def test_engine_rejects_bucket_overserve_within_capacity(
+    table1_traj, table1_radio, two_services, monkeypatch
+):
+    class OneTooMany(Scheduler):
+        """Serves the whole top bucket of service 1 plus one packet: within
+        the frame capacity, above the bucket."""
+
+        name = "dcsa"
+
+        def decide(self, frame, capacity, queues):
+            counts = {s.service_id: [0] * s.deadline for s in self.specs}
+            counts[1][-1] = queues[1].buckets[-1] + 1
+            assert sum(map(sum, counts.values())) <= capacity
+            return FrameServed(counts=counts)
+
+    with pytest.raises(ContractViolation, match="from bucket r=10"):
+        _run_with(OneTooMany, table1_traj, table1_radio, two_services, monkeypatch)
+
+
+def test_engine_rejects_negative_served_count(table1_traj, table1_radio, two_services, monkeypatch):
+    class Negative(Scheduler):
+        name = "dcsa"
+
+        def decide(self, frame, capacity, queues):
+            counts = {s.service_id: [0] * s.deadline for s in self.specs}
+            counts[2][0] = -1
+            return FrameServed(counts=counts)
+
+    with pytest.raises(ContractViolation, match="served -1"):
+        _run_with(Negative, table1_traj, table1_radio, two_services, monkeypatch)
 
 
 @pytest.mark.parametrize("policy", SCHEDULER_POLICIES)

@@ -64,6 +64,12 @@ def test_serve_and_age_contract_violations():
         q.serve_and_age([0, -1])
     with pytest.raises(ContractViolation):
         q.serve_and_age([0])
+    # the per-bucket bound is checked here only (FrameServed.validate checks
+    # capacity); an over-served top bucket raises before any state changes
+    q.buckets = [2, 3]
+    with pytest.raises(ContractViolation, match="served 4 from bucket r=2 holding 3"):
+        q.serve_and_age([2, 4])
+    assert q.buckets == [2, 3]
 
 
 def test_conservation_over_random_operations():
@@ -155,14 +161,9 @@ def test_cohort_drops_examples():
 
 
 def test_frame_served_validation():
-    queues = {1: DeadlineQueue(1, 2), 2: DeadlineQueue(2, 2)}
-    queues[1].buckets = [2, 3]
-    queues[2].buckets = [1, 0]
     ok = FrameServed(counts={1: [2, 1], 2: [1, 0]})
-    ok.validate(queues, capacity=4)
+    ok.validate(capacity=4)
     assert ok.total() == 4
     assert ok.service_total(1) == 3
     with pytest.raises(ContractViolation):
-        FrameServed(counts={1: [2, 1], 2: [1, 0]}).validate(queues, capacity=3)
-    with pytest.raises(ContractViolation):
-        FrameServed(counts={1: [2, 4], 2: [0, 0]}).validate(queues, capacity=10)
+        FrameServed(counts={1: [2, 1], 2: [1, 0]}).validate(capacity=3)

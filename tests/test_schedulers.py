@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsrsched import (
+    ContractViolation,
     DcsaScheduler,
     DeadlineQueue,
     ServiceSpec,
@@ -141,20 +142,41 @@ class TestDcsa:
         sched = DcsaScheduler([spec], lambda k: 1)
         sched.plan_arrivals(0, {1: 5}, {1: 0.0})
         # cohort gets 1 packet at each of frames 0 and 1; 3 drop at frame 1
-        assert sched._future_drops[1] == {1: 3}
+        assert sched.decide(0, 1, {}).counts[1] == [0, 1]
         assert sched.projected(spec, 1, 0.0) == 3.0
+        sched.plan_arrivals(1, {1: 0}, {1: 0.0})
+        assert sched.decide(1, 1, {}).counts[1] == [1, 0]
+        # those drops have happened by frame 2; nothing else is fixed
+        assert sched.projected(spec, 2, 0.0) == 0.0
 
-    def test_committed_load_partial_sum(self):
+    def test_earlier_batches_hold_later_capacity(self):
         s1 = _spec(1, deadline=3)
         s2 = _spec(2, deadline=2)
         caps = {0: 10, 1: 2, 2: 5}
         sched = DcsaScheduler([s1, s2], lambda k: caps.get(k, 0))
         sched.plan_arrivals(0, {1: 12, 2: 0}, {1: 0.0, 2: 0.0})
         # service 1 commits 10 at frame 0, 2 at frame 1
-        assert sched.plan.total_at(1) == 2
-        # from frame 1's planning perspective those 2 sit below a fresh cohort
-        assert sched.plan.committed_load(1, 1, [s1, s2]) == 2
-        assert sched.plan.committed_load(2, 1, [s1, s2]) == 0
+        assert sched.decide(0, 10, {}).counts == {1: [0, 0, 10], 2: [0, 0]}
+        # frame 1's capacity is all held by that batch, so service 2's batch
+        # goes to frame 2, where the earlier batch holds nothing
+        sched.plan_arrivals(1, {1: 0, 2: 3}, {1: 0.0, 2: 0.0})
+        assert sched.decide(1, 2, {}).counts == {1: [0, 2, 0], 2: [0, 0]}
+        sched.plan_arrivals(2, {1: 0, 2: 0}, {1: 0.0, 2: 0.0})
+        assert sched.decide(2, 5, {}).counts == {1: [0, 0, 0], 2: [3, 0]}
+
+    def test_frames_must_be_planned_in_order(self):
+        spec = _spec(1, deadline=3)
+        sched = DcsaScheduler([spec], lambda k: 4)
+        with pytest.raises(ContractViolation):
+            sched.plan_arrivals(1, {1: 2}, {1: 0.0})
+        sched.plan_arrivals(0, {1: 2}, {1: 0.0})
+        for frame in (0, 2):
+            with pytest.raises(ContractViolation):
+                sched.plan_arrivals(frame, {1: 2}, {1: 0.0})
+        with pytest.raises(ContractViolation):
+            sched.decide(1, 4, {})
+        sched.plan_arrivals(1, {1: 2}, {1: 0.0})
+        assert sched.decide(1, 4, {}).counts[1] == [0, 0, 2]
 
     def test_priority_ties_break_by_ascending_id(self):
         specs = [_spec(1, deadline=1), _spec(2, deadline=1)]
