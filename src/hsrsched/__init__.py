@@ -24,15 +24,8 @@ from .channel import (
     snr_db,
     write_profile_csv,
 )
-from .engine import RunSummary, SimConfig, TraceLog, delivery_ratio, run, sweep
-from .queueing import (
-    ContractViolation,
-    DeadlineQueue,
-    DeficitQueue,
-    FrameServed,
-    cohort_drops,
-    deficit_update,
-)
+from .engine import RunSummary, SimConfig, TraceLog, run
+from .queueing import ContractViolation, DeadlineQueue, DeficitQueue
 from .schedulers import (
     DcsaScheduler,
     EdfScheduler,
@@ -61,7 +54,6 @@ __all__ = [
     "DeficitQueue",
     "EdfScheduler",
     "FeasibilityReport",
-    "FrameServed",
     "RadioConfig",
     "RoundRobinScheduler",
     "RunSummary",
@@ -76,10 +68,7 @@ __all__ = [
     "build_capacity_profile",
     "check_lemma1",
     "check_sample_drift",
-    "cohort_drops",
     "constant_B",
-    "deficit_update",
-    "delivery_ratio",
     "distance_at",
     "drift_diagnostics",
     "feasibility_check",
@@ -91,7 +80,6 @@ __all__ = [
     "rate_bps",
     "run",
     "snr_db",
-    "sweep",
     "truncated_poisson_pmf",
     "weighted_drop_objective",
     "write_profile_csv",

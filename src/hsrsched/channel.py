@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
@@ -47,7 +48,10 @@ class TrajectoryConfig:
 
     @property
     def num_frames(self) -> int:
-        return int(self.trip_duration / self.frame_length)
+        """Whole frames in the trip, floored exactly from the decimal values
+        as written (0.3 / 0.1 is 3 frames; the float quotient truncates to 2)."""
+        duration, length = (Fraction(repr(float(x))) for x in (self.trip_duration, self.frame_length))
+        return int(duration // length)
 
     @property
     def max_distance(self) -> float:
@@ -197,16 +201,15 @@ def write_profile_csv(path, traj: TrajectoryConfig, radio: RadioConfig) -> None:
             t = k * traj.frame_length
             d = distance_at(t, traj)
             pl = path_loss_db(d, radio)
-            snr = radio.tx_power_over_noise - pl
-            rate = radio.bandwidth * math.log2(1.0 + 10.0 ** (snr / 10.0))
-            cap = math.floor(rate * traj.frame_length / radio.packet_size)
+            rate = rate_bps(t, traj, radio)
+            cap = frame_capacity(k, traj, radio)
             writer.writerow(
                 [
                     k,
                     f"{t:.9g}",
                     f"{d:.9g}",
                     f"{pl:.9g}",
-                    f"{snr:.9g}",
+                    f"{snr_db(t, traj, radio):.9g}",
                     f"{rate:.9g}",
                     cap,
                 ]

@@ -1,20 +1,20 @@
 """Frame loop wiring the link profile, traffic, queues and a scheduler.
 
-Each frame executes, in order: read capacity, admit sampled arrivals, let the
-scheduler plan (lookahead policy only), take the scheduler's decision, serve
-and age the queues, update the deficit counters, append the trace row.  Runs
-are deterministic given the configuration.
+Each frame executes, in order: read capacity, admit sampled arrivals, take
+the scheduler's decision (the lookahead policy plans the admitted batch
+there), check it against the frame capacity, serve and age the queues, update
+the deficit counters, append the trace row.  Runs are deterministic given the
+configuration.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import CapacityProfile, RadioConfig, TrajectoryConfig, build_capacity_profile
-from .queueing import DeadlineQueue, DeficitQueue
+from .queueing import ContractViolation, DeadlineQueue, DeficitQueue
 from .schedulers import SCHEDULER_POLICIES, make_scheduler
 from .traffic import ArrivalGenerator, FeasibilityReport, ServiceSpec, feasibility_check, validate_service_ids
 
@@ -37,6 +37,8 @@ class SimConfig:
         validate_service_ids(self.services)
         if self.scheduler not in SCHEDULER_POLICIES:
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.num_frames is not None:
             if self.num_frames < 0:
                 raise ValueError("num_frames must be non-negative")
@@ -193,7 +195,6 @@ def run(config: SimConfig, collect_bucket_detail: bool = False) -> TraceLog:
     """Execute one seeded run and return its trace."""
     specs = tuple(sorted(config.services, key=lambda s: s.service_id))
     profile = config.profile()
-    trip_frames = len(profile)
     n = config.frames
     n_svc = len(specs)
     max_m = max(s.deadline for s in specs)
@@ -201,13 +202,9 @@ def run(config: SimConfig, collect_bucket_detail: bool = False) -> TraceLog:
     gen = ArrivalGenerator(specs, config.seed)
     arrivals = gen.sample_run(n)
 
-    queues = {s.service_id: DeadlineQueue(s.service_id, s.deadline) for s in specs}
-    deficits = {s.service_id: DeficitQueue(s.service_id, s.loss_allowance) for s in specs}
-
-    def lookahead(frame: int) -> int:
-        return profile[frame] if 0 <= frame < trip_frames else 0
-
-    scheduler = make_scheduler(config.scheduler, specs, lookahead)
+    queues = [DeadlineQueue(s.service_id, s.deadline) for s in specs]
+    deficits = [DeficitQueue(s.service_id, s.loss_allowance) for s in specs]
+    scheduler = make_scheduler(config.scheduler, specs, profile.capacities)
 
     capacity = np.array(profile.capacities[:n], dtype=np.int64)
     served_arr = np.zeros((n, n_svc), dtype=np.int64)
@@ -217,23 +214,21 @@ def run(config: SimConfig, collect_bucket_detail: bool = False) -> TraceLog:
     deficit_state = np.zeros((n, n_svc, 2), dtype=np.int64)
     bucket_served = np.zeros((n, n_svc, max_m), dtype=np.int64) if collect_bucket_detail else None
 
-    sids = [s.service_id for s in specs]
-    per_service = [(sid, queues[sid], deficits[sid]) for sid in sids]
     caps = profile.capacities
-    plan, decide = scheduler.plan_arrivals, scheduler.decide
+    decide = scheduler.decide
 
     for k in range(n):
         cap = caps[k]
-        frame_arrivals = arrivals[k].tolist()
-        for (_, q, _), a in zip(per_service, frame_arrivals):
+        for q, a in zip(queues, arrivals[k].tolist()):
             q.admit(a)
-        deficits_now = {sid: dq.value for sid, _, dq in per_service}
-        plan(k, dict(zip(sids, frame_arrivals)), deficits_now)
-        decision = decide(k, cap, queues)
-        decision.validate(cap)
+        decision = decide(k, cap, queues, deficits)
+        if len(decision) != n_svc:
+            raise ContractViolation(f"frame {k}: {len(decision)} rows decided for {n_svc} services")
+        total = sum(map(sum, decision))
+        if total > cap:
+            raise ContractViolation(f"served total {total} exceeds frame capacity {cap}")
 
-        for j, (sid, q, dq) in enumerate(per_service):
-            served = decision.counts[sid]
+        for j, (q, dq, served) in enumerate(zip(queues, deficits, decision)):
             dropped = q.serve_and_age(served)
             dq.update(dropped)
             served_arr[k, j] = sum(served)
@@ -261,74 +256,3 @@ def run(config: SimConfig, collect_bucket_detail: bool = False) -> TraceLog:
         deficit_state=deficit_state,
         bucket_served=bucket_served,
     )
-
-
-def delivery_ratio(trace: TraceLog, service_id: int) -> float | None:
-    """Delivered fraction for one service; None when it saw no arrivals."""
-    j = trace.service_ids.index(service_id)
-    total = int(trace.arrivals[:, j].sum())
-    if total == 0:
-        return None
-    return (total - int(trace.drops[:, j].sum())) / total
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    deadline: int
-    arrival_rate: float
-    seed: int
-    summary: RunSummary | None
-    error: str | None = None
-
-
-def sweep(config: SimConfig, deadlines, rates) -> list[SweepPoint]:
-    """One independent run per (deadline, rate) grid point.
-
-    Every service in the base config takes the point's deadline and rate.
-    Seeds are derived as ``config.seed ^ point_index`` so each point is
-    reproducible standalone.  A failing point is recorded and the sweep
-    continues.
-    """
-    points = list(itertools.product(deadlines, rates))
-    out = []
-    for index, (m, rate) in enumerate(points):
-        seed = config.seed ^ index
-        try:
-            services = tuple(
-                ServiceSpec(
-                    service_id=s.service_id,
-                    arrival_rate=float(rate),
-                    deadline=int(m),
-                    delivery_ratio=s.delivery_ratio,
-                    tail_eps=s.tail_eps,
-                )
-                for s in config.services
-            )
-            point_config = SimConfig(
-                trajectory=config.trajectory,
-                radio=config.radio,
-                services=services,
-                scheduler=config.scheduler,
-                seed=seed,
-                num_frames=config.num_frames,
-                capacity_override=config.capacity_override,
-            )
-            out.append(
-                SweepPoint(
-                    deadline=int(m),
-                    arrival_rate=float(rate),
-                    seed=seed,
-                    summary=run(point_config).summary(),
-                )
-            )
-        except Exception as exc:  # record and keep sweeping
-            out.append(
-                SweepPoint(
-                    deadline=int(m),
-                    arrival_rate=float(rate),
-                    seed=seed,
-                    summary=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-    return out

@@ -66,13 +66,6 @@ class DeadlineQueue:
         return tuple(self.buckets)
 
 
-def deficit_update(y: float, loss_allowance: float, dropped: int) -> float:
-    """One step of the deficit counter: drain the allowance, add new drops."""
-    if y < 0 or loss_allowance < 0 or dropped < 0:
-        raise ValueError("deficit inputs must be non-negative")
-    return max(y - loss_allowance, 0.0) + dropped
-
-
 @dataclass
 class DeficitQueue:
     """Excess-drop counter for one service, starting at zero.
@@ -114,37 +107,3 @@ class DeficitQueue:
     @property
     def value(self) -> float:
         return self.drops_accum - self.drain_steps * self.loss_allowance
-
-
-def cohort_drops(arrivals: int, scheduled_over_lifetime: Sequence[int]) -> int:
-    """Drops attributable to one arrival batch given its lifetime allocations."""
-    total = sum(scheduled_over_lifetime)
-    if any(x < 0 for x in scheduled_over_lifetime):
-        raise ContractViolation("negative scheduled count")
-    if total > arrivals:
-        raise ContractViolation(f"scheduled {total} exceeds cohort size {arrivals}")
-    return arrivals - total
-
-
-@dataclass
-class FrameServed:
-    """Per-service, per-bucket transmission counts for one frame.
-
-    ``counts[sid][i]`` packets are taken from bucket r = i + 1 of service sid.
-    """
-
-    counts: dict[int, list[int]]
-
-    def total(self) -> int:
-        return sum(map(sum, self.counts.values()))
-
-    def service_total(self, service_id: int) -> int:
-        return sum(self.counts[service_id])
-
-    def validate(self, capacity: int) -> None:
-        """Frame capacity constraint; raises on violation.  The per-bucket
-        bound (no negative count, none above its bucket) is checked once, by
-        ``DeadlineQueue.serve_and_age``."""
-        total = self.total()
-        if total > capacity:
-            raise ContractViolation(f"served total {total} exceeds frame capacity {capacity}")

@@ -1,8 +1,10 @@
 """Scheduling policies: deficit-driven lookahead (dcsa), round robin and EDF.
 
-All policies implement the same contract: given the frame index, the frame
-capacity and the queue states they return per-service per-bucket transmission
-counts that never exceed the capacity or any bucket content.
+All policies implement one contract, ``decide(frame, capacity, queues,
+deficits)``: given the frame index, the frame capacity, and the deadline and
+deficit queues in service-id order (this frame's arrivals already admitted),
+they return one row of per-bucket transmission counts per service that never
+exceed the capacity or any bucket content.
 
 The lookahead policy plans each arrival batch over its whole lifetime at the
 arrival frame.  Services are ranked by descending deficit counter projected to
@@ -21,10 +23,10 @@ from __future__ import annotations
 from collections import deque
 from itertools import accumulate
 from operator import getitem, sub
-from typing import Callable, Sequence
+from typing import Mapping, Sequence
 
-from .queueing import ContractViolation, DeadlineQueue, FrameServed
-from .traffic import ServiceSpec
+from .queueing import ContractViolation, DeadlineQueue, DeficitQueue
+from .traffic import ServiceSpec, validate_service_ids
 
 
 def projected_deficit(y: float, loss_allowance: float, future_drops: Sequence[int]) -> float:
@@ -42,12 +44,14 @@ def projected_deficit(y: float, loss_allowance: float, future_drops: Sequence[in
 
 def allocate_cohorts(
     order: Sequence[int],
-    arrivals: dict[int, int],
-    deadlines: dict[int, int],
+    arrivals: Mapping[int, int] | Sequence[int],
+    deadlines: Mapping[int, int] | Sequence[int],
     available: Sequence[int],
 ) -> dict[int, list[int]]:
     """Lifetime allocation of one frame's arrival batches.
 
+    ``order`` lists the services as keys of ``arrivals`` and ``deadlines``:
+    service ids into dicts, or positions into lists.
     ``available`` holds the per-offset free capacity (frame capacity minus
     earlier batches' commitments) and is not mutated.  Every window starts at
     offset 0, so an allocation is feasible exactly when, for each horizon d,
@@ -97,12 +101,17 @@ class Scheduler:
     name: str = "base"
 
     def __init__(self, specs: Sequence[ServiceSpec]):
+        validate_service_ids(specs)
         self.specs = tuple(sorted(specs, key=lambda s: s.service_id))
 
-    def plan_arrivals(self, frame: int, arrivals: dict[int, int], deficits: dict[int, float]) -> None:
-        """Hook invoked right after admission; only the lookahead policy uses it."""
-
-    def decide(self, frame: int, capacity: int, queues: dict[int, DeadlineQueue]) -> FrameServed:
+    def decide(
+        self,
+        frame: int,
+        capacity: int,
+        queues: Sequence[DeadlineQueue],
+        deficits: Sequence[DeficitQueue],
+    ) -> list[list[int]]:
+        """Row j serves ``queues[j]``: ``row[i]`` packets from bucket r = i + 1."""
         raise NotImplementedError
 
 
@@ -113,68 +122,61 @@ class DcsaScheduler(Scheduler):
     the free capacity of the planning horizon, and per service the last
     ``deadline`` batch allocations (the served vector of a frame is their
     diagonal) and the leftovers of the last ``deadline - 1`` batches (the
-    drops already fixed for the coming frames, oldest first).
+    drops already fixed for the coming frames, oldest first).  Services are
+    indexed by position in id order (id - 1).
     """
 
     name = "dcsa"
 
-    def __init__(self, specs: Sequence[ServiceSpec], capacity_lookahead: Callable[[int], int]):
+    def __init__(self, specs: Sequence[ServiceSpec], capacities: Sequence[int]):
         super().__init__(specs)
-        self.lookahead = capacity_lookahead
-        self._deadlines = {s.service_id: s.deadline for s in self.specs}
-        self._horizon = max(self._deadlines.values())
+        self._deadlines = [s.deadline for s in self.specs]
+        self._horizon = max(self._deadlines)
+        # the trip's capacities, zero past its end
+        self._capacities = tuple(capacities) + (0,) * self._horizon
         self._next_frame = 0
-        self._free = list(map(capacity_lookahead, range(self._horizon)))
-        self._allocs = {
-            s.service_id: deque([[0] * s.deadline] * s.deadline, maxlen=s.deadline)
-            for s in self.specs
-        }
-        self._leftovers = {
-            s.service_id: deque([0] * (s.deadline - 1), maxlen=s.deadline - 1)
-            for s in self.specs
-        }
+        self._free = list(self._capacities[: self._horizon])
+        self._allocs = [deque([[0] * m] * m, maxlen=m) for m in self._deadlines]
+        self._leftovers = [deque([0] * (m - 1), maxlen=m - 1) for m in self._deadlines]
 
-    def projected(self, spec: ServiceSpec, frame: int, deficit: float) -> float:
-        """Deficit projected to the expiry frame of a batch arriving at
-        ``frame`` over the drops already fixed; ``frame`` must be the next
-        frame to plan."""
+    def projected(self, spec: ServiceSpec, deficit: float) -> float:
+        """Deficit projected to the expiry frame of the next batch to plan
+        over the drops already fixed."""
+        return projected_deficit(deficit, spec.loss_allowance, self._leftovers[spec.service_id - 1])
+
+    def priority_order(self, deficits: Sequence[float]) -> list[int]:
+        """Service positions by descending projected deficit; ties by
+        ascending position (id)."""
+        keyed = [(-self.projected(s, y), j) for j, (s, y) in enumerate(zip(self.specs, deficits))]
+        return [j for _, j in sorted(keyed)]
+
+    def plan_arrivals(self, frame: int, arrivals: Sequence[int], deficits: Sequence[float]) -> None:
+        """Plan the batch of ``frame``; frames must be planned 0, 1, 2, ..."""
         if frame != self._next_frame:
             raise ContractViolation(f"frame {frame} is not the next to plan ({self._next_frame})")
-        return projected_deficit(deficit, spec.loss_allowance, self._leftovers[spec.service_id])
-
-    def priority_order(self, frame: int, deficits: dict[int, float]) -> list[int]:
-        """Service ids by descending projected deficit; ties by ascending id."""
-        keyed = [
-            (-self.projected(s, frame, deficits[s.service_id]), s.service_id)
-            for s in self.specs
-        ]
-        return [sid for _, sid in sorted(keyed)]
-
-    def plan_arrivals(self, frame: int, arrivals: dict[int, int], deficits: dict[int, float]) -> None:
-        """Plan the batch of ``frame``; frames must be planned 0, 1, 2, ..."""
-        order = self.priority_order(frame, deficits)
+        order = self.priority_order(deficits)
         free = self._free
         if frame:
             del free[0]
-            free.append(self.lookahead(frame + self._horizon - 1))
+            free.append(self._capacities[frame + self._horizon - 1])
         self._next_frame = frame + 1
         alloc = allocate_cohorts(order, arrivals, self._deadlines, free)
-        for sid, row in alloc.items():
+        for j, row in alloc.items():
             free[: len(row)] = map(sub, free, row)
-            self._allocs[sid].append(row)
-            self._leftovers[sid].append(arrivals[sid] - sum(row))
+            self._allocs[j].append(row)
+            self._leftovers[j].append(arrivals[j] - sum(row))
 
-    def decide(self, frame: int, capacity: int, queues: dict[int, DeadlineQueue]) -> FrameServed:
-        if frame != self._next_frame - 1:
-            raise ContractViolation(
-                f"decision for frame {frame}; the last planned frame is {self._next_frame - 1}"
-            )
-        return FrameServed(
-            counts={
-                sid: list(map(getitem, ring, range(len(ring) - 1, -1, -1)))
-                for sid, ring in self._allocs.items()
-            }
-        )
+    def decide(
+        self,
+        frame: int,
+        capacity: int,
+        queues: Sequence[DeadlineQueue],
+        deficits: Sequence[DeficitQueue],
+    ) -> list[list[int]]:
+        """Plan the batch just admitted to the top buckets, then serve the
+        diagonal of the planned allocations."""
+        self.plan_arrivals(frame, [q.buckets[-1] for q in queues], [dq.value for dq in deficits])
+        return [list(map(getitem, ring, range(len(ring) - 1, -1, -1))) for ring in self._allocs]
 
 
 class RoundRobinScheduler(Scheduler):
@@ -182,19 +184,24 @@ class RoundRobinScheduler(Scheduler):
 
     name = "rr"
 
-    def decide(self, frame: int, capacity: int, queues: dict[int, DeadlineQueue]) -> FrameServed:
-        counts = {s.service_id: [0] * s.deadline for s in self.specs}
-        chosen = self.specs[frame % len(self.specs)]
+    def decide(
+        self,
+        frame: int,
+        capacity: int,
+        queues: Sequence[DeadlineQueue],
+        deficits: Sequence[DeficitQueue],
+    ) -> list[list[int]]:
+        counts = [[0] * s.deadline for s in self.specs]
+        j = frame % len(self.specs)
+        served = counts[j]
         left = capacity
-        served = counts[chosen.service_id]
-        q = queues[chosen.service_id]
-        for i in range(chosen.deadline):
+        for i, b in enumerate(queues[j].buckets):
             if left == 0:
                 break
-            x = min(left, q.buckets[i])
+            x = min(left, b)
             served[i] = x
             left -= x
-        return FrameServed(counts=counts)
+        return counts
 
 
 class EdfScheduler(Scheduler):
@@ -208,37 +215,41 @@ class EdfScheduler(Scheduler):
 
     def __init__(self, specs: Sequence[ServiceSpec]):
         super().__init__(specs)
-        self._by_desc_id = tuple(sorted(self.specs, key=lambda s: -s.service_id))
+        self._max_m = max(s.deadline for s in self.specs)
+        self._by_desc_id = [(j, s.deadline) for j, s in enumerate(self.specs)][::-1]
 
-    def decide(self, frame: int, capacity: int, queues: dict[int, DeadlineQueue]) -> FrameServed:
-        counts = {s.service_id: [0] * s.deadline for s in self.specs}
+    def decide(
+        self,
+        frame: int,
+        capacity: int,
+        queues: Sequence[DeadlineQueue],
+        deficits: Sequence[DeficitQueue],
+    ) -> list[list[int]]:
+        counts = [[0] * s.deadline for s in self.specs]
         left = capacity
-        max_m = max(s.deadline for s in self.specs)
-        for i in range(max_m):
+        for i in range(self._max_m):
             if left == 0:
                 break
-            for spec in self._by_desc_id:
-                if i >= spec.deadline:
+            for j, m in self._by_desc_id:
+                if i >= m:
                     continue
-                x = min(left, queues[spec.service_id].buckets[i])
+                x = min(left, queues[j].buckets[i])
                 if x > 0:
-                    counts[spec.service_id][i] = x
+                    counts[j][i] = x
                     left -= x
                 if left == 0:
                     break
-        return FrameServed(counts=counts)
+        return counts
 
 
 SCHEDULER_POLICIES = ("dcsa", "rr", "edf")
 
 
-def make_scheduler(
-    policy: str,
-    specs: Sequence[ServiceSpec],
-    capacity_lookahead: Callable[[int], int],
-) -> Scheduler:
+def make_scheduler(policy: str, specs: Sequence[ServiceSpec], capacities: Sequence[int]) -> Scheduler:
+    """The named policy; ``capacities`` is the trip's per-frame capacity,
+    which only the lookahead policy reads."""
     if policy == "dcsa":
-        return DcsaScheduler(specs, capacity_lookahead)
+        return DcsaScheduler(specs, capacities)
     if policy == "rr":
         return RoundRobinScheduler(specs)
     if policy == "edf":

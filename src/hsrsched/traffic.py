@@ -127,17 +127,8 @@ class ArrivalGenerator:
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self._cdfs = [np.cumsum(s.pmf) for s in self.specs]
 
-    def sample_arrivals(self) -> tuple[int, ...]:
-        """One frame's arrival vector, in service-id order."""
-        u = self._rng.random(len(self.specs))
-        return tuple(
-            int(np.searchsorted(cdf, u[j], side="right"))
-            for j, cdf in enumerate(self._cdfs)
-        )
-
     def sample_run(self, num_frames: int) -> np.ndarray:
-        """All arrivals of a run at once; identical stream to repeated
-        ``sample_arrivals`` calls on a fresh generator with the same seed."""
+        """All arrivals of a run at once: one row per frame, services in id order."""
         u = self._rng.random((num_frames, len(self.specs)))
         out = np.empty((num_frames, len(self.specs)), dtype=np.int64)
         for j, cdf in enumerate(self._cdfs):

@@ -209,6 +209,22 @@ def test_trip_shorter_than_frame_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "trip_duration, frame_length, frames",
+    [(0.3, 0.1, 3), (2.3, 0.1, 23), (30.0, 0.001, 30000), (15.0, 0.001, 15000), (0.25, 0.1, 2)],
+)
+def test_num_frames_floors_the_decimal_quotient(trip_duration, frame_length, frames):
+    # the float quotients are 2.9999999999999996 and 22.999999999999996
+    traj = TrajectoryConfig(
+        speed=100.0,
+        cell_radius=1500.0,
+        track_offset=30.0,
+        trip_duration=trip_duration,
+        frame_length=frame_length,
+    )
+    assert traj.num_frames == frames
+
+
 def test_radio_validation():
     with pytest.raises(ValueError):
         RadioConfig(

@@ -1,14 +1,17 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
+from hsrsched import ServiceSpec, SimConfig, run
 from hsrsched.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_VERIFY,
     ConfigError,
+    fig3_rows,
     main,
     parse_config,
     serialize_config,
@@ -160,6 +163,50 @@ def test_cmd_fig3_grid_rows(tmp_path):
         by_rate.setdefault(float(rate), {})[int(m)] = float(ratio)
     for series in by_rate.values():
         assert series[3] >= series[1] - 1e-12
+
+
+def test_fig3_row_is_mean_of_standalone_runs(tmp_path):
+    cfg = parse_config(_write_small_fig3(tmp_path, seeds=2))
+    rows = fig3_rows(cfg)
+    assert [row[:2] for row in rows] == [(1, 250.0), (3, 250.0), (1, 400.0), (3, 400.0)]
+    # rate index p = 1, deadline 3: replicate rep runs at seed (3 ^ 1) + rep
+    m, rate, ratio = rows[3]
+    total = 0.0
+    for rep in range(2):
+        spec = ServiceSpec(service_id=1, arrival_rate=rate, deadline=m, delivery_ratio=0.9)
+        sim = SimConfig(
+            trajectory=cfg.sim.trajectory,
+            radio=cfg.sim.radio,
+            services=(spec,),
+            seed=(3 ^ 1) + rep,
+            num_frames=1500,
+        )
+        total += run(sim).summary().service(1).delivery_ratio
+    assert ratio == total / 2
+
+
+def test_fig3_rows_rejects_empty_grid(tmp_path):
+    cfg = parse_config(_write_small_fig3(tmp_path))
+    with pytest.raises(ConfigError):
+        fig3_rows(replace(cfg, sweep_deadlines=()))
+    with pytest.raises(ConfigError):
+        fig3_rows(replace(cfg, sweep_rates=()))
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    rc = main(["run", DEFAULT_CONFIG, "--frames", "10", "--seed", "-1", "--out", out])
+    assert rc == EXIT_CONFIG
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_negative_seed_key_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "neg.ini"
+    path.write_text(serialize_config(parse_config(DEFAULT_CONFIG)).replace("seed = 42", "seed = -1"))
+    rc = main(["run", str(path), "--frames", "10", "--out", str(tmp_path / "x")])
+    assert rc == EXIT_CONFIG
+    assert "seed must be non-negative" in capsys.readouterr().err
 
 
 def test_cmd_fig3_rejects_two_service_config():

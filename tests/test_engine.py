@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hsrsched import (
-    ContractViolation,
-    FrameServed,
-    ServiceSpec,
-    SimConfig,
-    cohort_drops,
-    delivery_ratio,
-    run,
-    sweep,
-)
+from hsrsched import ContractViolation, ServiceSpec, SimConfig, run
 from hsrsched.schedulers import SCHEDULER_POLICIES, Scheduler
 
 
@@ -97,7 +90,7 @@ def test_cohort_drop_equivalence(table1_traj, table1_radio, two_services):
                 assert not trace.bucket_served[:, j, m:].any()
                 for k in range(trace.num_frames - m + 1):
                     lifetime = [int(trace.bucket_served[k + i, j, m - 1 - i]) for i in range(m)]
-                    expected = cohort_drops(int(trace.arrivals[k, j]), lifetime)
+                    expected = int(trace.arrivals[k, j]) - sum(lifetime)
                     assert expected == int(trace.drops[k + m - 1, j]), (policy, j, k)
 
 
@@ -112,10 +105,8 @@ def test_engine_rejects_overserving_scheduler(table1_traj, table1_radio, two_ser
     class Greedy(Scheduler):
         name = "dcsa"
 
-        def decide(self, frame, capacity, queues):
-            return FrameServed(
-                counts={s.service_id: [0] * (s.deadline - 1) + [10**6] for s in self.specs}
-            )
+        def decide(self, frame, capacity, queues, deficits):
+            return [[0] * (s.deadline - 1) + [10**6] for s in self.specs]
 
     with pytest.raises(ContractViolation, match="exceeds frame capacity"):
         _run_with(Greedy, table1_traj, table1_radio, two_services, monkeypatch)
@@ -130,11 +121,11 @@ def test_engine_rejects_bucket_overserve_within_capacity(
 
         name = "dcsa"
 
-        def decide(self, frame, capacity, queues):
-            counts = {s.service_id: [0] * s.deadline for s in self.specs}
-            counts[1][-1] = queues[1].buckets[-1] + 1
-            assert sum(map(sum, counts.values())) <= capacity
-            return FrameServed(counts=counts)
+        def decide(self, frame, capacity, queues, deficits):
+            counts = [[0] * s.deadline for s in self.specs]
+            counts[0][-1] = queues[0].buckets[-1] + 1
+            assert sum(map(sum, counts)) <= capacity
+            return counts
 
     with pytest.raises(ContractViolation, match="from bucket r=10"):
         _run_with(OneTooMany, table1_traj, table1_radio, two_services, monkeypatch)
@@ -144,13 +135,29 @@ def test_engine_rejects_negative_served_count(table1_traj, table1_radio, two_ser
     class Negative(Scheduler):
         name = "dcsa"
 
-        def decide(self, frame, capacity, queues):
-            counts = {s.service_id: [0] * s.deadline for s in self.specs}
-            counts[2][0] = -1
-            return FrameServed(counts=counts)
+        def decide(self, frame, capacity, queues, deficits):
+            counts = [[0] * s.deadline for s in self.specs]
+            counts[1][0] = -1
+            return counts
 
     with pytest.raises(ContractViolation, match="served -1"):
         _run_with(Negative, table1_traj, table1_radio, two_services, monkeypatch)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_engine_rejects_wrong_row_count(rows, table1_traj, table1_radio, two_services, monkeypatch):
+    class WrongRows(Scheduler):
+        """Decides nothing but with one row too few or too many, on the last
+        frame only."""
+
+        name = "dcsa"
+
+        def decide(self, frame, capacity, queues, deficits):
+            n = rows if frame == 9 else len(self.specs)
+            return [[0] * 10 for _ in range(n)]
+
+    with pytest.raises(ContractViolation, match=f"frame 9: {rows} rows decided for 2 services"):
+        _run_with(WrongRows, table1_traj, table1_radio, two_services, monkeypatch)
 
 
 @pytest.mark.parametrize("policy", SCHEDULER_POLICIES)
@@ -179,9 +186,9 @@ def test_delivery_ratio_zero_with_dead_link(table1_traj, table1_radio):
         ServiceSpec(service_id=2, arrival_rate=5.0, deadline=1, delivery_ratio=0.8),
     )
     cfg = _config(table1_traj, table1_radio, services, seed=3, num_frames=500, capacity_override=0)
-    trace = run(cfg)
-    assert delivery_ratio(trace, 1) == 0.0
-    assert delivery_ratio(trace, 2) == 0.0
+    summary = run(cfg).summary()
+    assert summary.service(1).delivery_ratio == 0.0
+    assert summary.service(2).delivery_ratio == 0.0
 
 
 def test_config_validation(table1_traj, table1_radio, two_services):
@@ -209,51 +216,49 @@ def test_summary_text_contains_key_fields(table1_traj, table1_radio, two_service
     assert "service 1:" in text and "service 2:" in text
 
 
-def test_sweep_empty_grid(table1_traj, table1_radio, two_services):
-    cfg = _config(table1_traj, table1_radio, two_services, seed=1, num_frames=100)
-    assert sweep(cfg, [], [10.0]) == []
-    assert sweep(cfg, [1, 2], []) == []
-
-
-def test_sweep_grid_and_standalone_reproducibility(table1_traj, table1_radio):
-    spec = (ServiceSpec(service_id=1, arrival_rate=90.0, deadline=4, delivery_ratio=0.9),)
-    cfg = _config(table1_traj, table1_radio, spec, seed=11, num_frames=2000)
-    points = sweep(cfg, [2, 4], [90.0, 130.0])
-    assert len(points) == 4
-    assert [p.seed for p in points] == [11 ^ 0, 11 ^ 1, 11 ^ 2, 11 ^ 3]
-    # re-run the third point standalone from its recorded parameters
-    p = points[2]
-    standalone = run(
-        _config(
-            table1_traj,
-            table1_radio,
-            (
-                ServiceSpec(
-                    service_id=1,
-                    arrival_rate=p.arrival_rate,
-                    deadline=p.deadline,
-                    delivery_ratio=0.9,
-                ),
-            ),
-            seed=p.seed,
-            num_frames=2000,
+@st.composite
+def _small_runs(draw):
+    services = tuple(
+        ServiceSpec(
+            service_id=sid,
+            arrival_rate=draw(st.floats(0.5, 100.0)),
+            deadline=draw(st.integers(1, 10)),
+            delivery_ratio=draw(st.floats(0.5, 0.99)),
         )
-    ).summary()
-    assert standalone == p.summary
+        for sid in range(1, draw(st.integers(1, 3)) + 1)
+    )
+    return (
+        services,
+        draw(st.integers(0, 250)),
+        draw(st.integers(1, 400)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
 
 
-def test_sweep_records_errors_and_continues(table1_traj, table1_radio):
-    spec = (ServiceSpec(service_id=1, arrival_rate=50.0, deadline=4, delivery_ratio=0.9),)
-    cfg = _config(table1_traj, table1_radio, spec, seed=11, num_frames=50)
-    points = sweep(cfg, [0, 2], [50.0])  # deadline 0 is invalid
-    assert points[0].error is not None and points[0].summary is None
-    assert points[1].error is None and points[1].summary is not None
-
-
-def test_sweep_higher_rate_never_helps(table1_traj, table1_radio):
-    spec = (ServiceSpec(service_id=1, arrival_rate=90.0, deadline=4, delivery_ratio=0.9),)
-    cfg = _config(table1_traj, table1_radio, spec, seed=11)
-    points = sweep(cfg, [4], [90.0, 130.0])
-    lo = points[0].summary.services[0].delivery_ratio
-    hi = points[1].summary.services[0].delivery_ratio
-    assert hi <= lo + 0.01
+@pytest.mark.parametrize("policy", SCHEDULER_POLICIES)
+@settings(max_examples=50, deadline=None)
+@given(params=_small_runs())
+def test_engine_conservation_laws(policy, params, table1_traj, table1_radio):
+    services, link, frames, seed = params
+    cfg = _config(
+        table1_traj,
+        table1_radio,
+        services,
+        scheduler=policy,
+        seed=seed,
+        num_frames=frames,
+        capacity_override=link,
+    )
+    trace = run(cfg, collect_bucket_detail=True)
+    assert (trace.served == trace.bucket_served.sum(axis=2)).all()
+    assert (trace.served.sum(axis=1) <= trace.capacity).all()
+    assert (trace.deficit >= 0.0).all()
+    for j, m in enumerate(trace.deadlines):
+        arrivals, served, drops = trace.arrivals[:, j], trace.served[:, j], trace.drops[:, j]
+        assert arrivals.sum() == served.sum() + drops.sum() + trace.backlog[-1, j]
+        # the batch of frame k is served from bucket r = m - i at frame k + i
+        # and its unserved rest drops at the end of frame k + m - 1
+        batches = max(frames - m + 1, 0)
+        lifetime = sum(trace.bucket_served[i : i + batches, j, m - 1 - i] for i in range(m))
+        assert (arrivals[:batches] - lifetime == drops[m - 1 :]).all()
+        assert not drops[: m - 1].any()

@@ -3,14 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hsrsched import (
-    ContractViolation,
-    DeadlineQueue,
-    DeficitQueue,
-    FrameServed,
-    cohort_drops,
-    deficit_update,
-)
+from hsrsched import ContractViolation, DeadlineQueue, DeficitQueue, projected_deficit
 
 
 def test_admit_zero_is_noop_on_contents():
@@ -64,7 +57,7 @@ def test_serve_and_age_contract_violations():
         q.serve_and_age([0, -1])
     with pytest.raises(ContractViolation):
         q.serve_and_age([0])
-    # the per-bucket bound is checked here only (FrameServed.validate checks
+    # the per-bucket bound is checked here only (the engine checks the frame
     # capacity); an over-served top bucket raises before any state changes
     q.buckets = [2, 3]
     with pytest.raises(ContractViolation, match="served 4 from bucket r=2 holding 3"):
@@ -92,13 +85,14 @@ def test_conservation_over_random_operations():
 
 
 def test_deficit_update_examples():
-    assert deficit_update(0.0, 2.0, 0) == 0.0
-    assert deficit_update(5.0, 2.0, 3) == 6.0
-    assert deficit_update(1.0, 2.0, 0) == 0.0
+    dq = DeficitQueue(1, 2.0)
+    for dropped, value in ((0, 0.0), (5, 5.0), (3, 6.0), (0, 4.0), (0, 2.0), (1, 1.0), (0, 0.0)):
+        dq.update(dropped)  # (y - 2)^+ + dropped
+        assert dq.value == value
     with pytest.raises(ValueError):
-        deficit_update(-1.0, 2.0, 0)
+        dq.update(-1)
     with pytest.raises(ValueError):
-        deficit_update(1.0, 2.0, -1)
+        DeficitQueue(1, -1.0)
 
 
 def test_deficit_queue_starts_at_zero_and_stays_nonnegative():
@@ -118,7 +112,7 @@ def test_deficit_queue_matches_scalar_updates():
     for _ in range(5000):
         d = rng.choice([0, 0, 1, 3, 7])
         dq.update(d)
-        y = deficit_update(y, allowance, d)
+        y = projected_deficit(y, allowance, [d])
         assert dq.value == pytest.approx(y, rel=1e-9, abs=1e-9)
 
 
@@ -148,22 +142,3 @@ def test_deficit_per_frame_inequality():
         cur = dq.exact_value
         assert cur - prev >= d - p
         prev = cur
-
-
-def test_cohort_drops_examples():
-    assert cohort_drops(10, [4, 3, 3]) == 0
-    assert cohort_drops(10, []) == 10
-    assert cohort_drops(8, [3, 2, 1]) == 2
-    with pytest.raises(ContractViolation):
-        cohort_drops(5, [3, 3])
-    with pytest.raises(ContractViolation):
-        cohort_drops(5, [-1, 2])
-
-
-def test_frame_served_validation():
-    ok = FrameServed(counts={1: [2, 1], 2: [1, 0]})
-    ok.validate(capacity=4)
-    assert ok.total() == 4
-    assert ok.service_total(1) == 3
-    with pytest.raises(ContractViolation):
-        FrameServed(counts={1: [2, 1], 2: [1, 0]}).validate(capacity=3)

@@ -8,6 +8,7 @@ from hsrsched import (
     ContractViolation,
     DcsaScheduler,
     DeadlineQueue,
+    DeficitQueue,
     ServiceSpec,
     allocate_cohorts,
     make_scheduler,
@@ -28,7 +29,21 @@ def _spec(sid, rate=10.0, deadline=2, q=0.9):
 
 
 def _queues(specs):
-    return {s.service_id: DeadlineQueue(s.service_id, s.deadline) for s in specs}
+    return [DeadlineQueue(s.service_id, s.deadline) for s in specs]
+
+
+def _deficits(specs):
+    return [DeficitQueue(s.service_id, s.loss_allowance) for s in specs]
+
+
+def _step(sched, frame, capacity, queues, deficits, arrivals):
+    """One engine frame: admit, decide, serve and age, update the deficits."""
+    for q, a in zip(queues, arrivals):
+        q.admit(a)
+    rows = sched.decide(frame, capacity, queues, deficits)
+    for q, dq, row in zip(queues, deficits, rows):
+        dq.update(q.serve_and_age(row))
+    return rows
 
 
 def test_projected_deficit_zero_steps_is_identity():
@@ -122,78 +137,81 @@ def test_allocate_matches_lexicographic_oracle(instance):
 class TestDcsa:
     def test_plan_and_decide_single_cohort(self):
         spec = _spec(1, deadline=2)
-        caps = {0: 3, 1: 3}
-        sched = DcsaScheduler([spec], lambda k: caps.get(k, 0))
-        sched.plan_arrivals(0, {1: 5}, {1: 0.0})
-        queues = _queues([spec])
-        queues[1].admit(5)
-        served0 = sched.decide(0, 3, queues)
-        assert served0.counts[1] == [0, 3]  # r=2 bucket holds the fresh cohort
-        queues[1].serve_and_age(served0.counts[1])
-        queues[1].admit(0)
-        sched.plan_arrivals(1, {1: 0}, {1: 0.0})
-        served1 = sched.decide(1, 3, queues)
-        assert served1.counts[1] == [2, 0]
-        dropped = queues[1].serve_and_age(served1.counts[1])
+        sched = DcsaScheduler([spec], (3, 3))
+        queues, deficits = _queues([spec]), _deficits([spec])
+        queues[0].admit(5)
+        served0 = sched.decide(0, 3, queues, deficits)
+        assert served0 == [[0, 3]]  # r=2 bucket holds the fresh cohort
+        queues[0].serve_and_age(served0[0])
+        queues[0].admit(0)
+        served1 = sched.decide(1, 3, queues, deficits)
+        assert served1 == [[2, 0]]
+        dropped = queues[0].serve_and_age(served1[0])
         assert dropped == 0
+
+    def test_capacity_past_the_trip_end_is_zero(self):
+        spec = _spec(1, deadline=2)
+        sched = DcsaScheduler([spec], (2,))
+        queues, deficits = _queues([spec]), _deficits([spec])
+        assert _step(sched, 0, 2, queues, deficits, [5]) == [[0, 2]]
+        # frame 1 lies past the trip, so the other 3 packets are fixed to drop
+        assert sched.projected(spec, 0.0) == 3.0
 
     def test_future_drops_recorded_for_unplannable_leftover(self):
         spec = _spec(1, deadline=2)
-        sched = DcsaScheduler([spec], lambda k: 1)
-        sched.plan_arrivals(0, {1: 5}, {1: 0.0})
+        sched = DcsaScheduler([spec], (1,) * 4)
+        queues = _queues([spec])
         # cohort gets 1 packet at each of frames 0 and 1; 3 drop at frame 1
-        assert sched.decide(0, 1, {}).counts[1] == [0, 1]
-        assert sched.projected(spec, 1, 0.0) == 3.0
-        sched.plan_arrivals(1, {1: 0}, {1: 0.0})
-        assert sched.decide(1, 1, {}).counts[1] == [1, 0]
+        assert _step(sched, 0, 1, queues, [DeficitQueue(1, 0.0)], [5]) == [[0, 1]]
+        assert sched.projected(spec, 0.0) == 3.0
+        assert _step(sched, 1, 1, queues, [DeficitQueue(1, 0.0)], [0]) == [[1, 0]]
         # those drops have happened by frame 2; nothing else is fixed
-        assert sched.projected(spec, 2, 0.0) == 0.0
+        assert sched.projected(spec, 0.0) == 0.0
 
     def test_earlier_batches_hold_later_capacity(self):
         s1 = _spec(1, deadline=3)
         s2 = _spec(2, deadline=2)
-        caps = {0: 10, 1: 2, 2: 5}
-        sched = DcsaScheduler([s1, s2], lambda k: caps.get(k, 0))
-        sched.plan_arrivals(0, {1: 12, 2: 0}, {1: 0.0, 2: 0.0})
+        caps = (10, 2, 5)
+        sched = DcsaScheduler([s1, s2], caps)
+        queues, deficits = _queues([s1, s2]), _deficits([s1, s2])
         # service 1 commits 10 at frame 0, 2 at frame 1
-        assert sched.decide(0, 10, {}).counts == {1: [0, 0, 10], 2: [0, 0]}
+        assert _step(sched, 0, 10, queues, deficits, [12, 0]) == [[0, 0, 10], [0, 0]]
         # frame 1's capacity is all held by that batch, so service 2's batch
         # goes to frame 2, where the earlier batch holds nothing
-        sched.plan_arrivals(1, {1: 0, 2: 3}, {1: 0.0, 2: 0.0})
-        assert sched.decide(1, 2, {}).counts == {1: [0, 2, 0], 2: [0, 0]}
-        sched.plan_arrivals(2, {1: 0, 2: 0}, {1: 0.0, 2: 0.0})
-        assert sched.decide(2, 5, {}).counts == {1: [0, 0, 0], 2: [3, 0]}
+        assert _step(sched, 1, 2, queues, deficits, [0, 3]) == [[0, 2, 0], [0, 0]]
+        assert _step(sched, 2, 5, queues, deficits, [0, 0]) == [[0, 0, 0], [3, 0]]
 
     def test_frames_must_be_planned_in_order(self):
         spec = _spec(1, deadline=3)
-        sched = DcsaScheduler([spec], lambda k: 4)
+        sched = DcsaScheduler([spec], (4,) * 5)
         with pytest.raises(ContractViolation):
-            sched.plan_arrivals(1, {1: 2}, {1: 0.0})
-        sched.plan_arrivals(0, {1: 2}, {1: 0.0})
+            sched.plan_arrivals(1, [2], [0.0])
+        sched.plan_arrivals(0, [2], [0.0])
         for frame in (0, 2):
             with pytest.raises(ContractViolation):
-                sched.plan_arrivals(frame, {1: 2}, {1: 0.0})
+                sched.plan_arrivals(frame, [2], [0.0])
+        queues, deficits = _queues([spec]), _deficits([spec])
+        queues[0].admit(2)
         with pytest.raises(ContractViolation):
-            sched.decide(1, 4, {})
-        sched.plan_arrivals(1, {1: 2}, {1: 0.0})
-        assert sched.decide(1, 4, {}).counts[1] == [0, 0, 2]
+            sched.decide(2, 4, queues, deficits)
+        assert sched.decide(1, 4, queues, deficits) == [[0, 0, 2]]
 
     def test_priority_ties_break_by_ascending_id(self):
         specs = [_spec(1, deadline=1), _spec(2, deadline=1)]
-        sched = DcsaScheduler(specs, lambda k: 0)
-        assert sched.priority_order(0, {1: 0.0, 2: 0.0}) == [1, 2]
+        sched = DcsaScheduler(specs, ())
+        assert sched.priority_order([0.0, 0.0]) == [0, 1]
 
     def test_priority_responsiveness(self):
         rng = random.Random(17)
         for _ in range(200):
             specs = [_spec(sid, deadline=rng.randint(1, 3)) for sid in (1, 2, 3)]
-            sched = DcsaScheduler(specs, lambda k: 0)
-            deficits = {sid: rng.uniform(0, 20) for sid in (1, 2, 3)}
-            bumped = rng.choice((1, 2, 3))
-            order_before = sched.priority_order(0, deficits)
-            deficits_after = dict(deficits)
+            sched = DcsaScheduler(specs, ())
+            deficits = [rng.uniform(0, 20) for _ in specs]
+            bumped = rng.randrange(len(specs))
+            order_before = sched.priority_order(deficits)
+            deficits_after = list(deficits)
             deficits_after[bumped] += rng.uniform(0, 10)
-            order_after = sched.priority_order(0, deficits_after)
+            order_after = sched.priority_order(deficits_after)
             assert order_after.index(bumped) <= order_before.index(bumped)
 
 
@@ -202,27 +220,26 @@ class TestRoundRobin:
         specs = [_spec(1, deadline=2), _spec(2, deadline=2)]
         sched = RoundRobinScheduler(specs)
         queues = _queues(specs)
+        queues[0].buckets = [1, 1]
         queues[1].buckets = [1, 1]
-        queues[2].buckets = [1, 1]
-        even = sched.decide(0, 10, queues)
-        assert even.service_total(1) == 2 and even.service_total(2) == 0
-        odd = sched.decide(1, 10, queues)
-        assert odd.service_total(1) == 0 and odd.service_total(2) == 2
+        even = sched.decide(0, 10, queues, _deficits(specs))
+        assert sum(even[0]) == 2 and sum(even[1]) == 0
+        odd = sched.decide(1, 10, queues, _deficits(specs))
+        assert sum(odd[0]) == 0 and sum(odd[1]) == 2
 
     def test_empty_selected_service_wastes_capacity(self):
         specs = [_spec(1, deadline=2), _spec(2, deadline=2)]
         sched = RoundRobinScheduler(specs)
         queues = _queues(specs)
-        queues[2].buckets = [4, 0]
-        assert sched.decide(0, 10, queues).total() == 0
+        queues[1].buckets = [4, 0]
+        assert sched.decide(0, 10, queues, _deficits(specs)) == [[0, 0], [0, 0]]
 
     def test_fills_earliest_buckets_first(self):
         specs = [_spec(1, deadline=2)]
         sched = RoundRobinScheduler(specs)
         queues = _queues(specs)
-        queues[1].buckets = [4, 6]
-        served = sched.decide(0, 7, queues)
-        assert served.counts[1] == [4, 3]
+        queues[0].buckets = [4, 6]
+        assert sched.decide(0, 7, queues, _deficits(specs)) == [[4, 3]]
 
 
 class TestEdf:
@@ -230,42 +247,38 @@ class TestEdf:
         specs = [_spec(1, deadline=3)]
         sched = EdfScheduler(specs)
         queues = _queues(specs)
-        queues[1].buckets = [0, 1, 0]
-        assert sched.decide(0, 5, queues).counts[1] == [0, 1, 0]
+        queues[0].buckets = [0, 1, 0]
+        assert sched.decide(0, 5, queues, _deficits(specs)) == [[0, 1, 0]]
 
     def test_urgency_tie_goes_to_higher_service_id(self):
         specs = [_spec(1, deadline=2), _spec(2, deadline=2)]
         sched = EdfScheduler(specs)
         queues = _queues(specs)
-        queues[1].buckets = [2, 0]
-        queues[2].buckets = [3, 0]
-        served = sched.decide(0, 4, queues)
-        assert served.counts[2] == [3, 0]
-        assert served.counts[1] == [1, 0]
+        queues[0].buckets = [2, 0]
+        queues[1].buckets = [3, 0]
+        assert sched.decide(0, 4, queues, _deficits(specs)) == [[1, 0], [3, 0]]
 
     def test_zero_capacity_serves_nothing(self):
         specs = [_spec(1, deadline=2), _spec(2, deadline=2)]
         sched = EdfScheduler(specs)
         queues = _queues(specs)
+        queues[0].buckets = [5, 5]
         queues[1].buckets = [5, 5]
-        queues[2].buckets = [5, 5]
-        assert sched.decide(0, 0, queues).total() == 0
+        assert sched.decide(0, 0, queues, _deficits(specs)) == [[0, 0], [0, 0]]
 
     def test_mixed_deadlines(self):
         specs = [_spec(1, deadline=1), _spec(2, deadline=3)]
         sched = EdfScheduler(specs)
         queues = _queues(specs)
-        queues[1].buckets = [2]
-        queues[2].buckets = [1, 0, 4]
-        served = sched.decide(0, 4, queues)
+        queues[0].buckets = [2]
+        queues[1].buckets = [1, 0, 4]
         # r=1 first (s2 then s1), leftover goes to s2's r=3 bucket
-        assert served.counts[2] == [1, 0, 1]
-        assert served.counts[1] == [2]
+        assert sched.decide(0, 4, queues, _deficits(specs)) == [[2], [1, 0, 1]]
 
 
 def test_make_scheduler_factory(two_services):
-    assert make_scheduler("dcsa", two_services, lambda k: 0).name == "dcsa"
-    assert make_scheduler("rr", two_services, lambda k: 0).name == "rr"
-    assert make_scheduler("edf", two_services, lambda k: 0).name == "edf"
+    assert make_scheduler("dcsa", two_services, ()).name == "dcsa"
+    assert make_scheduler("rr", two_services, ()).name == "rr"
+    assert make_scheduler("edf", two_services, ()).name == "edf"
     with pytest.raises(ValueError):
-        make_scheduler("fifo", two_services, lambda k: 0)
+        make_scheduler("fifo", two_services, ())
