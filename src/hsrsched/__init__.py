@@ -7,8 +7,6 @@ from .analysis import (
     brute_force_min_weighted_drops,
     check_lemma1,
     check_sample_drift,
-    constant_B,
-    drift_diagnostics,
     oracle_agreement,
     weighted_drop_objective,
 )
@@ -22,10 +20,9 @@ from .channel import (
     path_loss_db,
     rate_bps,
     snr_db,
-    write_profile_csv,
 )
 from .engine import RunSummary, SimConfig, TraceLog, run
-from .queueing import ContractViolation, DeadlineQueue, DeficitQueue
+from .queueing import ContractViolation, DeadlineQueue, DeficitQueue, projected_deficit
 from .schedulers import (
     DcsaScheduler,
     EdfScheduler,
@@ -33,7 +30,6 @@ from .schedulers import (
     Scheduler,
     allocate_cohorts,
     make_scheduler,
-    projected_deficit,
 )
 from .traffic import (
     ArrivalGenerator,
@@ -68,9 +64,7 @@ __all__ = [
     "build_capacity_profile",
     "check_lemma1",
     "check_sample_drift",
-    "constant_B",
     "distance_at",
-    "drift_diagnostics",
     "feasibility_check",
     "frame_capacity",
     "make_scheduler",
@@ -82,5 +76,4 @@ __all__ = [
     "snr_db",
     "truncated_poisson_pmf",
     "weighted_drop_objective",
-    "write_profile_csv",
 ]

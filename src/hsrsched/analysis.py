@@ -3,8 +3,9 @@
 The deficit counters obey two deterministic facts that hold sample-path-wise,
 not just in expectation: a squared one-step inequality and a telescoped prefix
 inequality.  Both are checked here in exact integer arithmetic (the engine
-records the counters as integer pairs) so violations cannot hide behind float
-round-off, and round-off cannot fake violations.
+records each counter as one integer numerator over its loss allowance's
+denominator) so violations cannot hide behind float round-off, and round-off
+cannot fake violations.
 
 The oracle enumerates every feasible lifetime allocation of one frame's
 arrival batches and returns the lexicographically smallest drop vector under a
@@ -14,7 +15,6 @@ is used to audit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -22,20 +22,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .engine import TraceLog
-from .traffic import ServiceSpec
 
 ORACLE_MAX_SERVICES = 3
 ORACLE_MAX_DEADLINE = 3
 ORACLE_MAX_ARRIVALS = 6
 ORACLE_MAX_CAPACITY = 6
-
-
-def constant_B(specs: Sequence[ServiceSpec]) -> float:
-    """Finite constant bounding the one-frame drift: half the summed squares
-    of each service's per-frame loss allowance and burst bound."""
-    if not specs:
-        raise ValueError("at least one service required")
-    return 0.5 * sum(s.loss_allowance**2 + s.max_arrivals**2 for s in specs)
 
 
 def weighted_drop_objective(deficits: Sequence[float], drops: Sequence[int]) -> float:
@@ -45,28 +36,11 @@ def weighted_drop_objective(deficits: Sequence[float], drops: Sequence[int]) -> 
     return float(sum(y * d for y, d in zip(deficits, drops)))
 
 
-def _deficit_scaled_ints(trace: TraceLog, j: int) -> tuple[list[int], int, int]:
-    """Per-frame deficit of service j as exact integers N[k] = Y[k] * q.
-
-    Returns (N, p, q) with the loss allowance equal to p/q exactly.  Uses the
-    engine's integer counter state when present, otherwise converts the float
-    column (adequate for small hand-built traces).
-    """
-    allowance = Fraction(trace.loss_allowances[j])
-    n = trace.num_frames
-    if trace.deficit_state is not None:
-        p, q = allowance.numerator, allowance.denominator
-        st = trace.deficit_state
-        ns = [int(st[k, j, 0]) * q - int(st[k, j, 1]) * p for k in range(n)]
-        return ns, p, q
-    ys = [Fraction(float(trace.deficit[k, j])) for k in range(n)]
-    # float denominators are powers of two, so a common one always exists
-    q = allowance.denominator
-    for y in ys:
-        q = q * y.denominator // math.gcd(q, y.denominator)
-    p = allowance.numerator * (q // allowance.denominator)
-    ns = [y.numerator * (q // y.denominator) for y in ys]
-    return ns, p, q
+def _exact_columns(trace: TraceLog, j: int) -> tuple[np.ndarray, int, int]:
+    """Service j's deficit numerators as Python integers, with its loss
+    allowance p/q."""
+    p, q = trace.loss_allowances[j].as_integer_ratio()
+    return trace.deficit_num[:, j].astype(object), p, q
 
 
 @dataclass(frozen=True)
@@ -108,33 +82,27 @@ def check_sample_drift(trace: TraceLog, tolerance: float = 1e-9) -> DriftCheckRe
 
         Y_next^2 <= Y^2 + c^2 + D^2 + 2*Y*(D - c)
 
-    Evaluated exactly after scaling by the allowance denominator.
+    Evaluated on each service's deficit numerators N = Y * q (allowance p/q),
+    where it reads N_next^2 <= N^2 + p^2 + (D*q)^2 + 2*N*(D*q - p), as whole
+    columns of Python integers, so no product can overflow.
     """
     max_violation = Fraction(0)
     worst = (None, None)
-    checked = 0
-    for j in range(len(trace.service_ids)):
-        ns, p, q = _deficit_scaled_ints(trace, j)
-        prev = 0  # counter starts at zero
-        for k in range(trace.num_frames):
-            d = int(trace.drops[k, j])
-            cur = ns[k]
-            dq = d * q
-            lhs = cur * cur
-            rhs = prev * prev + p * p + dq * dq + 2 * prev * (dq - p)
-            violation = Fraction(lhs - rhs, q * q)
-            if violation > max_violation:
-                max_violation = violation
-                worst = (k, trace.service_ids[j])
-            checked += 1
-            prev = cur
-    passed = max_violation <= tolerance
+    for j, sid in enumerate(trace.service_ids):
+        cur, p, q = _exact_columns(trace, j)
+        prev = np.concatenate(([0], cur[:-1]))
+        dq = trace.drops[:, j].astype(object) * q
+        violation = cur * cur - (prev * prev + p * p + dq * dq + 2 * prev * (dq - p))
+        top = Fraction(violation.max(initial=0), q * q)
+        if top > max_violation:
+            max_violation = top
+            worst = (int(np.argmax(violation)), sid)
     return DriftCheckReport(
-        passed=passed,
+        passed=max_violation <= tolerance,
         max_violation=float(max_violation),
         worst_frame=worst[0],
         worst_service=worst[1],
-        transitions_checked=checked,
+        transitions_checked=trace.drops.size,
         tolerance=tolerance,
     )
 
@@ -202,21 +170,16 @@ def check_lemma1(
     """
     if trace.num_frames < 1:
         raise ValueError("trace too short")
+    n = trace.num_frames
+    frames = np.arange(1, n + 1, dtype=object)
     reports = []
     for j, sid in enumerate(trace.service_ids):
-        ns, p, q = _deficit_scaled_ints(trace, j)
-        n = trace.num_frames
-        running = 0  # sum of drops over frames 0..k-1
-        max_violation = Fraction(0)
-        for k in range(1, n + 1):
-            running += int(trace.drops[k - 1, j])
-            # Y[k] >= sum(D) - k * allowance, scaled by q
-            violation = Fraction(running * q - k * p - ns[k - 1], q)
-            if violation > max_violation:
-                max_violation = violation
-        total_drops = running
-        final_rate = Fraction(ns[-1], q * n)
-        mean_drops = Fraction(total_drops, n)
+        num, p, q = _exact_columns(trace, j)
+        # Y[k] >= sum(D[0..k]) - (k + 1) * allowance, scaled by q
+        running = np.cumsum(trace.drops[:, j].astype(object))
+        max_violation = Fraction(max(0, (running * q - frames * p - num).max()), q)
+        final_rate = Fraction(num[-1], q * n)
+        mean_drops = Fraction(running[-1], n)
         allowance = Fraction(p, q)
         bound_ok = mean_drops <= allowance + final_rate + Fraction(tolerance)
         reports.append(
@@ -227,7 +190,7 @@ def check_lemma1(
                 rate_stable=float(final_rate) < rate_threshold,
                 final_deficit_per_frame=float(final_rate),
                 mean_drops=float(mean_drops),
-                loss_allowance=trace.loss_allowances[j],
+                loss_allowance=float(allowance),
                 mean_drop_bound_ok=bool(bound_ok),
             )
         )
@@ -237,41 +200,6 @@ def check_lemma1(
         services=tuple(reports),
         tolerance=tolerance,
         rate_threshold=rate_threshold,
-    )
-
-
-@dataclass(frozen=True)
-class DriftDiagnostics:
-    """Empirical Lyapunov sample path; reported, never asserted.
-
-    The quadratic function is evaluated on the deficit values each service
-    will hold at its current batch's expiry frame, so the series stops
-    max(deadline) frames before the end of the trace.
-    """
-
-    lyapunov: np.ndarray
-    deltas: np.ndarray
-    constant_B: float
-    mean_delta: float
-
-
-def drift_diagnostics(trace: TraceLog, specs: Sequence[ServiceSpec]) -> DriftDiagnostics:
-    by_id = {s.service_id: s for s in specs}
-    max_m = max(s.deadline for s in specs)
-    horizon = trace.num_frames - max_m
-    if horizon < 2:
-        raise ValueError("trace too short for the configured deadlines")
-    lyap = np.zeros(horizon)
-    for j, sid in enumerate(trace.service_ids):
-        shift = by_id[sid].deadline - 1
-        y = trace.deficit[shift : shift + horizon, j]
-        lyap += 0.5 * y * y
-    deltas = np.diff(lyap)
-    return DriftDiagnostics(
-        lyapunov=lyap,
-        deltas=deltas,
-        constant_B=constant_B([by_id[sid] for sid in trace.service_ids]),
-        mean_delta=float(deltas.mean()),
     )
 
 

@@ -8,7 +8,6 @@ packets per scheduling frame.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,9 +155,6 @@ class CapacityProfile:
     def __len__(self) -> int:
         return len(self.capacities)
 
-    def __getitem__(self, k: int) -> int:
-        return self.capacities[k]
-
     @property
     def mean(self) -> float:
         return sum(self.capacities) / len(self.capacities)
@@ -180,37 +176,3 @@ def build_capacity_profile(traj: TrajectoryConfig, radio: RadioConfig) -> Capaci
     caps = tuple(frame_capacity(k, traj, radio) for k in range(traj.num_frames))
     return CapacityProfile(capacities=caps)
 
-
-PROFILE_CSV_COLUMNS = (
-    "frame",
-    "time_s",
-    "distance_m",
-    "pathloss_db",
-    "snr_db",
-    "rate_bps",
-    "capacity_pkts",
-)
-
-
-def write_profile_csv(path, traj: TrajectoryConfig, radio: RadioConfig) -> None:
-    """Dump the per-frame link profile as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PROFILE_CSV_COLUMNS)
-        for k in range(traj.num_frames):
-            t = k * traj.frame_length
-            d = distance_at(t, traj)
-            pl = path_loss_db(d, radio)
-            rate = rate_bps(t, traj, radio)
-            cap = frame_capacity(k, traj, radio)
-            writer.writerow(
-                [
-                    k,
-                    f"{t:.9g}",
-                    f"{d:.9g}",
-                    f"{pl:.9g}",
-                    f"{snr_db(t, traj, radio):.9g}",
-                    f"{rate:.9g}",
-                    cap,
-                ]
-            )

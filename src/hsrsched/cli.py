@@ -258,13 +258,13 @@ def apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def _write_deficit_csv(path: str, trace: TraceLog, frames: int) -> None:
+    deficit = trace.deficit[:frames].tolist()
     with open(path, "w", newline="") as fh:
         fh.write("# schema=1\n")
         cols = ["frame"] + [f"deficit_s{sid}" for sid in trace.service_ids]
         fh.write(",".join(cols) + "\n")
-        for k in range(min(frames, trace.num_frames)):
-            row = [str(k)] + [f"{trace.deficit[k, j]:.9g}" for j in range(len(trace.service_ids))]
-            fh.write(",".join(row) + "\n")
+        for k, row in enumerate(deficit):
+            fh.write(",".join([str(k)] + [f"{y:.9g}" for y in row]) + "\n")
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
@@ -289,12 +289,11 @@ def cmd_fig2(cfg: ExperimentConfig) -> int:
         )
         with open(os.path.join(cfg.output_dir, f"summary_{policy}.txt"), "w") as fh:
             fh.write(trace.summary().to_text())
+        deficit = trace.deficit
         finals[policy] = {
-            f"final_deficit_s{sid}": float(trace.deficit[-1, j])
-            for j, sid in enumerate(trace.service_ids)
+            f"final_deficit_s{sid}": float(deficit[-1, j]) for j, sid in enumerate(trace.service_ids)
         }
-        gap = abs(trace.deficit[:, 0] - trace.deficit[:, 1])
-        finals[policy]["max_deficit_gap"] = float(gap.max()) if trace.num_frames else 0.0
+        finals[policy]["max_deficit_gap"] = float(abs(deficit[:, 0] - deficit[:, 1]).max())
     with open(os.path.join(cfg.output_dir, "fig2_summary.json"), "w") as fh:
         json.dump(finals, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -360,10 +359,8 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         if cfg.inject_fault == "deficit" and trace.num_frames > 1:
             # test hook: corrupt the counter state mid-run so checks must trip;
             # the jump has to clear the allowance-squared slack of the bound
-            mid = trace.num_frames // 2
             bump = 1000 + 10 * int(max(trace.loss_allowances))
-            trace.deficit_state[mid, 0, 0] += bump
-            trace.deficit[mid, 0] += float(bump)
+            trace.deficit_num[trace.num_frames // 2, 0] += bump * trace.loss_allowances[0].denominator
         drift = analysis.check_sample_drift(trace)
         lemma1 = analysis.check_lemma1(trace)
         for rep in (drift, lemma1):

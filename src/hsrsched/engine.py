@@ -10,6 +10,7 @@ configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .traffic import ArrivalGenerator, FeasibilityReport, ServiceSpec, feasibili
 TRACE_SCHEMA = 1
 # rows TraceLog.to_csv formats per write; bounds the text held in memory
 CSV_CHUNK_ROWS = 512
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,8 @@ class SimConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.num_frames is not None:
-            if self.num_frames < 0:
-                raise ValueError("num_frames must be non-negative")
+            if self.num_frames < 1:
+                raise ValueError("num_frames must be at least 1")
             if self.num_frames > self.trajectory.num_frames:
                 raise ValueError(
                     f"num_frames {self.num_frames} exceeds trip length "
@@ -49,6 +51,14 @@ class SimConfig:
                 )
         if self.capacity_override is not None and self.capacity_override < 0:
             raise ValueError("capacity_override must be non-negative")
+        for s in self.services:
+            # a deficit never exceeds the drops so far, at most max_arrivals a frame
+            if s.loss_allowance.denominator * s.max_arrivals * self.frames > INT64_MAX:
+                raise ValueError(
+                    f"service {s.service_id}: the deficit over loss allowance "
+                    f"{s.loss_allowance} may not fit int64; write lambda and "
+                    "delivery_ratio with fewer decimal digits"
+                )
 
     @property
     def frames(self) -> int:
@@ -109,22 +119,24 @@ class RunSummary:
 
 @dataclass
 class TraceLog:
-    """Per-frame record of one run plus enough metadata to audit it."""
+    """Per-frame record of one run plus enough metadata to audit it.
+
+    ``deficit_num[k, j]`` is service j's deficit after frame k times the
+    denominator of its loss allowance: the counter exactly, as an integer.
+    """
 
     scheduler: str
     seed: int
     service_ids: tuple[int, ...]
     deadlines: tuple[int, ...]
-    loss_allowances: tuple[float, ...]
+    loss_allowances: tuple[Fraction, ...]
     capacity: np.ndarray
     arrivals: np.ndarray
     served: np.ndarray
     drops: np.ndarray
-    deficit: np.ndarray
+    deficit_num: np.ndarray
     backlog: np.ndarray
     feasibility: FeasibilityReport
-    # exact deficit counter state (drops_accum, drain_steps) per frame/service
-    deficit_state: np.ndarray | None = None
     # per-frame per-service per-bucket served counts, when detail was requested
     bucket_served: np.ndarray | None = field(default=None, repr=False)
 
@@ -132,8 +144,17 @@ class TraceLog:
     def num_frames(self) -> int:
         return len(self.capacity)
 
+    @property
+    def deficit(self) -> np.ndarray:
+        """Deficits as floats, for output only; read-only, derived from
+        ``deficit_num`` on every access."""
+        out = self.deficit_num / np.array([c.denominator for c in self.loss_allowances])
+        out.flags.writeable = False
+        return out
+
     def summary(self) -> RunSummary:
         services = []
+        deficit = self.deficit
         for j, sid in enumerate(self.service_ids):
             total_arr = int(self.arrivals[:, j].sum())
             total_drops = int(self.drops[:, j].sum())
@@ -144,8 +165,8 @@ class TraceLog:
                     arrivals=total_arr,
                     served=int(self.served[:, j].sum()),
                     drops=total_drops,
-                    final_backlog=int(self.backlog[-1, j]) if self.num_frames else 0,
-                    final_deficit=float(self.deficit[-1, j]) if self.num_frames else 0.0,
+                    final_backlog=int(self.backlog[-1, j]),
+                    final_deficit=float(deficit[-1, j]),
                     delivery_ratio=ratio,
                 )
             )
@@ -174,6 +195,7 @@ class TraceLog:
         so the text of the whole trace is never held in memory."""
         n_svc = len(self.service_ids)
         row_format = ",".join(["%d,%d"] + ["%d,%d,%d,%s,%d"] * n_svc) + "\n"
+        deficit = self.deficit
         with open(path, "w", newline="") as fh:
             fh.write(f"# schema={TRACE_SCHEMA}\n")
             fh.write(",".join(self.csv_header()) + "\n")
@@ -185,7 +207,7 @@ class TraceLog:
                         self.arrivals[lo:hi, j].tolist(),
                         self.served[lo:hi, j].tolist(),
                         self.drops[lo:hi, j].tolist(),
-                        [format(y, ".9g") for y in self.deficit[lo:hi, j].tolist()],
+                        [format(y, ".9g") for y in deficit[lo:hi, j].tolist()],
                         self.backlog[lo:hi, j].tolist(),
                     ]
                 fh.write("".join([row_format % row for row in zip(*columns)]))
@@ -209,9 +231,8 @@ def run(config: SimConfig, collect_bucket_detail: bool = False) -> TraceLog:
     capacity = np.array(profile.capacities[:n], dtype=np.int64)
     served_arr = np.zeros((n, n_svc), dtype=np.int64)
     drops_arr = np.zeros((n, n_svc), dtype=np.int64)
-    deficit_arr = np.zeros((n, n_svc), dtype=float)
+    deficit_num = np.zeros((n, n_svc), dtype=np.int64)
     backlog_arr = np.zeros((n, n_svc), dtype=np.int64)
-    deficit_state = np.zeros((n, n_svc, 2), dtype=np.int64)
     bucket_served = np.zeros((n, n_svc, max_m), dtype=np.int64) if collect_bucket_detail else None
 
     caps = profile.capacities
@@ -233,10 +254,8 @@ def run(config: SimConfig, collect_bucket_detail: bool = False) -> TraceLog:
             dq.update(dropped)
             served_arr[k, j] = sum(served)
             drops_arr[k, j] = dropped
-            deficit_arr[k, j] = dq.value
+            deficit_num[k, j] = dq.num
             backlog_arr[k, j] = q.backlog()
-            deficit_state[k, j, 0] = dq.drops_accum
-            deficit_state[k, j, 1] = dq.drain_steps
             if bucket_served is not None:
                 bucket_served[k, j, : len(served)] = served
 
@@ -250,9 +269,8 @@ def run(config: SimConfig, collect_bucket_detail: bool = False) -> TraceLog:
         arrivals=arrivals,
         served=served_arr,
         drops=drops_arr,
-        deficit=deficit_arr,
+        deficit_num=deficit_num,
         backlog=backlog_arr,
         feasibility=feasibility_check(specs, profile),
-        deficit_state=deficit_state,
         bucket_served=bucket_served,
     )

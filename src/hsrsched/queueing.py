@@ -8,9 +8,9 @@ a cohort are interchangeable, so identity is never tracked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 class ContractViolation(RuntimeError):
@@ -62,48 +62,42 @@ class DeadlineQueue:
     def backlog(self) -> int:
         return sum(self.buckets)
 
-    def snapshot(self) -> tuple[int, ...]:
-        return tuple(self.buckets)
+
+def projected_deficit(num: int, p: int, q: int, drops: Iterable[int]) -> int:
+    """Deficit numerator after iterating the counter over ``drops``.
+
+    For a loss allowance p/q the counter is held as ``num`` = deficit * q, a
+    non-negative integer, and one frame with ``d`` drops maps it to
+    ``max(num - p, 0) + d * q``.  The lookahead policy projects over the drops
+    already fixed for the coming frames; ``DeficitQueue.update`` takes one step.
+    """
+    for d in drops:
+        num -= p
+        num = (num if num > 0 else 0) + d * q
+    return num
 
 
 @dataclass
 class DeficitQueue:
     """Excess-drop counter for one service, starting at zero.
 
-    Kept exactly: the value is ``drops_accum - drain_steps * loss_allowance``
-    with integer counters, reset on clamping, so verification of the counter
-    algebra is free of float round-off even after millions of frames.
+    Kept exactly as one integer, ``num`` = deficit * q for the loss allowance
+    p/q, so verification of the counter algebra is free of round-off even
+    after millions of frames.
     """
 
     service_id: int
-    loss_allowance: float
-    drops_accum: int = 0
-    drain_steps: int = 0
-    _allowance: Fraction = field(init=False, repr=False)
-    _num: int = field(init=False, repr=False)
-    _den: int = field(init=False, repr=False)
+    loss_allowance: Fraction
+    num: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.loss_allowance, (int, Fraction)):
+            raise TypeError("loss_allowance must be an int or a Fraction")
         if self.loss_allowance < 0:
             raise ValueError("loss_allowance must be non-negative")
-        self._allowance = Fraction(self.loss_allowance)
-        self._num, self._den = self._allowance.as_integer_ratio()
+        self._p, self._q = self.loss_allowance.as_integer_ratio()
 
     def update(self, dropped: int) -> None:
         if dropped < 0:
             raise ValueError("dropped must be non-negative")
-        # clamp exactly when current value < allowance
-        if self.drops_accum * self._den >= (self.drain_steps + 1) * self._num:
-            self.drain_steps += 1
-            self.drops_accum += dropped
-        else:
-            self.drops_accum = dropped
-            self.drain_steps = 0
-
-    @property
-    def exact_value(self) -> Fraction:
-        return Fraction(self.drops_accum) - self.drain_steps * self._allowance
-
-    @property
-    def value(self) -> float:
-        return self.drops_accum - self.drain_steps * self.loss_allowance
+        self.num = projected_deficit(self.num, self._p, self._q, (dropped,))

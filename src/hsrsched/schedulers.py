@@ -20,26 +20,14 @@ reassigned; the planning step is the complete allocation rule.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import accumulate
 from operator import getitem, sub
 from typing import Mapping, Sequence
 
-from .queueing import ContractViolation, DeadlineQueue, DeficitQueue
+from .queueing import ContractViolation, DeadlineQueue, DeficitQueue, projected_deficit
 from .traffic import ServiceSpec, validate_service_ids
-
-
-def projected_deficit(y: float, loss_allowance: float, future_drops: Sequence[int]) -> float:
-    """Deficit value after iterating the counter over already-determined drops.
-
-    ``future_drops[j]`` is the drop count that will materialize at the end of
-    the j-th upcoming frame; under the lookahead policy these are fixed at
-    planning time because every earlier batch is already fully allocated.
-    """
-    for d in future_drops:
-        y -= loss_allowance
-        y = (y if y > 0.0 else 0.0) + d
-    return y
 
 
 def allocate_cohorts(
@@ -138,20 +126,28 @@ class DcsaScheduler(Scheduler):
         self._free = list(self._capacities[: self._horizon])
         self._allocs = [deque([[0] * m] * m, maxlen=m) for m in self._deadlines]
         self._leftovers = [deque([0] * (m - 1), maxlen=m - 1) for m in self._deadlines]
+        self._ratios = [s.loss_allowance.as_integer_ratio() for s in self.specs]
+        # deficit numerators times these share one denominator, the lcm
+        lcm = math.lcm(*(q for _, q in self._ratios))
+        self._scales = [lcm // q for _, q in self._ratios]
 
-    def projected(self, spec: ServiceSpec, deficit: float) -> float:
-        """Deficit projected to the expiry frame of the next batch to plan
-        over the drops already fixed."""
-        return projected_deficit(deficit, spec.loss_allowance, self._leftovers[spec.service_id - 1])
+    def projected(self, j: int, num: int) -> int:
+        """Deficit numerator of service position ``j`` projected to the expiry
+        frame of the next batch to plan over the drops already fixed."""
+        return projected_deficit(num, *self._ratios[j], self._leftovers[j])
 
-    def priority_order(self, deficits: Sequence[float]) -> list[int]:
-        """Service positions by descending projected deficit; ties by
-        ascending position (id)."""
-        keyed = [(-self.projected(s, y), j) for j, (s, y) in enumerate(zip(self.specs, deficits))]
+    def priority_order(self, deficits: Sequence[int]) -> list[int]:
+        """Service positions by descending projected deficit, compared exactly
+        over a common denominator; ties by ascending position (id)."""
+        keyed = [
+            (-self.projected(j, num) * scale, j)
+            for j, (num, scale) in enumerate(zip(deficits, self._scales))
+        ]
         return [j for _, j in sorted(keyed)]
 
-    def plan_arrivals(self, frame: int, arrivals: Sequence[int], deficits: Sequence[float]) -> None:
-        """Plan the batch of ``frame``; frames must be planned 0, 1, 2, ..."""
+    def plan_arrivals(self, frame: int, arrivals: Sequence[int], deficits: Sequence[int]) -> None:
+        """Plan the batch of ``frame`` given the deficit numerators; frames
+        must be planned 0, 1, 2, ..."""
         if frame != self._next_frame:
             raise ContractViolation(f"frame {frame} is not the next to plan ({self._next_frame})")
         order = self.priority_order(deficits)
@@ -175,7 +171,7 @@ class DcsaScheduler(Scheduler):
     ) -> list[list[int]]:
         """Plan the batch just admitted to the top buckets, then serve the
         diagonal of the planned allocations."""
-        self.plan_arrivals(frame, [q.buckets[-1] for q in queues], [dq.value for dq in deficits])
+        self.plan_arrivals(frame, [q.buckets[-1] for q in queues], [dq.num for dq in deficits])
         return [list(map(getitem, ring, range(len(ring) - 1, -1, -1))) for ring in self._allocs]
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -83,15 +84,13 @@ class ServiceSpec:
         if self.max_arrivals < math.ceil(self.arrival_rate):
             raise ValueError("burst bound below mean arrival rate; decrease tail_eps")
 
-    @property
-    def loss_bound(self) -> float:
-        """Upper bound on the long-run loss fraction."""
-        return 1.0 - self.delivery_ratio
-
-    @property
-    def loss_allowance(self) -> float:
-        """Allowed drops per frame: loss_bound times arrival_rate."""
-        return self.loss_bound * self.arrival_rate
+    @cached_property
+    def loss_allowance(self) -> Fraction:
+        """Allowed drops per frame, (1 - delivery_ratio) * arrival_rate, exact
+        from the decimal values as written (their shortest float repr), so
+        ratio 0.99 at rate 100 allows exactly 1, not 1.0000000000000009."""
+        ratio, rate = (Fraction(repr(float(x))) for x in (self.delivery_ratio, self.arrival_rate))
+        return (1 - ratio) * rate
 
     @cached_property
     def pmf(self) -> np.ndarray:

@@ -69,8 +69,8 @@ def test_criterion_01_channel_derived_values(default_sim):
     profile = build_capacity_profile(traj, radio)
     d_bp = radio.breakpoint_distance
     pl30 = path_loss_db(30.0, radio)
-    c0 = profile[0]
-    c_edge = profile[15000]
+    c0 = profile.capacities[0]
+    c_edge = profile.capacities[15000]
     ok = (
         abs(d_bp - 8000.0) <= 1.0
         and abs(pl30 - 69.58) <= 0.05

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,73 +13,132 @@ from hsrsched import (
     brute_force_min_weighted_drops,
     check_lemma1,
     check_sample_drift,
-    constant_B,
-    drift_diagnostics,
     oracle_agreement,
     run,
     weighted_drop_objective,
 )
-from hsrsched.analysis import random_oracle_instances
+from hsrsched.analysis import (
+    DriftCheckReport,
+    Lemma1Report,
+    ServiceLemma1Report,
+    random_oracle_instances,
+)
 from hsrsched.traffic import FeasibilityReport
 
-
-class _SpecStub:
-    def __init__(self, loss_allowance, max_arrivals):
-        self.loss_allowance = loss_allowance
-        self.max_arrivals = max_arrivals
+# the shipped link with three services of deadlines 2, 5 and 10
+MIXED_SERVICES = (
+    ServiceSpec(service_id=1, arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
+    ServiceSpec(service_id=2, arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
+    ServiceSpec(service_id=3, arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
+)
 
 
 def _hand_trace(drops_per_frame, loss_allowance, deficits=None):
-    """Single-service trace with just the columns the checks consume."""
+    """Single-service trace with just the columns the checks consume.
+
+    ``deficits`` default to the exact counter recurrence over the drops.
+    """
+    allowance = Fraction(loss_allowance)
     n = len(drops_per_frame)
     drops = np.array(drops_per_frame, dtype=np.int64).reshape(n, 1)
     if deficits is None:
-        y = 0.0
-        values = []
+        y = Fraction(0)
+        deficits = []
         for d in drops_per_frame:
-            y = max(y - loss_allowance, 0.0) + d
-            values.append(y)
-        deficits = values
-    deficit = np.array(deficits, dtype=float).reshape(n, 1)
+            y = max(y - allowance, Fraction(0)) + d
+            deficits.append(y)
+    nums = [Fraction(y) * allowance.denominator for y in deficits]
+    assert all(v.denominator == 1 for v in nums)
     zeros = np.zeros((n, 1), dtype=np.int64)
     return TraceLog(
         scheduler="dcsa",
         seed=0,
         service_ids=(1,),
         deadlines=(3,),
-        loss_allowances=(loss_allowance,),
+        loss_allowances=(allowance,),
         capacity=np.zeros(n, dtype=np.int64),
         arrivals=zeros.copy(),
         served=zeros.copy(),
         drops=drops,
-        deficit=deficit,
+        deficit_num=np.array([int(v) for v in nums], dtype=np.int64).reshape(n, 1),
         backlog=zeros.copy(),
         feasibility=FeasibilityReport(True, 0.0, 0.0, 0.0),
-        deficit_state=None,
     )
 
 
-def test_constant_b_hand_value():
-    assert constant_B([_SpecStub(1.0, 2)]) == 2.5
+def _reference_sample_drift(trace, tolerance=1e-9):
+    """Per-transition Fraction loop of the one-step inequality; the array
+    form in ``check_sample_drift`` must agree with it field for field."""
+    max_violation = Fraction(0)
+    worst = (None, None)
+    checked = 0
+    for j in range(len(trace.service_ids)):
+        p, q = trace.loss_allowances[j].as_integer_ratio()
+        prev = 0  # counter starts at zero
+        for k in range(trace.num_frames):
+            cur = int(trace.deficit_num[k, j])
+            dq = int(trace.drops[k, j]) * q
+            lhs = cur * cur
+            rhs = prev * prev + p * p + dq * dq + 2 * prev * (dq - p)
+            violation = Fraction(lhs - rhs, q * q)
+            if violation > max_violation:
+                max_violation = violation
+                worst = (k, trace.service_ids[j])
+            checked += 1
+            prev = cur
+    return DriftCheckReport(
+        passed=max_violation <= tolerance,
+        max_violation=float(max_violation),
+        worst_frame=worst[0],
+        worst_service=worst[1],
+        transitions_checked=checked,
+        tolerance=tolerance,
+    )
 
 
-def test_constant_b_degenerate_all_zero():
-    assert constant_B([_SpecStub(0.0, 0)]) == 0.0
+def _reference_lemma1(trace, rate_threshold=1e-3, tolerance=1e-9):
+    """Per-prefix Fraction loop of the telescoped inequality; the array form
+    in ``check_lemma1`` must agree with it field for field."""
+    reports = []
+    n = trace.num_frames
+    for j, sid in enumerate(trace.service_ids):
+        p, q = trace.loss_allowances[j].as_integer_ratio()
+        running = 0  # sum of drops over frames 0..k-1
+        max_violation = Fraction(0)
+        for k in range(1, n + 1):
+            running += int(trace.drops[k - 1, j])
+            # Y[k] >= sum(D) - k * allowance, scaled by q
+            violation = Fraction(running * q - k * p - int(trace.deficit_num[k - 1, j]), q)
+            if violation > max_violation:
+                max_violation = violation
+        final_rate = Fraction(int(trace.deficit_num[-1, j]), q * n)
+        mean_drops = Fraction(running, n)
+        allowance = Fraction(p, q)
+        reports.append(
+            ServiceLemma1Report(
+                service_id=sid,
+                prefix_ok=max_violation <= tolerance,
+                max_prefix_violation=float(max_violation),
+                rate_stable=float(final_rate) < rate_threshold,
+                final_deficit_per_frame=float(final_rate),
+                mean_drops=float(mean_drops),
+                loss_allowance=float(allowance),
+                mean_drop_bound_ok=mean_drops <= allowance + final_rate + Fraction(tolerance),
+            )
+        )
+    return Lemma1Report(
+        passed=all(r.prefix_ok and r.mean_drop_bound_ok for r in reports),
+        services=tuple(reports),
+        tolerance=tolerance,
+        rate_threshold=rate_threshold,
+    )
 
 
-def test_constant_b_additive_and_order_invariant():
-    a, b = _SpecStub(1.0, 2), _SpecStub(3.0, 5)
-    assert constant_B([a, a]) == 2 * constant_B([a])
-    assert constant_B([a, b]) == constant_B([b, a])
-    with pytest.raises(ValueError):
-        constant_B([])
-
-
-def test_constant_b_on_real_specs():
-    spec = ServiceSpec(service_id=1, arrival_rate=2.0, deadline=3, delivery_ratio=0.5, tail_eps=0.4)
-    assert spec.loss_allowance == pytest.approx(1.0)
-    assert spec.max_arrivals == 2
-    assert constant_B([spec]) == pytest.approx(2.5)
+def _assert_checks_match_reference(trace):
+    drift, lemma1 = check_sample_drift(trace), check_lemma1(trace)
+    assert drift == _reference_sample_drift(trace)
+    assert lemma1 == _reference_lemma1(trace)
+    return drift, lemma1
 
 
 def test_weighted_drop_objective():
@@ -88,7 +150,7 @@ def test_weighted_drop_objective():
 
 
 def test_sample_drift_all_zero_trace():
-    report = check_sample_drift(_hand_trace([0] * 50, 2.0))
+    report = check_sample_drift(_hand_trace([0] * 50, 2))
     assert report.passed
     assert report.max_violation == 0.0
     assert report.transitions_checked == 50
@@ -114,8 +176,8 @@ def test_sample_drift_on_seeded_runs(table1_traj, table1_radio, two_services):
 def test_sample_drift_detects_corrupted_counter():
     # inflate one deficit value beyond what the update can produce
     drops = [1, 0, 2, 0, 0, 1]
-    trace = _hand_trace(drops, 0.5)
-    trace.deficit[3, 0] += 5.0
+    trace = _hand_trace(drops, Fraction(1, 2))
+    trace.deficit_num[3, 0] += 10  # +5 packets over the denominator 2
     report = check_sample_drift(trace)
     assert not report.passed
     assert report.worst_frame == 3
@@ -123,7 +185,7 @@ def test_sample_drift_detects_corrupted_counter():
 
 
 def test_lemma1_zero_drop_trace_is_rate_stable():
-    report = check_lemma1(_hand_trace([0] * 100, 1.5))
+    report = check_lemma1(_hand_trace([0] * 100, Fraction(3, 2)))
     assert report.passed
     svc = report.services[0]
     assert svc.prefix_ok and svc.rate_stable and svc.mean_drop_bound_ok
@@ -132,7 +194,7 @@ def test_lemma1_zero_drop_trace_is_rate_stable():
 
 
 def test_lemma1_constant_excess_drops_grow_linearly():
-    allowance = 2.0
+    allowance = 2
     n = 400
     report = check_lemma1(_hand_trace([3] * n, allowance))
     svc = report.services[0]
@@ -146,7 +208,7 @@ def test_lemma1_constant_excess_drops_grow_linearly():
 def test_lemma1_prefix_violation_detected():
     # deficit column claims less backlog than the drops allow
     drops = [5, 5, 5, 5]
-    trace = _hand_trace(drops, 1.0, deficits=[4.0, 8.0, 2.0, 16.0])
+    trace = _hand_trace(drops, 1, deficits=[4, 8, 2, 16])
     report = check_lemma1(trace)
     assert not report.passed
     assert not report.services[0].prefix_ok
@@ -169,7 +231,7 @@ def test_lemma1_on_seeded_run(table1_traj, table1_radio, two_services):
 
 def test_lemma1_rejects_empty_trace():
     with pytest.raises(ValueError):
-        check_lemma1(_hand_trace([], 1.0))
+        check_lemma1(_hand_trace([], 1))
 
 
 def test_oracle_zero_drops_when_capacity_ample():
@@ -232,19 +294,56 @@ def test_oracle_agreement_on_equal_deadline_instances():
     assert agreed == total
 
 
-def test_drift_diagnostics_shapes(table1_traj, table1_radio, two_services):
+def test_deficit_view_is_read_only():
+    trace = _hand_trace([1, 0, 3], Fraction(1, 2))
+    assert trace.deficit.tolist() == [[1.0], [0.5], [3.0]]
+    with pytest.raises(ValueError):
+        trace.deficit[1, 0] += 1.0
+    trace.deficit_num[1, 0] += 2
+    assert trace.deficit[1, 0] == 1.5
+
+
+@pytest.mark.parametrize("policy", ["dcsa", "rr", "edf"])
+def test_array_checks_match_reference_loops_on_engine_traces(policy, table1_traj, table1_radio):
     cfg = SimConfig(
         trajectory=table1_traj,
         radio=table1_radio,
-        services=two_services,
-        scheduler="dcsa",
-        seed=2,
-        num_frames=500,
+        services=MIXED_SERVICES,
+        scheduler=policy,
+        seed=3,
+        num_frames=1500,
+        capacity_override=90,
     )
     trace = run(cfg)
-    diag = drift_diagnostics(trace, two_services)
-    assert len(diag.lyapunov) == 500 - 10
-    assert len(diag.deltas) == len(diag.lyapunov) - 1
-    assert (diag.lyapunov >= 0).all()
-    assert diag.constant_B == pytest.approx(constant_B(two_services))
-    assert np.isfinite(diag.mean_delta)
+    assert trace.drops.sum() > 0
+    drift, lemma1 = _assert_checks_match_reference(trace)
+    assert drift.passed and lemma1.passed
+    # a numerator bumped up, or lowered, at service 1's largest deficit
+    k = int(np.argmax(trace.deficit_num[:, 0]))
+    assert trace.deficit_num[k, 0] > 1000
+    for delta in (1, -1, 1000, -1000):
+        bad = replace(trace, deficit_num=trace.deficit_num.copy())
+        bad.deficit_num[k, 0] += delta
+        drift, lemma1 = _assert_checks_match_reference(bad)
+        if abs(delta) == 1000:
+            assert not (drift.passed and lemma1.passed)
+
+
+def test_array_checks_match_reference_beyond_int64_squares():
+    # numerators above 2**32, so their squares (and the cross terms) would
+    # wrap in int64
+    allowance = Fraction(3, 7)
+    drops = [2**33, 0, 5, 2**32, 0, 0, 1, 2**34, 3, 0]
+    trace = _hand_trace(drops, allowance)
+    assert int(trace.deficit_num.max()) > 2**32
+    assert int(trace.deficit_num.max()) ** 2 > np.iinfo(np.int64).max
+    drift, lemma1 = _assert_checks_match_reference(trace)
+    assert drift.passed and lemma1.passed
+    assert drift.max_violation == 0.0
+    trace.deficit_num[8, 0] += 1
+    drift, lemma1 = _assert_checks_match_reference(trace)
+    assert not drift.passed and drift.worst_frame == 8
+    # the first frame clamps, so the prefix bound has a slack of p = 3
+    trace.deficit_num[8, 0] -= 5
+    drift, lemma1 = _assert_checks_match_reference(trace)
+    assert not lemma1.passed

@@ -12,7 +12,6 @@ from hsrsched import (
     path_loss_db,
     rate_bps,
     snr_db,
-    write_profile_csv,
 )
 
 
@@ -119,8 +118,8 @@ def test_rate_values(table1_traj, table1_radio):
 def test_capacity_profile_values(table1_traj, table1_radio):
     profile = build_capacity_profile(table1_traj, table1_radio)
     assert len(profile) == 30000
-    assert profile[0] == 301
-    assert profile[15000] == 62
+    assert profile.capacities[0] == 301
+    assert profile.capacities[15000] == 62
     assert frame_capacity(0, table1_traj, table1_radio) == 301
 
 
@@ -172,21 +171,6 @@ def test_capacity_profile_is_immutable_value(table1_traj, table1_radio):
     assert isinstance(profile.capacities, tuple)
     with pytest.raises(ValueError):
         CapacityProfile(capacities=(3, -1))
-
-
-def test_profile_csv(tmp_path, table1_radio):
-    traj = TrajectoryConfig(
-        speed=100.0, cell_radius=1500.0, track_offset=30.0, trip_duration=0.05, frame_length=1e-3
-    )
-    path = tmp_path / "profile.csv"
-    write_profile_csv(path, traj, table1_radio)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "frame,time_s,distance_m,pathloss_db,snr_db,rate_bps,capacity_pkts"
-    assert len(lines) == 1 + traj.num_frames
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    assert float(first[2]) == 30.0
-    assert int(first[6]) == 301
 
 
 @pytest.mark.parametrize(

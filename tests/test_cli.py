@@ -266,6 +266,16 @@ def test_runtime_error_exit_code(tmp_path):
     assert rc == EXIT_RUNTIME
 
 
+@pytest.mark.parametrize("command", ["run", "fig2", "fig3", "verify"])
+def test_zero_frames_is_a_config_error(command, tmp_path, capsys):
+    config = FIG3_CONFIG if command == "fig3" else DEFAULT_CONFIG
+    out = tmp_path / "x"
+    rc = main([command, config, "--frames", "0", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "num_frames must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_frames_override_validation(tmp_path):
     rc = main(["run", DEFAULT_CONFIG, "--frames", "99999", "--out", str(tmp_path / "x")])
     assert rc == EXIT_CONFIG

@@ -11,13 +11,10 @@ def _config(table1_traj, table1_radio, services, **kw):
     return SimConfig(trajectory=table1_traj, radio=table1_radio, services=services, **kw)
 
 
-def test_zero_frames_gives_empty_trace(table1_traj, table1_radio, two_services):
-    trace = run(_config(table1_traj, table1_radio, two_services, num_frames=0, seed=1))
-    assert trace.num_frames == 0
-    summary = trace.summary()
-    for s in summary.services:
-        assert s.arrivals == s.served == s.drops == s.final_backlog == 0
-        assert s.delivery_ratio is None
+@pytest.mark.parametrize("frames", [0, -1])
+def test_run_shorter_than_one_frame_rejected(frames, table1_traj, table1_radio, two_services):
+    with pytest.raises(ValueError, match="num_frames must be at least 1"):
+        _config(table1_traj, table1_radio, two_services, num_frames=frames)
 
 
 def test_identical_configs_identical_traces(table1_traj, table1_radio, two_services):
@@ -208,6 +205,16 @@ def test_config_validation(table1_traj, table1_radio, two_services):
         _config(table1_traj, table1_radio, two_services, capacity_override=-1)
 
 
+def test_allowance_beyond_int64_numerators_rejected(table1_traj, table1_radio):
+    # 16 decimal places: the allowance is 1831252068573033 / (5 * 10**14)
+    spec = ServiceSpec(service_id=1, arrival_rate=10.0, deadline=2, delivery_ratio=0.6337495862853934)
+    assert spec.loss_allowance.denominator > 10**14
+    with pytest.raises(ValueError, match="may not fit int64"):
+        _config(table1_traj, table1_radio, (spec,))
+    short = _config(table1_traj, table1_radio, (spec,), num_frames=20, capacity_override=0)
+    assert run(short).deficit_num[-1, 0] > 0
+
+
 def test_summary_text_contains_key_fields(table1_traj, table1_radio, two_services):
     cfg = _config(table1_traj, table1_radio, two_services, seed=1, num_frames=100)
     text = run(cfg).summary().to_text()
@@ -221,9 +228,10 @@ def _small_runs(draw):
     services = tuple(
         ServiceSpec(
             service_id=sid,
-            arrival_rate=draw(st.floats(0.5, 100.0)),
+            # decimal values of up to 3 and 4 places, as a config file holds them
+            arrival_rate=draw(st.integers(500, 100_000)) / 1000,
             deadline=draw(st.integers(1, 10)),
-            delivery_ratio=draw(st.floats(0.5, 0.99)),
+            delivery_ratio=draw(st.integers(5000, 9900)) / 10000,
         )
         for sid in range(1, draw(st.integers(1, 3)) + 1)
     )

@@ -47,16 +47,19 @@ def _step(sched, frame, capacity, queues, deficits, arrivals):
 
 
 def test_projected_deficit_zero_steps_is_identity():
-    assert projected_deficit(3.5, 1.0, []) == 3.5
+    # deficit 3.5 over the denominator 2 of allowance 1/2
+    assert projected_deficit(7, 1, 2, []) == 7
 
 
 def test_projected_deficit_stays_at_zero_without_drops():
-    assert projected_deficit(0.0, 2.0, [0, 0, 0, 0]) == 0.0
+    assert projected_deficit(0, 2, 1, [0, 0, 0, 0]) == 0
 
 
 def test_projected_deficit_hand_iteration():
     # ((4-1)^+ + 2 - 1)^+ + 0 = 4
-    assert projected_deficit(4.0, 1.0, [2, 0]) == 4.0
+    assert projected_deficit(4, 1, 1, [2, 0]) == 4
+    # allowance 3/2: ((4-1.5)^+ + 2 - 1.5)^+ + 0 = 3, numerator 6 over 2
+    assert projected_deficit(8, 3, 2, [2, 0]) == 6
 
 
 def test_allocate_single_service_spills_to_second_frame():
@@ -155,18 +158,18 @@ class TestDcsa:
         queues, deficits = _queues([spec]), _deficits([spec])
         assert _step(sched, 0, 2, queues, deficits, [5]) == [[0, 2]]
         # frame 1 lies past the trip, so the other 3 packets are fixed to drop
-        assert sched.projected(spec, 0.0) == 3.0
+        assert sched.projected(0, 0) == 3
 
     def test_future_drops_recorded_for_unplannable_leftover(self):
         spec = _spec(1, deadline=2)
         sched = DcsaScheduler([spec], (1,) * 4)
         queues = _queues([spec])
         # cohort gets 1 packet at each of frames 0 and 1; 3 drop at frame 1
-        assert _step(sched, 0, 1, queues, [DeficitQueue(1, 0.0)], [5]) == [[0, 1]]
-        assert sched.projected(spec, 0.0) == 3.0
-        assert _step(sched, 1, 1, queues, [DeficitQueue(1, 0.0)], [0]) == [[1, 0]]
+        assert _step(sched, 0, 1, queues, [DeficitQueue(1, 0)], [5]) == [[0, 1]]
+        assert sched.projected(0, 0) == 3
+        assert _step(sched, 1, 1, queues, [DeficitQueue(1, 0)], [0]) == [[1, 0]]
         # those drops have happened by frame 2; nothing else is fixed
-        assert sched.projected(spec, 0.0) == 0.0
+        assert sched.projected(0, 0) == 0
 
     def test_earlier_batches_hold_later_capacity(self):
         s1 = _spec(1, deadline=3)
@@ -185,11 +188,11 @@ class TestDcsa:
         spec = _spec(1, deadline=3)
         sched = DcsaScheduler([spec], (4,) * 5)
         with pytest.raises(ContractViolation):
-            sched.plan_arrivals(1, [2], [0.0])
-        sched.plan_arrivals(0, [2], [0.0])
+            sched.plan_arrivals(1, [2], [0])
+        sched.plan_arrivals(0, [2], [0])
         for frame in (0, 2):
             with pytest.raises(ContractViolation):
-                sched.plan_arrivals(frame, [2], [0.0])
+                sched.plan_arrivals(frame, [2], [0])
         queues, deficits = _queues([spec]), _deficits([spec])
         queues[0].admit(2)
         with pytest.raises(ContractViolation):
@@ -199,18 +202,39 @@ class TestDcsa:
     def test_priority_ties_break_by_ascending_id(self):
         specs = [_spec(1, deadline=1), _spec(2, deadline=1)]
         sched = DcsaScheduler(specs, ())
-        assert sched.priority_order([0.0, 0.0]) == [0, 1]
+        assert sched.priority_order([0, 0]) == [0, 1]
+
+    def test_exact_zero_deficits_tie_by_ascending_id(self):
+        # service 2 (lambda 60, ratio 0.9) drops 6 and drains back to exactly
+        # 0; with the float allowance 5.999999999999998 it kept about 1.8e-15
+        # and outranked service 1, whose deficit is also 0
+        specs = [_spec(1, rate=100.0, deadline=1, q=0.99), _spec(2, rate=60.0, deadline=1, q=0.9)]
+        sched = DcsaScheduler(specs, (0, 0, 1))
+        queues, deficits = _queues(specs), _deficits(specs)
+        _step(sched, 0, 0, queues, deficits, [0, 6])
+        _step(sched, 1, 0, queues, deficits, [0, 0])
+        assert [dq.num for dq in deficits] == [0, 0]
+        assert _step(sched, 2, 1, queues, deficits, [1, 1]) == [[1], [0]]
+
+    def test_priority_compares_fractional_deficits_exactly(self):
+        # allowances 1/2, 1 and 5/4: numerators over denominators 2, 1 and 4
+        specs = [_spec(1, deadline=1, q=0.95), _spec(2, deadline=1, q=0.9), _spec(3, deadline=1, q=0.875)]
+        sched = DcsaScheduler(specs, ())
+        # deficits 1.5, 1 and 1.5: the two 1.5s tie and keep id order
+        assert sched.priority_order([3, 1, 6]) == [0, 2, 1]
+        # deficits 1.5, 2 and 1.75
+        assert sched.priority_order([3, 2, 7]) == [1, 2, 0]
 
     def test_priority_responsiveness(self):
         rng = random.Random(17)
         for _ in range(200):
             specs = [_spec(sid, deadline=rng.randint(1, 3)) for sid in (1, 2, 3)]
             sched = DcsaScheduler(specs, ())
-            deficits = [rng.uniform(0, 20) for _ in specs]
+            deficits = [rng.randint(0, 20) for _ in specs]
             bumped = rng.randrange(len(specs))
             order_before = sched.priority_order(deficits)
             deficits_after = list(deficits)
-            deficits_after[bumped] += rng.uniform(0, 10)
+            deficits_after[bumped] += rng.randint(0, 10)
             order_after = sched.priority_order(deficits_after)
             assert order_after.index(bumped) <= order_before.index(bumped)
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,10 +85,29 @@ def test_service_spec_validation():
 
 def test_spec_derived_quantities():
     spec = ServiceSpec(service_id=1, arrival_rate=60.0, deadline=10, delivery_ratio=0.90)
-    assert spec.loss_bound == pytest.approx(0.1)
-    assert spec.loss_allowance == pytest.approx(6.0)
+    assert spec.loss_allowance == 6
     assert spec.max_arrivals >= math.ceil(spec.arrival_rate)
     assert len(spec.pmf) == spec.max_arrivals + 1
+
+
+# every (lambda, delivery_ratio) pair of the shipped configs, with the float
+# product each allowance used to carry
+@pytest.mark.parametrize(
+    "rate, ratio, allowance",
+    [
+        (100.0, 0.99, 1),  # 1.0000000000000009
+        (60.0, 0.9, 6),  # 5.999999999999998
+        (20.0, 0.95, 1),  # 1.0000000000000009
+        (40.0, 0.9, 4),  # 3.999999999999999
+        (50.0, 0.8, 10),  # 9.999999999999998
+        (90.0, 0.9, 9),  # 8.999999999999998
+        (130.0, 0.9, 13),  # 12.999999999999996
+    ],
+)
+def test_shipped_loss_allowances_are_exact(rate, ratio, allowance):
+    spec = ServiceSpec(service_id=1, arrival_rate=rate, deadline=5, delivery_ratio=ratio)
+    assert spec.loss_allowance == allowance
+    assert isinstance(spec.loss_allowance, Fraction)
 
 
 def test_sampling_bounded_by_burst_limit(two_services):
