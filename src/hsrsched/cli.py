@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import logging
 import os
 import sys
+import time
 from dataclasses import dataclass, replace
 
 from . import analysis
 from .channel import RadioConfig, TrajectoryConfig
-from .engine import SimConfig, TraceLog, run
+from .engine import TRACE_SCHEMA, SimConfig, TraceLog, run
 from .schedulers import SCHEDULER_POLICIES
 from .traffic import DEFAULT_TAIL_EPS, ServiceSpec
 
@@ -260,7 +262,7 @@ def apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 def _write_deficit_csv(path: str, trace: TraceLog, frames: int) -> None:
     deficit = trace.deficit[:frames].tolist()
     with open(path, "w", newline="") as fh:
-        fh.write("# schema=1\n")
+        fh.write(f"# schema={TRACE_SCHEMA}\n")
         cols = ["frame"] + [f"deficit_s{sid}" for sid in trace.service_ids]
         fh.write(",".join(cols) + "\n")
         for k, row in enumerate(deficit):
@@ -301,6 +303,15 @@ def cmd_fig2(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _fig3_trip(sim: SimConfig) -> float:
+    """Delivery ratio of one fig3 trip.  The sweep's worker pool maps this
+    function by import path, so only the ratio crosses back, never the trace."""
+    ratio = run(sim).summary().services[0].delivery_ratio
+    if ratio is None:
+        raise RuntimeError("no arrivals in fig3 run; grid point unusable")
+    return ratio
+
+
 def fig3_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float]]:
     """Delivery ratio per (deadline, rate) grid point.
 
@@ -310,31 +321,58 @@ def fig3_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float]]:
     the deadline), so the deadline axis is compared under common random
     numbers.  The rates mostly share seeds too: with seed 7 and five
     replicates, rate 0 uses seeds 7-11 and rate 1 uses 6-10, four in common.
+
+    The trips are independent.  They run in a pool of spawned processes, one
+    per CPU this process may use and at most one per trip; with one worker
+    they run here, one after the other.  Ratios come back in submission order
+    and each point sums its replicates in replicate order, so the rows do not
+    depend on the worker count.  A script that calls this function must guard
+    its entry point with ``if __name__ == "__main__":``, since spawned workers
+    import the script's main module.  One INFO line is logged per grid point.
     """
     if len(cfg.sim.services) != 1:
         raise ConfigError("fig3 needs exactly one service")
     if not cfg.sweep_deadlines or not cfg.sweep_rates:
         raise ConfigError("fig3 needs a non-empty sweep grid")
+    start = time.perf_counter()
     base = cfg.sim.services[0]
+    reps = cfg.seeds_per_point
+    points = [(p, float(rate), int(m)) for p, rate in enumerate(cfg.sweep_rates) for m in cfg.sweep_deadlines]
+    sims = [
+        replace(
+            cfg.sim, services=(replace(base, arrival_rate=rate, deadline=m),), seed=(cfg.sim.seed ^ p) + rep
+        )
+        for p, rate, m in points
+        for rep in range(reps)
+    ]
+    workers = min(len(os.sched_getaffinity(0)), len(sims))
+    if workers == 1:
+        return _fig3_average(points, reps, map(_fig3_trip, sims), start)
+    # imported here: at module level they slow the start-up of every command
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        return _fig3_average(points, reps, pool.map(_fig3_trip, sims), start)
+    finally:
+        # after a failure, drop the trips not yet started instead of running them
+        pool.shutdown(cancel_futures=True)
+
+
+def _fig3_average(points, reps, ratios, start) -> list[tuple[int, float, float]]:
+    """Rows of ``points`` from the trips' ratios, consumed in submission order."""
     rows = []
-    for p, rate in enumerate(cfg.sweep_rates):
-        for m in cfg.sweep_deadlines:
-            total = 0.0
-            for rep in range(cfg.seeds_per_point):
-                seed = (cfg.sim.seed ^ p) + rep
-                spec = ServiceSpec(
-                    service_id=base.service_id,
-                    arrival_rate=float(rate),
-                    deadline=int(m),
-                    delivery_ratio=base.delivery_ratio,
-                    tail_eps=base.tail_eps,
-                )
-                trace = run(replace(cfg.sim, services=(spec,), seed=seed))
-                ratio = trace.summary().services[0].delivery_ratio
-                if ratio is None:
-                    raise RuntimeError("no arrivals in fig3 run; grid point unusable")
-                total += ratio
-            rows.append((int(m), float(rate), total / cfg.seeds_per_point))
+    for i, (_, rate, m) in enumerate(points, 1):
+        total = 0.0
+        for ratio in itertools.islice(ratios, reps):
+            total += ratio
+        rows.append((m, rate, total / reps))
+        elapsed = time.perf_counter() - start
+        log.info(
+            "fig3 point %d/%d: m=%d lambda=%g delivery_ratio=%.9g, %.1f s elapsed, ETA %.1f s",
+            i, len(points), m, rate, rows[-1][2], elapsed, elapsed / i * (len(points) - i),
+        )
     return rows
 
 
@@ -342,7 +380,7 @@ def cmd_fig3(cfg: ExperimentConfig) -> int:
     rows = fig3_rows(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "fig3.csv"), "w", newline="") as fh:
-        fh.write("# schema=1\n")
+        fh.write(f"# schema={TRACE_SCHEMA}\n")
         fh.write("m,lambda,delivery_ratio\n")
         for m, rate, ratio in rows:
             fh.write(f"{m},{rate:.9g},{ratio:.9g}\n")

@@ -91,12 +91,6 @@ class RunSummary:
     services: tuple[ServiceSummary, ...]
     feasibility: FeasibilityReport
 
-    def service(self, service_id: int) -> ServiceSummary:
-        for s in self.services:
-            if s.service_id == service_id:
-                return s
-        raise KeyError(service_id)
-
     def to_text(self) -> str:
         lines = [
             f"scheduler = {self.scheduler}",

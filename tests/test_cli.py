@@ -1,5 +1,13 @@
+import hashlib
 import json
+import logging
+import multiprocessing
 import os
+import re
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -17,12 +25,16 @@ from hsrsched.cli import (
     serialize_config,
 )
 
-REPO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
+REPO_CONFIGS = os.path.join(REPO, "configs")
 DEFAULT_CONFIG = os.path.join(REPO_CONFIGS, "table1_fig2.ini")
 FIG3_CONFIG = os.path.join(REPO_CONFIGS, "fig3.ini")
+SWEEP_CONFIG = os.path.join(REPO, "perfbench", "configs", "sweep.ini")
+# bound on every wait for a fig3 sweep or its worker processes
+POOL_TIMEOUT_S = 120
 
 
-def _write_small_fig3(tmp_path, frames=1500, seeds=1):
+def _write_small_fig3(tmp_path, frames=1500, seeds=1, lambdas="250.0,400.0"):
     text = f"""
 [experiment]
 kind = fig3
@@ -53,7 +65,7 @@ delivery_ratio = 0.9
 
 [sweep]
 deadlines = 1,3
-lambdas = 250.0,400.0
+lambdas = {lambdas}
 seeds_per_point = {seeds}
 """
     path = tmp_path / "fig3_small.ini"
@@ -181,8 +193,106 @@ def test_fig3_row_is_mean_of_standalone_runs(tmp_path):
             seed=(3 ^ 1) + rep,
             num_frames=1500,
         )
-        total += run(sim).summary().service(1).delivery_ratio
+        total += run(sim).summary().services[0].delivery_ratio
     assert ratio == total / 2
+
+
+def _with_timeout(fn, *args):
+    """fn(*args) in a daemon thread, failing the test if it outlasts
+    POOL_TIMEOUT_S; returns ("value", result) or ("error", exception)."""
+    box = []
+
+    def target():
+        try:
+            box.append(("value", fn(*args)))
+        except BaseException as exc:  # handed to the test thread
+            box.append(("error", exc))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(POOL_TIMEOUT_S)
+    assert not thread.is_alive(), f"still running after {POOL_TIMEOUT_S} s"
+    return box[0]
+
+
+def _fig3_bytes(config, out, *extra):
+    kind, rc = _with_timeout(main, ["fig3", config, "--out", str(out), *extra])
+    assert (kind, rc) == ("value", EXIT_OK)
+    return (out / "fig3.csv").read_bytes()
+
+
+def test_fig3_csv_same_bytes_with_one_and_two_workers(tmp_path, monkeypatch):
+    config = _write_small_fig3(tmp_path, seeds=2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pooled = _fig3_bytes(config, tmp_path / "two", "--frames", "1500")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = _fig3_bytes(config, tmp_path / "one", "--frames", "1500")
+    assert pooled == serial
+    assert len(pooled.splitlines()) == 2 + 4
+
+
+def test_fig3_sweep_config_bytes_pinned(tmp_path):
+    # perfbench/configs/sweep.ini at seed 7: four full trips; the digest was
+    # taken from the serial sweep before the trips ran in a worker pool
+    data = _fig3_bytes(SWEEP_CONFIG, tmp_path / "sweep", "--seed", "7")
+    assert hashlib.sha256(data).hexdigest() == (
+        "1fbc5a0e3fd9cb380e0d53337b6661f5a58e0dfde4f97b05b20b65ce705a2c8a"
+    )
+
+
+def _no_children_within_timeout():
+    deadline = time.monotonic() + POOL_TIMEOUT_S
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return multiprocessing.active_children()
+
+
+def test_fig3_worker_exception_reaches_caller_and_leaves_no_child(tmp_path, monkeypatch):
+    # rate 1e-4 over 5 frames draws no arrivals, so the worker raises
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = parse_config(_write_small_fig3(tmp_path, frames=5, seeds=3, lambdas="0.0001,250.0"))
+    kind, exc = _with_timeout(fig3_rows, cfg)
+    assert kind == "error"
+    assert type(exc) is RuntimeError
+    assert "no arrivals" in str(exc)
+    assert _no_children_within_timeout() == []
+
+
+def test_fig3_worker_exception_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    config = _write_small_fig3(tmp_path, frames=5, lambdas="0.0001,250.0")
+    out = tmp_path / "f3"
+    assert _with_timeout(main, ["fig3", config, "--out", str(out)]) == ("value", EXIT_RUNTIME)
+    assert "runtime error: RuntimeError: no arrivals" in capsys.readouterr().err
+    assert not (out / "fig3.csv").exists()
+    assert _no_children_within_timeout() == []
+
+
+def test_fig3_logs_one_progress_line_per_point(tmp_path, caplog):
+    cfg = parse_config(_write_small_fig3(tmp_path, frames=300, seeds=2))
+    with caplog.at_level(logging.INFO, logger="hsrsched"):
+        kind, rows = _with_timeout(fig3_rows, cfg)
+    assert kind == "value"
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("fig3 point")]
+    assert len(lines) == len(rows) == 4
+    pattern = r"fig3 point (\d)/4: m=(\d+) lambda=(\S+) delivery_ratio=(\S+), \S+ s elapsed, ETA \S+ s"
+    for i, (line, (m, rate, ratio)) in enumerate(zip(lines, rows), 1):
+        match = re.fullmatch(pattern, line)
+        assert match, line
+        assert match.groups() == (str(i), str(m), f"{rate:g}", f"{ratio:.9g}")
+    assert lines[-1].endswith("ETA 0.0 s")
+
+
+def test_fig3_prints_nothing_at_default_log_level(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "HSRSCHED_LOG"}
+    env["PYTHONPATH"] = os.path.join(REPO, "src")
+    config = _write_small_fig3(tmp_path, frames=200)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hsrsched.cli", "fig3", config, "--out", str(tmp_path / "f3")],
+        capture_output=True, text=True, env=env, timeout=POOL_TIMEOUT_S,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == proc.stderr == ""
 
 
 def test_fig3_rows_rejects_empty_grid(tmp_path):

@@ -184,8 +184,8 @@ def test_delivery_ratio_zero_with_dead_link(table1_traj, table1_radio):
     )
     cfg = _config(table1_traj, table1_radio, services, seed=3, num_frames=500, capacity_override=0)
     summary = run(cfg).summary()
-    assert summary.service(1).delivery_ratio == 0.0
-    assert summary.service(2).delivery_ratio == 0.0
+    assert summary.services[0].delivery_ratio == 0.0
+    assert summary.services[1].delivery_ratio == 0.0
 
 
 def test_config_validation(table1_traj, table1_radio, two_services):
