@@ -323,8 +323,9 @@ def fig3_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float]]:
     replicates, rate 0 uses seeds 7-11 and rate 1 uses 6-10, four in common.
 
     The trips are independent.  They run in a pool of spawned processes, one
-    per CPU this process may use and at most one per trip; with one worker
-    they run here, one after the other.  Ratios come back in submission order
+    per CPU this process may use (all CPUs where the platform cannot tell)
+    and at most one per trip; with one worker they run here, one after the
+    other.  Ratios come back in submission order
     and each point sums its replicates in replicate order, so the rows do not
     depend on the worker count.  A script that calls this function must guard
     its entry point with ``if __name__ == "__main__":``, since spawned workers
@@ -345,19 +346,19 @@ def fig3_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float]]:
         for p, rate, m in points
         for rep in range(reps)
     ]
-    workers = min(len(os.sched_getaffinity(0)), len(sims))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # not on every platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(sims))
     if workers == 1:
         return _fig3_average(points, reps, map(_fig3_trip, sims), start)
     # imported here: at module level they slow the start-up of every command
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
-    try:
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         return _fig3_average(points, reps, pool.map(_fig3_trip, sims), start)
-    finally:
-        # after a failure, drop the trips not yet started instead of running them
-        pool.shutdown(cancel_futures=True)
 
 
 def _fig3_average(points, reps, ratios, start) -> list[tuple[int, float, float]]:

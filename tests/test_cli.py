@@ -231,6 +231,29 @@ def test_fig3_csv_same_bytes_with_one_and_two_workers(tmp_path, monkeypatch):
     assert len(pooled.splitlines()) == 2 + 4
 
 
+def test_fig3_worker_count_without_sched_getaffinity(tmp_path, monkeypatch):
+    # where the platform lacks os.sched_getaffinity, os.cpu_count() sets the count
+    import concurrent.futures
+
+    started = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    cfg = parse_config(_write_small_fig3(tmp_path, frames=300))
+    rows = {}
+    for cpus in (None, 1, 2, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        rows[cpus] = _with_timeout(fig3_rows, cfg)
+    assert started == [2, 4]
+    assert rows[None] == rows[1] == rows[2] == rows[8]
+    assert rows[1][0] == "value"
+
+
 def test_fig3_sweep_config_bytes_pinned(tmp_path):
     # perfbench/configs/sweep.ini at seed 7: four full trips; the digest was
     # taken from the serial sweep before the trips ran in a worker pool
