@@ -8,7 +8,6 @@ from .analysis import (
     check_lemma1,
     check_sample_drift,
     oracle_agreement,
-    weighted_drop_objective,
 )
 from .channel import (
     CapacityProfile,
@@ -75,5 +74,4 @@ __all__ = [
     "run",
     "snr_db",
     "truncated_poisson_pmf",
-    "weighted_drop_objective",
 ]

@@ -7,15 +7,16 @@ records each counter as one integer numerator over its loss allowance's
 denominator) so violations cannot hide behind float round-off, and round-off
 cannot fake violations.
 
-The oracle enumerates every feasible lifetime allocation of one frame's
-arrival batches and returns the lexicographically smallest drop vector under a
-given priority order; it is deliberately independent of the scheduler code it
-is used to audit.
+The oracle enumerates the feasible lifetime allocations of one frame's
+arrival batches and returns a drop vector of minimal integer-weighted sum; the
+lexicographically smallest drop vector under a priority order is the weighted
+minimum for radix weights along that order.  It is deliberately independent
+of the scheduler code it is used to audit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -27,13 +28,6 @@ ORACLE_MAX_SERVICES = 3
 ORACLE_MAX_DEADLINE = 3
 ORACLE_MAX_ARRIVALS = 6
 ORACLE_MAX_CAPACITY = 6
-
-
-def weighted_drop_objective(deficits: Sequence[float], drops: Sequence[int]) -> float:
-    """Inner product of deficit weights and drop counts."""
-    if len(deficits) != len(drops):
-        raise ValueError("deficits and drops must align")
-    return float(sum(y * d for y, d in zip(deficits, drops)))
 
 
 def _exact_columns(trace: TraceLog, j: int) -> tuple[np.ndarray, int, int]:
@@ -203,16 +197,62 @@ def check_lemma1(
     )
 
 
-def _check_oracle_guard(order, arrivals, deadlines, available) -> None:
-    if len(order) > ORACLE_MAX_SERVICES:
+def _check_oracle_guard(weights, arrivals, deadlines, available) -> None:
+    if len(weights) > ORACLE_MAX_SERVICES:
         raise ValueError("instance too large for exhaustive search (services)")
-    for sid in order:
+    for sid in weights:
         if deadlines[sid] > ORACLE_MAX_DEADLINE:
             raise ValueError("instance too large for exhaustive search (deadline)")
         if arrivals[sid] > ORACLE_MAX_ARRIVALS:
             raise ValueError("instance too large for exhaustive search (arrivals)")
+        if weights[sid] < 0:
+            raise ValueError("oracle weights must be non-negative")
     if any(c > ORACLE_MAX_CAPACITY for c in available):
         raise ValueError("instance too large for exhaustive search (capacity)")
+
+
+def brute_force_min_weighted_drops(
+    weights: Mapping[int, int],
+    arrivals: Mapping[int, int],
+    deadlines: Mapping[int, int],
+    available: Sequence[int],
+) -> dict[int, int]:
+    """A drop vector of minimal weighted sum over all feasible allocations.
+
+    ``weights`` maps each service id to a non-negative integer weight; the
+    search places services by descending weight and prunes any branch whose
+    partial sum already reaches the best found.  ``available`` is the
+    per-offset free capacity.  Instances beyond the guard bounds are refused.
+    """
+    _check_oracle_guard(weights, arrivals, deadlines, available)
+    order = sorted(weights, key=lambda sid: -weights[sid])
+    # dropping every packet is feasible, so the first complete branch beats this
+    best_cost = sum(weights[sid] * arrivals[sid] for sid in order) + 1
+    best: list[int] = []
+
+    def place(sid_idx: int, caps: list[int], drops: list[int], cost: int) -> None:
+        nonlocal best, best_cost
+        if cost >= best_cost:
+            return
+        if sid_idx == len(order):
+            best, best_cost = drops, cost
+            return
+        sid = order[sid_idx]
+        m, total = deadlines[sid], arrivals[sid]
+
+        def spread(offset: int, left: int, caps2: list[int]) -> None:
+            if offset == m:
+                place(sid_idx + 1, caps2, drops + [left], cost + weights[sid] * left)
+                return
+            for x in range(min(left, caps2[offset]), -1, -1):
+                nxt = caps2.copy()
+                nxt[offset] -= x
+                spread(offset + 1, left - x, nxt)
+
+        spread(0, total, caps)
+
+    place(0, list(available), [], 0)
+    return dict(zip(order, best))
 
 
 def brute_force_lex_min_drops(
@@ -224,38 +264,14 @@ def brute_force_lex_min_drops(
     """Lexicographically minimal drop vector over all feasible allocations.
 
     ``order`` lists service ids from highest to lowest priority; the returned
-    drops are compared position by position in that order.  ``available`` is
-    the per-offset free capacity.  Instances beyond the guard bounds are
-    refused.
+    drops are compared position by position in that order.  The guard caps
+    every drop at ``ORACLE_MAX_ARRIVALS``, so under radix weights along the
+    order the weighted sum reads the drop vector as a numeral in base
+    ``ORACLE_MAX_ARRIVALS + 1``, and its minimum is the lexicographic one.
     """
-    _check_oracle_guard(order, arrivals, deadlines, available)
-    best: list[int] | None = None
-
-    def place(sid_idx: int, caps: list[int], drops: list[int]) -> None:
-        nonlocal best
-        if best is not None and drops > best[: len(drops)]:
-            return
-        if sid_idx == len(order):
-            if best is None or drops < best:
-                best = list(drops)
-            return
-        sid = order[sid_idx]
-        m, total = deadlines[sid], arrivals[sid]
-
-        def spread(offset: int, left: int, caps2: list[int]) -> None:
-            if offset == m:
-                place(sid_idx + 1, caps2, drops + [left])
-                return
-            for x in range(min(left, caps2[offset]), -1, -1):
-                nxt = caps2.copy()
-                nxt[offset] -= x
-                spread(offset + 1, left - x, nxt)
-
-        spread(0, total, caps)
-
-    place(0, list(available), [])
-    assert best is not None
-    return {sid: best[i] for i, sid in enumerate(order)}
+    radix = ORACLE_MAX_ARRIVALS + 1
+    weights = {sid: radix ** (len(order) - 1 - i) for i, sid in enumerate(order)}
+    return brute_force_min_weighted_drops(weights, arrivals, deadlines, available)
 
 
 @dataclass(frozen=True)
@@ -266,14 +282,15 @@ class OracleInstance:
     arrivals: dict[int, int]
     deadlines: dict[int, int]
     available: tuple[int, ...]
-    deficits: dict[int, float]
+    weights: dict[int, int]
 
 
 def random_oracle_instances(seed: int, count: int) -> list[OracleInstance]:
     """Deterministic stream of guarded small instances.
 
     Priority order is a random permutation standing in for the deficit sort,
-    with deficit weights assigned consistently (descending along the order).
+    with integer weights in 0..9 that never increase along it (ties allowed),
+    as the deficits behind such a sort would.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     out = []
@@ -288,17 +305,8 @@ def random_oracle_instances(seed: int, count: int) -> list[OracleInstance]:
         )
         order = list(sids)
         rng.shuffle(order)
-        weights = sorted((float(w) for w in rng.uniform(0.0, 10.0, n_svc)), reverse=True)
-        deficits = {sid: weights[i] for i, sid in enumerate(order)}
-        out.append(
-            OracleInstance(
-                order=tuple(order),
-                arrivals=arrivals,
-                deadlines=deadlines,
-                available=available,
-                deficits=deficits,
-            )
-        )
+        weights = dict(zip(order, sorted(rng.integers(0, 10, n_svc).tolist(), reverse=True)))
+        out.append(OracleInstance(tuple(order), arrivals, deadlines, available, weights))
     return out
 
 
@@ -311,7 +319,7 @@ class OracleAgreementReport:
 
     @property
     def passed(self) -> bool:
-        return self.lex_agreed == self.total
+        return self.lex_agreed == self.weighted_agreed == self.total
 
     def to_dict(self) -> dict:
         return {
@@ -320,6 +328,7 @@ class OracleAgreementReport:
             "total": self.total,
             "lex_agreed": self.lex_agreed,
             "weighted_agreed": self.weighted_agreed,
+            "first_mismatch": None if self.first_mismatch is None else asdict(self.first_mismatch),
         }
 
 
@@ -328,74 +337,25 @@ def oracle_agreement(seed: int, count: int) -> OracleAgreementReport:
     oracle on randomized guarded instances.
 
     ``lex_agreed`` counts instances where the policy's drop vector equals the
-    lexicographic minimum; ``weighted_agreed`` counts instances where its
-    deficit-weighted drop objective equals the global optimum (diagnostic).
+    lexicographic minimum for the order; ``weighted_agreed`` counts instances
+    where its weighted drop sum equals the minimum for the instance's weights,
+    compared as integers.  ``first_mismatch`` is the first instance that fails
+    either count.
     """
     from .schedulers import allocate_cohorts
 
-    lex_agreed = 0
-    weighted_agreed = 0
+    lex_agreed = weighted_agreed = 0
     first_mismatch = None
     instances = random_oracle_instances(seed, count)
     for inst in instances:
         alloc = allocate_cohorts(inst.order, inst.arrivals, inst.deadlines, inst.available)
         policy_drops = {sid: inst.arrivals[sid] - sum(alloc[sid]) for sid in inst.order}
-        oracle_drops = brute_force_lex_min_drops(
-            inst.order, inst.arrivals, inst.deadlines, inst.available
-        )
-        if all(policy_drops[sid] == oracle_drops[sid] for sid in inst.order):
-            lex_agreed += 1
-        elif first_mismatch is None:
+        frame = (inst.arrivals, inst.deadlines, inst.available)
+        lex_ok = policy_drops == brute_force_lex_min_drops(inst.order, *frame)
+        best = brute_force_min_weighted_drops(inst.weights, *frame)
+        weighted_ok = sum(w * (policy_drops[s] - best[s]) for s, w in inst.weights.items()) == 0
+        lex_agreed += lex_ok
+        weighted_agreed += weighted_ok
+        if not (lex_ok and weighted_ok) and first_mismatch is None:
             first_mismatch = inst
-        policy_obj = weighted_drop_objective(
-            [inst.deficits[sid] for sid in inst.order],
-            [policy_drops[sid] for sid in inst.order],
-        )
-        best_obj = brute_force_min_weighted_drops(
-            inst.deficits, inst.arrivals, inst.deadlines, inst.available
-        )
-        if abs(policy_obj - best_obj) < 1e-9:
-            weighted_agreed += 1
-    return OracleAgreementReport(
-        total=len(instances),
-        lex_agreed=lex_agreed,
-        weighted_agreed=weighted_agreed,
-        first_mismatch=first_mismatch,
-    )
-
-
-def brute_force_min_weighted_drops(
-    deficits: Mapping[int, float],
-    arrivals: Mapping[int, int],
-    deadlines: Mapping[int, int],
-    available: Sequence[int],
-) -> float:
-    """Global minimum of the deficit-weighted drop objective over all feasible
-    allocations; diagnostic companion to the lexicographic oracle."""
-    order = sorted(arrivals)
-    _check_oracle_guard(order, arrivals, deadlines, available)
-    best = float("inf")
-
-    def place(sid_idx: int, caps: list[int], partial: float) -> None:
-        nonlocal best
-        if partial >= best:
-            return
-        if sid_idx == len(order):
-            best = partial
-            return
-        sid = order[sid_idx]
-        m, total = deadlines[sid], arrivals[sid]
-
-        def spread(offset: int, left: int, caps2: list[int]) -> None:
-            if offset == m:
-                place(sid_idx + 1, caps2, partial + deficits[sid] * left)
-                return
-            for x in range(min(left, caps2[offset]), -1, -1):
-                nxt = caps2.copy()
-                nxt[offset] -= x
-                spread(offset + 1, left - x, nxt)
-
-        spread(0, total, caps)
-
-    place(0, list(available), 0.0)
-    return best
+    return OracleAgreementReport(len(instances), lex_agreed, weighted_agreed, first_mismatch)

@@ -9,11 +9,18 @@ packets per scheduling frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
+
+
+def _require_positive(config) -> None:
+    """Every field of a config dataclass must be strictly positive."""
+    for f in fields(config):
+        if getattr(config, f.name) <= 0:
+            raise ValueError(f"{f.name} must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -34,9 +41,7 @@ class TrajectoryConfig:
     frame_length: float
 
     def __post_init__(self) -> None:
-        for name in ("speed", "cell_radius", "track_offset", "trip_duration", "frame_length"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        _require_positive(self)
         if self.num_frames < 1:
             raise ValueError("trip shorter than one frame")
 
@@ -76,16 +81,7 @@ class RadioConfig:
     packet_size: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "carrier_freq",
-            "bs_antenna_height",
-            "rs_antenna_height",
-            "tx_power_over_noise",
-            "bandwidth",
-            "packet_size",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        _require_positive(self)
 
     @property
     def breakpoint_distance(self) -> float:

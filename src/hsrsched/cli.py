@@ -19,7 +19,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import analysis
 from .channel import RadioConfig, TrajectoryConfig
@@ -72,6 +72,11 @@ def _get(section, key, conv, *, default=None, required=False):
         raise ConfigError(f"[{section.name}] {key} = {raw!r}: {exc}") from None
 
 
+def _float_keys(section, cls) -> dict[str, float]:
+    """Every field of the float-valued dataclass ``cls`` from its section, all required."""
+    return {f.name: _get(section, f.name, float, required=True) for f in fields(cls)}
+
+
 def parse_config(path: str) -> ExperimentConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config not found: {path}")
@@ -93,21 +98,8 @@ def parse_config(path: str) -> ExperimentConfig:
     traj_sec = _section(parser, "trajectory")
     radio_sec = _section(parser, "radio")
     try:
-        trajectory = TrajectoryConfig(
-            speed=_get(traj_sec, "speed", float, required=True),
-            cell_radius=_get(traj_sec, "cell_radius", float, required=True),
-            track_offset=_get(traj_sec, "track_offset", float, required=True),
-            trip_duration=_get(traj_sec, "trip_duration", float, required=True),
-            frame_length=_get(traj_sec, "frame_length", float, required=True),
-        )
-        radio = RadioConfig(
-            carrier_freq=_get(radio_sec, "carrier_freq", float, required=True),
-            bs_antenna_height=_get(radio_sec, "bs_antenna_height", float, required=True),
-            rs_antenna_height=_get(radio_sec, "rs_antenna_height", float, required=True),
-            tx_power_over_noise=_get(radio_sec, "tx_power_over_noise", float, required=True),
-            bandwidth=_get(radio_sec, "bandwidth", float, required=True),
-            packet_size=_get(radio_sec, "packet_size", float, required=True),
-        )
+        trajectory = TrajectoryConfig(**_float_keys(traj_sec, TrajectoryConfig))
+        radio = RadioConfig(**_float_keys(radio_sec, RadioConfig))
         services = []
         for name in sorted(s for s in parser.sections() if s.startswith("service.")):
             sec = parser[name]
@@ -152,12 +144,19 @@ def parse_config(path: str) -> ExperimentConfig:
         seeds_per_point = _get(sw, "seeds_per_point", int, default=5)
         if seeds_per_point < 1:
             raise ConfigError("seeds_per_point must be at least 1")
+        for base, rate, m in itertools.product(services, sweep_rates, sweep_deadlines):
+            try:
+                replace(base, arrival_rate=rate, deadline=m)
+            except ValueError as exc:
+                raise ConfigError(f"[sweep] point lambda={rate!r} deadline={m}: {exc}") from None
 
     oracle_instances = 200
     inject_fault = None
     if parser.has_section("verify"):
         vf = parser["verify"]
         oracle_instances = _get(vf, "oracle_instances", int, default=200)
+        if oracle_instances < 0:
+            raise ConfigError("oracle_instances must be non-negative")
         inject_fault = _get(vf, "inject_fault", str)
         if inject_fault not in (None, "none", "deficit"):
             raise ConfigError(f"unknown inject_fault {inject_fault!r}")
@@ -198,27 +197,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         lines.append(f"num_frames = {sim.num_frames}")
     if sim.capacity_override is not None:
         lines.append(f"capacity_override = {sim.capacity_override}")
-    t = sim.trajectory
-    lines += [
-        "",
-        "[trajectory]",
-        f"speed = {t.speed!r}",
-        f"cell_radius = {t.cell_radius!r}",
-        f"track_offset = {t.track_offset!r}",
-        f"trip_duration = {t.trip_duration!r}",
-        f"frame_length = {t.frame_length!r}",
-    ]
-    r = sim.radio
-    lines += [
-        "",
-        "[radio]",
-        f"carrier_freq = {r.carrier_freq!r}",
-        f"bs_antenna_height = {r.bs_antenna_height!r}",
-        f"rs_antenna_height = {r.rs_antenna_height!r}",
-        f"tx_power_over_noise = {r.tx_power_over_noise!r}",
-        f"bandwidth = {r.bandwidth!r}",
-        f"packet_size = {r.packet_size!r}",
-    ]
+    for name, obj in (("trajectory", sim.trajectory), ("radio", sim.radio)):
+        lines += ["", f"[{name}]"] + [f"{f.name} = {getattr(obj, f.name)!r}" for f in fields(obj)]
     for s in sim.services:
         lines += [
             "",

@@ -15,11 +15,11 @@ from hsrsched import (
     check_sample_drift,
     oracle_agreement,
     run,
-    weighted_drop_objective,
 )
 from hsrsched.analysis import (
     DriftCheckReport,
     Lemma1Report,
+    OracleAgreementReport,
     ServiceLemma1Report,
     random_oracle_instances,
 )
@@ -141,14 +141,6 @@ def _assert_checks_match_reference(trace):
     return drift, lemma1
 
 
-def test_weighted_drop_objective():
-    assert weighted_drop_objective([], []) == 0.0
-    assert weighted_drop_objective([2.0, 3.0], [1, 1]) == 5.0
-    assert weighted_drop_objective([2.0, 3.0], [0, 0]) == 0.0
-    with pytest.raises(ValueError):
-        weighted_drop_objective([1.0], [1, 2])
-
-
 def test_sample_drift_all_zero_trace():
     report = check_sample_drift(_hand_trace([0] * 50, 2))
     assert report.passed
@@ -264,8 +256,79 @@ def test_oracle_guard_refuses_large_instances():
 
 def test_weighted_minimum_hand_case():
     # one unit of capacity, two single-frame services: the heavier loses less
-    best = brute_force_min_weighted_drops({1: 5.0, 2: 1.0}, {1: 1, 2: 1}, {1: 1, 2: 1}, [1])
-    assert best == pytest.approx(1.0)
+    best = brute_force_min_weighted_drops({1: 5, 2: 1}, {1: 1, 2: 1}, {1: 1, 2: 1}, [1])
+    assert best == {1: 0, 2: 1}
+    best = brute_force_min_weighted_drops({1: 1, 2: 5}, {1: 1, 2: 1}, {1: 1, 2: 1}, [1])
+    assert best == {1: 1, 2: 0}
+
+
+def test_weighted_minimum_refuses_negative_weights():
+    with pytest.raises(ValueError):
+        brute_force_min_weighted_drops({1: -1}, {1: 1}, {1: 1}, [1])
+
+
+def _reference_lex_min_drops(order, arrivals, deadlines, available):
+    """The lexicographic oracle as a direct search: tuples of drops compared
+    in priority order, pruned on any prefix above the best found."""
+    best = None
+
+    def place(sid_idx, caps, drops):
+        nonlocal best
+        if best is not None and drops > best[: len(drops)]:
+            return
+        if sid_idx == len(order):
+            if best is None or drops < best:
+                best = list(drops)
+            return
+        sid = order[sid_idx]
+        m, total = deadlines[sid], arrivals[sid]
+
+        def spread(offset, left, caps2):
+            if offset == m:
+                place(sid_idx + 1, caps2, drops + [left])
+                return
+            for x in range(min(left, caps2[offset]), -1, -1):
+                nxt = caps2.copy()
+                nxt[offset] -= x
+                spread(offset + 1, left - x, nxt)
+
+        spread(0, total, caps)
+
+    place(0, list(available), [])
+    return {sid: best[i] for i, sid in enumerate(order)}
+
+
+def test_radix_weighted_lex_oracle_equals_direct_lex_search():
+    for inst in random_oracle_instances(1, 1000):
+        frame = (inst.arrivals, inst.deadlines, inst.available)
+        assert brute_force_lex_min_drops(inst.order, *frame) == _reference_lex_min_drops(inst.order, *frame)
+
+
+def test_random_instance_weights_are_integers_descending_along_order():
+    for inst in random_oracle_instances(5, 300):
+        weights = [inst.weights[sid] for sid in inst.order]
+        assert sorted(inst.weights) == sorted(inst.order)
+        assert all(type(w) is int and 0 <= w <= 9 for w in weights)
+        assert weights == sorted(weights, reverse=True)
+
+
+def test_oracle_report_fails_on_weighted_disagreement():
+    report = OracleAgreementReport(total=2, lex_agreed=2, weighted_agreed=1, first_mismatch=None)
+    assert not report.passed
+    assert report.to_dict()["passed"] is False
+
+
+def test_oracle_report_dict_carries_first_mismatch():
+    inst = random_oracle_instances(3, 1)[0]
+    assert OracleAgreementReport(1, 1, 1, None).to_dict()["first_mismatch"] is None
+    witness = OracleAgreementReport(1, 0, 1, inst).to_dict()["first_mismatch"]
+    assert witness == {
+        "order": inst.order,
+        "arrivals": inst.arrivals,
+        "deadlines": inst.deadlines,
+        "available": inst.available,
+        "weights": inst.weights,
+    }
 
 
 def test_oracle_agreement_deterministic():
@@ -273,7 +336,7 @@ def test_oracle_agreement_deterministic():
     b = oracle_agreement(123, 40)
     assert (a.total, a.lex_agreed, a.weighted_agreed) == (b.total, b.lex_agreed, b.weighted_agreed)
     assert a.total == 40
-    assert 0 <= a.lex_agreed <= a.total
+    assert a.passed and a.first_mismatch is None
 
 
 def test_oracle_agreement_on_equal_deadline_instances():

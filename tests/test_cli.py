@@ -367,6 +367,36 @@ def test_cmd_verify_checks_pass_without_oracle(tmp_path):
     assert ("lemma1", "edf") in checks
 
 
+def test_negative_oracle_instances_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "neg.ini"
+    text = serialize_config(parse_config(DEFAULT_CONFIG))
+    path.write_text(text.replace("oracle_instances = 200", "oracle_instances = -5"))
+    out = tmp_path / "v"
+    rc = main(["verify", str(path), "--frames", "100", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "error: oracle_instances must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("deadlines", "1,0", "deadline must be at least one frame"),
+        ("lambdas", "90.0,-1", "arrival_rate must be strictly positive"),
+    ],
+)
+def test_bad_fig3_grid_point_is_a_config_error(key, value, message, tmp_path, capsys):
+    path = tmp_path / "grid.ini"
+    text = serialize_config(parse_config(FIG3_CONFIG))
+    path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M))
+    out = tmp_path / "f3"
+    rc = main(["fig3", str(path), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_cmd_verify_fault_injection_fails(tmp_path):
     cfg_path = tmp_path / "verify.ini"
     base = parse_config(DEFAULT_CONFIG)
@@ -389,6 +419,9 @@ def test_cmd_verify_default_config_passes(tmp_path):
     report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
     assert rc == EXIT_OK, report
     assert report["passed"] is True
+    (oracle,) = [c for c in report["checks"] if c["check"] == "oracle_agreement"]
+    assert oracle["lex_agreed"] == oracle["weighted_agreed"] == oracle["total"] == 200
+    assert oracle["first_mismatch"] is None
 
 
 def test_runtime_error_exit_code(tmp_path):

@@ -20,6 +20,7 @@ from hsrsched.analysis import (
     ORACLE_MAX_DEADLINE,
     ORACLE_MAX_SERVICES,
     brute_force_lex_min_drops,
+    brute_force_min_weighted_drops,
 )
 from hsrsched.schedulers import EdfScheduler, RoundRobinScheduler
 
@@ -124,17 +125,22 @@ def _oracle_instances(draw):
         st.lists(st.integers(0, ORACLE_MAX_CAPACITY), min_size=horizon, max_size=horizon)
     )
     order = draw(st.permutations(sids))
-    return order, arrivals, deadlines, avail
+    # integer weights that never increase along the order, ties allowed
+    weights = sorted(draw(st.lists(st.integers(0, 20), min_size=n, max_size=n)), reverse=True)
+    return order, arrivals, deadlines, avail, dict(zip(order, weights))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_oracle_instances())
 def test_allocate_matches_lexicographic_oracle(instance):
-    order, arrivals, deadlines, avail = instance
+    order, arrivals, deadlines, avail, weights = instance
     alloc = allocate_cohorts(order, arrivals, deadlines, avail)
     drops = {sid: arrivals[sid] - sum(alloc[sid]) for sid in order}
     assert drops == brute_force_lex_min_drops(order, arrivals, deadlines, avail)
     _assert_within_capacity(alloc, deadlines, avail)
+    # the lexicographic minimum is also a weighted minimum for such weights
+    best = brute_force_min_weighted_drops(weights, arrivals, deadlines, avail)
+    assert sum(weights[sid] * drops[sid] for sid in order) == sum(weights[sid] * best[sid] for sid in order)
 
 
 class TestDcsa:
