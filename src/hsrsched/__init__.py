@@ -21,7 +21,7 @@ from .channel import (
     snr_db,
 )
 from .engine import RunSummary, SimConfig, TraceLog, run
-from .queueing import ContractViolation, DeadlineQueue, DeficitQueue, projected_deficit
+from .queueing import ContractViolation, DeadlineQueue, DeficitQueue
 from .schedulers import (
     DcsaScheduler,
     EdfScheduler,
@@ -69,7 +69,6 @@ __all__ = [
     "make_scheduler",
     "oracle_agreement",
     "path_loss_db",
-    "projected_deficit",
     "rate_bps",
     "run",
     "snr_db",

@@ -7,8 +7,8 @@ records each counter as one integer numerator over its loss allowance's
 denominator) so violations cannot hide behind float round-off, and round-off
 cannot fake violations.
 
-The oracle enumerates the feasible lifetime allocations of one frame's
-arrival batches and returns a drop vector of minimal integer-weighted sum; the
+The oracle enumerates the feasible lifetime allocations of one frame's queued
+cohorts and returns a drop vector of minimal integer-weighted sum; the
 lexicographically smallest drop vector under a priority order is the weighted
 minimum for radix weights along that order.  It is deliberately independent
 of the scheduler code it is used to audit.
@@ -47,15 +47,7 @@ class DriftCheckReport:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "check": "sample_drift",
-            "passed": self.passed,
-            "max_violation": self.max_violation,
-            "worst_frame": self.worst_frame,
-            "worst_service": self.worst_service,
-            "transitions_checked": self.transitions_checked,
-            "tolerance": self.tolerance,
-        }
+        return {"check": "sample_drift", **asdict(self)}
 
     def to_text(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -106,6 +98,7 @@ class ServiceLemma1Report:
     service_id: int
     prefix_ok: bool
     max_prefix_violation: float
+    worst_prefix_frame: int | None
     rate_stable: bool
     final_deficit_per_frame: float
     mean_drops: float
@@ -121,25 +114,7 @@ class Lemma1Report:
     rate_threshold: float
 
     def to_dict(self) -> dict:
-        return {
-            "check": "lemma1",
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "rate_threshold": self.rate_threshold,
-            "services": [
-                {
-                    "service_id": s.service_id,
-                    "prefix_ok": s.prefix_ok,
-                    "max_prefix_violation": s.max_prefix_violation,
-                    "rate_stable": s.rate_stable,
-                    "final_deficit_per_frame": s.final_deficit_per_frame,
-                    "mean_drops": s.mean_drops,
-                    "loss_allowance": s.loss_allowance,
-                    "mean_drop_bound_ok": s.mean_drop_bound_ok,
-                }
-                for s in self.services
-            ],
-        }
+        return {"check": "lemma1", **asdict(self)}
 
     def to_text(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -150,6 +125,8 @@ class Lemma1Report:
                 f"rate_stable={s.rate_stable} (final Y/K = {s.final_deficit_per_frame:.3g}), "
                 f"mean drops {s.mean_drops:.6g} vs allowance {s.loss_allowance:.6g}"
             )
+            if not s.prefix_ok:
+                lines.append(f"    worst prefix at frame {s.worst_prefix_frame}")
         return "\n".join(lines) + "\n"
 
 
@@ -171,7 +148,9 @@ def check_lemma1(
         num, p, q = _exact_columns(trace, j)
         # Y[k] >= sum(D[0..k]) - (k + 1) * allowance, scaled by q
         running = np.cumsum(trace.drops[:, j].astype(object))
-        max_violation = Fraction(max(0, (running * q - frames * p - num).max()), q)
+        violation = running * q - frames * p - num
+        worst = int(np.argmax(violation))
+        max_violation = Fraction(max(0, violation[worst]), q)
         final_rate = Fraction(num[-1], q * n)
         mean_drops = Fraction(running[-1], n)
         allowance = Fraction(p, q)
@@ -181,6 +160,7 @@ def check_lemma1(
                 service_id=sid,
                 prefix_ok=max_violation <= tolerance,
                 max_prefix_violation=float(max_violation),
+                worst_prefix_frame=worst if max_violation else None,
                 rate_stable=float(final_rate) < rate_threshold,
                 final_deficit_per_frame=float(final_rate),
                 mean_drops=float(mean_drops),
@@ -219,9 +199,9 @@ def brute_force_min_weighted_drops(
 ) -> dict[int, int]:
     """A drop vector of minimal weighted sum over all feasible allocations.
 
-    ``weights`` maps each service id to a non-negative integer weight; the
-    search places services by descending weight and prunes any branch whose
-    partial sum already reaches the best found.  ``available`` is the
+    ``weights`` maps each key (a service id, or a cohort's (service id, r)) to
+    a non-negative integer weight; the search places keys by descending weight
+    and prunes any branch whose partial sum already reaches the best found.  ``available`` is the
     per-offset free capacity.  Instances beyond the guard bounds are refused.
     """
     _check_oracle_guard(weights, arrivals, deadlines, available)
@@ -276,37 +256,44 @@ def brute_force_lex_min_drops(
 
 @dataclass(frozen=True)
 class OracleInstance:
-    """One randomized planning-frame instance within the oracle guard bounds."""
+    """One randomized planning-frame instance within the oracle guard bounds:
+    ``rows[sid][i]`` holds service ``sid``'s packets with i + 1 frames to go."""
 
     order: tuple[int, ...]
-    arrivals: dict[int, int]
-    deadlines: dict[int, int]
+    rows: dict[int, list[int]]
     available: tuple[int, ...]
     weights: dict[int, int]
 
+    def cohorts(self) -> tuple[list, dict, dict, dict]:
+        """The oracle's view: the non-empty cohorts keyed (service id, r) by
+        service priority and then ascending r, their packets, their windows
+        (r) and their service's weights."""
+        keys = [(sid, i + 1) for sid in self.order for i, a in enumerate(self.rows[sid]) if a]
+        packets = {(sid, r): self.rows[sid][r - 1] for sid, r in keys}
+        return keys, packets, {k: k[1] for k in keys}, {k: self.weights[k[0]] for k in keys}
+
 
 def random_oracle_instances(seed: int, count: int) -> list[OracleInstance]:
-    """Deterministic stream of guarded small instances.
-
-    Priority order is a random permutation standing in for the deficit sort,
-    with integer weights in 0..9 that never increase along it (ties allowed),
-    as the deficits behind such a sort would.
+    """Deterministic stream of guarded small instances: one to three services
+    and one to three non-empty bucket cells among theirs, so a service may
+    hold several cohorts.  Priority order is a random permutation standing in
+    for the deficit sort, with integer weights in 0..9 that never increase
+    along it (ties allowed), as the deficits behind such a sort would.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     out = []
     for _ in range(count):
         n_svc = int(rng.integers(1, ORACLE_MAX_SERVICES + 1))
-        sids = list(range(1, n_svc + 1))
-        deadlines = {sid: int(rng.integers(1, ORACLE_MAX_DEADLINE + 1)) for sid in sids}
-        arrivals = {sid: int(rng.integers(0, ORACLE_MAX_ARRIVALS + 1)) for sid in sids}
-        available = tuple(
-            int(rng.integers(0, ORACLE_MAX_CAPACITY + 1))
-            for _ in range(max(deadlines.values()))
-        )
-        order = list(sids)
-        rng.shuffle(order)
+        rows = {sid: [0] * int(rng.integers(1, ORACLE_MAX_DEADLINE + 1)) for sid in range(1, n_svc + 1)}
+        cells = [(sid, i) for sid, row in rows.items() for i in range(len(row))]
+        n_cells = int(rng.integers(1, min(ORACLE_MAX_SERVICES, len(cells)) + 1))
+        for c in rng.choice(len(cells), n_cells, replace=False).tolist():
+            rows[cells[c][0]][cells[c][1]] = int(rng.integers(1, ORACLE_MAX_ARRIVALS + 1))
+        horizon = max(map(len, rows.values()))
+        available = tuple(rng.integers(0, ORACLE_MAX_CAPACITY + 1, horizon).tolist())
+        order = rng.permutation(np.arange(1, n_svc + 1)).tolist()
         weights = dict(zip(order, sorted(rng.integers(0, 10, n_svc).tolist(), reverse=True)))
-        out.append(OracleInstance(tuple(order), arrivals, deadlines, available, weights))
+        out.append(OracleInstance(tuple(order), rows, available, weights))
     return out
 
 
@@ -322,25 +309,20 @@ class OracleAgreementReport:
         return self.lex_agreed == self.weighted_agreed == self.total
 
     def to_dict(self) -> dict:
-        return {
-            "check": "oracle_agreement",
-            "passed": self.passed,
-            "total": self.total,
-            "lex_agreed": self.lex_agreed,
-            "weighted_agreed": self.weighted_agreed,
-            "first_mismatch": None if self.first_mismatch is None else asdict(self.first_mismatch),
-        }
+        return {"check": "oracle_agreement", "passed": self.passed, **asdict(self)}
 
 
 def oracle_agreement(seed: int, count: int) -> OracleAgreementReport:
-    """Compare the lookahead policy's planning step against the brute-force
-    oracle on randomized guarded instances.
+    """Compare the deficit-driven policy's planning step against the
+    brute-force oracle on randomized guarded instances.
 
+    The policy grants the instance's bucket rows in service priority order;
+    the oracle searches over the non-empty cohorts keyed (service id, r).
     ``lex_agreed`` counts instances where the policy's drop vector equals the
-    lexicographic minimum for the order; ``weighted_agreed`` counts instances
-    where its weighted drop sum equals the minimum for the instance's weights,
-    compared as integers.  ``first_mismatch`` is the first instance that fails
-    either count.
+    lexicographic minimum for the cohort order; ``weighted_agreed`` counts
+    instances where its weighted drop sum, each cohort weighted as its
+    service, equals the minimum, compared as integers.  ``first_mismatch`` is
+    the first instance that fails either count.
     """
     from .schedulers import allocate_cohorts
 
@@ -348,12 +330,13 @@ def oracle_agreement(seed: int, count: int) -> OracleAgreementReport:
     first_mismatch = None
     instances = random_oracle_instances(seed, count)
     for inst in instances:
-        alloc = allocate_cohorts(inst.order, inst.arrivals, inst.deadlines, inst.available)
-        policy_drops = {sid: inst.arrivals[sid] - sum(alloc[sid]) for sid in inst.order}
-        frame = (inst.arrivals, inst.deadlines, inst.available)
-        lex_ok = policy_drops == brute_force_lex_min_drops(inst.order, *frame)
-        best = brute_force_min_weighted_drops(inst.weights, *frame)
-        weighted_ok = sum(w * (policy_drops[s] - best[s]) for s, w in inst.weights.items()) == 0
+        grants = allocate_cohorts(inst.order, inst.rows, inst.available)
+        keys, packets, windows, weights = inst.cohorts()
+        policy_drops = {(sid, r): a - grants[sid][r - 1] for (sid, r), a in packets.items()}
+        frame = (packets, windows, inst.available)
+        lex_ok = policy_drops == brute_force_lex_min_drops(keys, *frame)
+        best = brute_force_min_weighted_drops(weights, *frame)
+        weighted_ok = sum(w * (policy_drops[k] - best[k]) for k, w in weights.items()) == 0
         lex_agreed += lex_ok
         weighted_agreed += weighted_ok
         if not (lex_ok and weighted_ok) and first_mismatch is None:

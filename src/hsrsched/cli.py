@@ -375,7 +375,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     ok = True
     for policy in SCHEDULER_POLICIES:
         trace = run(replace(cfg.sim, scheduler=policy))
-        if cfg.inject_fault == "deficit" and trace.num_frames > 1:
+        if cfg.inject_fault == "deficit":
             # test hook: corrupt the counter state mid-run so checks must trip;
             # the jump has to clear the allowance-squared slack of the bound
             bump = 1000 + 10 * int(max(trace.loss_allowances))
@@ -426,10 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("HSRSCHED_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("HSRSCHED_LOG", "WARNING").upper()
+    # checked here: basicConfig would raise past the error handling below
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: HSRSCHED_LOG = {level!r} is not a logging level", file=sys.stderr)
+        return EXIT_CONFIG
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         cfg = apply_overrides(parse_config(args.config), args)

@@ -1,10 +1,9 @@
 """Frame loop wiring the link profile, traffic, queues and a scheduler.
 
 Each frame executes, in order: read capacity, admit sampled arrivals, take
-the scheduler's decision (the lookahead policy plans the admitted batch
-there), check it against the frame capacity, serve and age the queues, update
-the deficit counters, append the trace row.  Runs are deterministic given the
-configuration.
+the scheduler's decision, check it against the frame capacity, serve and age
+the queues, update the deficit counters, append the trace row.  Runs are
+deterministic given the configuration.
 """
 
 from __future__ import annotations

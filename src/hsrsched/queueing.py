@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class ContractViolation(RuntimeError):
@@ -63,27 +63,14 @@ class DeadlineQueue:
         return sum(self.buckets)
 
 
-def projected_deficit(num: int, p: int, q: int, drops: Iterable[int]) -> int:
-    """Deficit numerator after iterating the counter over ``drops``.
-
-    For a loss allowance p/q the counter is held as ``num`` = deficit * q, a
-    non-negative integer, and one frame with ``d`` drops maps it to
-    ``max(num - p, 0) + d * q``.  The lookahead policy projects over the drops
-    already fixed for the coming frames; ``DeficitQueue.update`` takes one step.
-    """
-    for d in drops:
-        num -= p
-        num = (num if num > 0 else 0) + d * q
-    return num
-
-
 @dataclass
 class DeficitQueue:
     """Excess-drop counter for one service, starting at zero.
 
     Kept exactly as one integer, ``num`` = deficit * q for the loss allowance
     p/q, so verification of the counter algebra is free of round-off even
-    after millions of frames.
+    after millions of frames.  A frame with ``d`` drops maps it to
+    ``max(num - p, 0) + d * q``.
     """
 
     service_id: int
@@ -100,4 +87,5 @@ class DeficitQueue:
     def update(self, dropped: int) -> None:
         if dropped < 0:
             raise ValueError("dropped must be non-negative")
-        self.num = projected_deficit(self.num, self._p, self._q, (dropped,))
+        num = self.num - self._p
+        self.num = (num if num > 0 else 0) + dropped * self._q

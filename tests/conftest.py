@@ -1,6 +1,20 @@
+import warnings
+
 import pytest
 
 from hsrsched import RadioConfig, ServiceSpec, TrajectoryConfig
+
+# hypothesis's pytest plugin imports this module when a property test fails,
+# and the import chain (libcst, mypy_extensions) raises a DeprecationWarning.
+# Under the suite's warnings-as-errors filter that turns into an INTERNALERROR
+# that ends the session, so every later test goes unreported.  Import it once
+# here with the warning ignored; the filter stays as it is for everything else.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # without libcst the plugin skips the module too
+        pass
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,8 @@ from hsrsched import (
     run,
 )
 from hsrsched.analysis import (
+    ORACLE_MAX_DEADLINE,
+    ORACLE_MAX_SERVICES,
     DriftCheckReport,
     Lemma1Report,
     OracleAgreementReport,
@@ -105,12 +107,14 @@ def _reference_lemma1(trace, rate_threshold=1e-3, tolerance=1e-9):
         p, q = trace.loss_allowances[j].as_integer_ratio()
         running = 0  # sum of drops over frames 0..k-1
         max_violation = Fraction(0)
+        worst = None
         for k in range(1, n + 1):
             running += int(trace.drops[k - 1, j])
             # Y[k] >= sum(D) - k * allowance, scaled by q
             violation = Fraction(running * q - k * p - int(trace.deficit_num[k - 1, j]), q)
             if violation > max_violation:
                 max_violation = violation
+                worst = k - 1
         final_rate = Fraction(int(trace.deficit_num[-1, j]), q * n)
         mean_drops = Fraction(running, n)
         allowance = Fraction(p, q)
@@ -119,6 +123,7 @@ def _reference_lemma1(trace, rate_threshold=1e-3, tolerance=1e-9):
                 service_id=sid,
                 prefix_ok=max_violation <= tolerance,
                 max_prefix_violation=float(max_violation),
+                worst_prefix_frame=worst,
                 rate_stable=float(final_rate) < rate_threshold,
                 final_deficit_per_frame=float(final_rate),
                 mean_drops=float(mean_drops),
@@ -221,6 +226,32 @@ def test_lemma1_on_seeded_run(table1_traj, table1_radio, two_services):
         assert svc.max_prefix_violation == 0.0
 
 
+def test_lemma1_names_the_worst_prefix_frame(table1_traj, table1_radio, two_services):
+    # the frame verify's inject_fault bumps; raised there the counter trips
+    # the one-step bound only, lowered by as much it trips the prefix bound
+    cfg = SimConfig(
+        trajectory=table1_traj, radio=table1_radio, services=two_services, seed=4, num_frames=400
+    )
+    trace = run(cfg)
+    k = trace.num_frames // 2
+    step = 1060 * trace.loss_allowances[0].denominator
+    clean = check_lemma1(trace)
+    assert [s.worst_prefix_frame for s in clean.services] == [None, None]
+    assert clean.to_dict()["services"][0]["worst_prefix_frame"] is None
+    for sign in (1, -1):
+        bad = replace(trace, deficit_num=trace.deficit_num.copy())
+        bad.deficit_num[k, 0] += sign * step
+        drift, lemma1 = _assert_checks_match_reference(bad)
+        if sign > 0:
+            assert not drift.passed and drift.worst_frame == k and lemma1.passed
+            assert lemma1.services[0].worst_prefix_frame is None
+        else:
+            assert not lemma1.passed and not lemma1.services[0].prefix_ok
+            assert lemma1.to_dict()["services"][0]["worst_prefix_frame"] == k
+            assert f"worst prefix at frame {k}" in lemma1.to_text()
+            assert lemma1.services[1].worst_prefix_frame is None
+
+
 def test_lemma1_rejects_empty_trace():
     with pytest.raises(ValueError):
         check_lemma1(_hand_trace([], 1))
@@ -239,8 +270,8 @@ def test_oracle_matches_policy_on_shared_single_frame():
     order, arrivals, deadlines, avail = [2, 1], {1: 4, 2: 4}, {1: 1, 2: 1}, [5]
     oracle = brute_force_lex_min_drops(order, arrivals, deadlines, avail)
     assert oracle == {2: 0, 1: 3}
-    alloc = allocate_cohorts(order, arrivals, deadlines, avail)
-    assert {sid: arrivals[sid] - sum(alloc[sid]) for sid in order} == oracle
+    grants = allocate_cohorts(order, {1: [4], 2: [4]}, avail)
+    assert {sid: arrivals[sid] - grants[sid][0] for sid in order} == oracle
 
 
 def test_oracle_guard_refuses_large_instances():
@@ -300,8 +331,9 @@ def _reference_lex_min_drops(order, arrivals, deadlines, available):
 
 def test_radix_weighted_lex_oracle_equals_direct_lex_search():
     for inst in random_oracle_instances(1, 1000):
-        frame = (inst.arrivals, inst.deadlines, inst.available)
-        assert brute_force_lex_min_drops(inst.order, *frame) == _reference_lex_min_drops(inst.order, *frame)
+        keys, packets, windows, _ = inst.cohorts()
+        frame = (packets, windows, inst.available)
+        assert brute_force_lex_min_drops(keys, *frame) == _reference_lex_min_drops(keys, *frame)
 
 
 def test_random_instance_weights_are_integers_descending_along_order():
@@ -310,6 +342,21 @@ def test_random_instance_weights_are_integers_descending_along_order():
         assert sorted(inst.weights) == sorted(inst.order)
         assert all(type(w) is int and 0 <= w <= 9 for w in weights)
         assert weights == sorted(weights, reverse=True)
+
+
+def test_random_instances_hold_several_cohorts_per_service_within_the_guard():
+    several = 0
+    for inst in random_oracle_instances(5, 300):
+        keys, packets, windows, weights = inst.cohorts()
+        assert 1 <= len(inst.order) <= ORACLE_MAX_SERVICES
+        assert sum(a > 0 for row in inst.rows.values() for a in row) <= ORACLE_MAX_SERVICES
+        assert all(1 <= len(row) <= ORACLE_MAX_DEADLINE for row in inst.rows.values())
+        assert len(inst.available) == max(map(len, inst.rows.values()))
+        # cohorts by service priority, then ascending frames to go
+        assert keys == sorted(keys, key=lambda k: (inst.order.index(k[0]), k[1]))
+        assert all(weights[k] == inst.weights[k[0]] and windows[k] == k[1] for k in keys)
+        several += any(sum(a > 0 for a in row) > 1 for row in inst.rows.values())
+    assert several > 50
 
 
 def test_oracle_report_fails_on_weighted_disagreement():
@@ -324,8 +371,7 @@ def test_oracle_report_dict_carries_first_mismatch():
     witness = OracleAgreementReport(1, 0, 1, inst).to_dict()["first_mismatch"]
     assert witness == {
         "order": inst.order,
-        "arrivals": inst.arrivals,
-        "deadlines": inst.deadlines,
+        "rows": inst.rows,
         "available": inst.available,
         "weights": inst.weights,
     }
@@ -344,14 +390,13 @@ def test_oracle_agreement_on_equal_deadline_instances():
     agreed = 0
     total = 0
     for inst in random_oracle_instances(77, 300):
-        if len(set(inst.deadlines.values())) != 1:
+        keys, packets, windows, _ = inst.cohorts()
+        if len(set(windows.values())) != 1:
             continue
         total += 1
-        alloc = allocate_cohorts(inst.order, inst.arrivals, inst.deadlines, inst.available)
-        drops = {sid: inst.arrivals[sid] - sum(alloc[sid]) for sid in inst.order}
-        if drops == brute_force_lex_min_drops(
-            inst.order, inst.arrivals, inst.deadlines, inst.available
-        ):
+        grants = allocate_cohorts(inst.order, inst.rows, inst.available)
+        drops = {(sid, r): a - grants[sid][r - 1] for (sid, r), a in packets.items()}
+        if drops == brute_force_lex_min_drops(keys, packets, windows, inst.available):
             agreed += 1
     assert total > 50
     assert agreed == total

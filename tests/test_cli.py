@@ -397,18 +397,42 @@ def test_bad_fig3_grid_point_is_a_config_error(key, value, message, tmp_path, ca
     assert not out.exists()
 
 
-def test_cmd_verify_fault_injection_fails(tmp_path):
+def _verify_with_fault(tmp_path, frames):
+    """Exit code and report of ``verify`` on the default config with
+    ``inject_fault = deficit`` and no oracle instances."""
     cfg_path = tmp_path / "verify.ini"
     base = parse_config(DEFAULT_CONFIG)
     text = serialize_config(base).replace(
         "oracle_instances = 200", "oracle_instances = 0\ninject_fault = deficit"
     )
     cfg_path.write_text(text)
-    out = str(tmp_path / "v")
-    rc = main(["verify", str(cfg_path), "--frames", "400", "--out", out])
+    rc = main(["verify", str(cfg_path), "--frames", frames, "--out", str(tmp_path / "v")])
+    return rc, json.loads((tmp_path / "v" / "verify_report.json").read_text())
+
+
+def test_cmd_verify_fault_injection_fails(tmp_path):
+    rc, report = _verify_with_fault(tmp_path, "400")
     assert rc == EXIT_VERIFY
-    report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
     assert report["passed"] is False
+
+
+def test_cmd_verify_fault_injection_fails_on_one_frame(tmp_path):
+    # frame num_frames // 2 of a one-frame run is frame 0
+    rc, report = _verify_with_fault(tmp_path, "1")
+    assert rc == EXIT_VERIFY
+    drift = [c for c in report["checks"] if c["check"] == "sample_drift"]
+    assert len(drift) == 3
+    assert all(c["passed"] is False and c["worst_frame"] == 0 for c in drift)
+
+
+def test_unknown_log_level_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HSRSCHED_LOG", "verbose")
+    out = tmp_path / "out"
+    rc = main(["run", DEFAULT_CONFIG, "--frames", "10", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "HSRSCHED_LOG" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cmd_verify_default_config_passes(tmp_path):

@@ -176,6 +176,24 @@ def test_saturated_link_drops_nothing(policy, table1_traj, table1_radio, two_ser
         assert s.delivery_ratio == 1.0
 
 
+def test_dcsa_serves_the_tight_service_at_least_as_well_as_edf(table1_traj, table1_radio):
+    # deadlines 2/5/10 over the full trip, inside the feasibility bound:
+    # re-planning every cohort by current deficit lets the deadline-2
+    # service reclaim capacity that EDF hands to whoever is most urgent
+    services = (
+        ServiceSpec(service_id=1, arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
+        ServiceSpec(service_id=2, arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
+        ServiceSpec(service_id=3, arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
+    )
+    summaries = {
+        policy: run(_config(table1_traj, table1_radio, services, scheduler=policy, seed=42)).summary()
+        for policy in ("dcsa", "edf")
+    }
+    dcsa, edf = summaries["dcsa"].services, summaries["edf"].services
+    assert dcsa[0].delivery_ratio >= edf[0].delivery_ratio
+    assert max(s.final_deficit for s in dcsa) <= max(s.final_deficit for s in edf)
+
+
 def test_delivery_ratio_zero_with_dead_link(table1_traj, table1_radio):
     # single-frame lifetimes so nothing lingers in the backlog at run end
     services = (

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsrsched import ContractViolation, DeadlineQueue, DeficitQueue, ServiceSpec, projected_deficit
+from hsrsched import ContractViolation, DeadlineQueue, DeficitQueue, ServiceSpec
 
 
 def test_admit_zero_is_noop_on_contents():
@@ -109,17 +109,38 @@ def test_deficit_queue_starts_at_zero_and_stays_nonnegative():
         assert dq.num >= 0
 
 
+def test_deficit_update_stays_at_zero_without_drops():
+    dq = DeficitQueue(1, Fraction(2))
+    for _ in range(4):
+        dq.update(0)
+    assert dq.num == 0
+
+
+def test_deficit_update_hand_iteration():
+    # ((4-1)^+ + 2 - 1)^+ + 0 = 4
+    dq = DeficitQueue(1, Fraction(1), num=4)
+    dq.update(2)
+    dq.update(0)
+    assert dq.num == 4
+    # allowance 3/2: ((4-1.5)^+ + 2 - 1.5)^+ + 0 = 3, numerator 6 over 2
+    dq = DeficitQueue(1, Fraction(3, 2), num=8)
+    dq.update(2)
+    dq.update(0)
+    assert dq.num == 6
+
+
 def test_deficit_queue_matches_scalar_updates():
-    # stepping the queue frame by frame equals one projection over all drops
+    # the integer numerator tracks the recurrence Y <- max(Y - c, 0) + D in
+    # exact rationals, frame by frame
     rng = random.Random(21)
     allowance = Fraction(7, 3)
     dq = DeficitQueue(1, allowance)
-    drops = []
+    y = Fraction(0)
     for _ in range(5000):
         d = rng.choice([0, 0, 1, 3, 7])
         dq.update(d)
-        drops.append(d)
-    assert dq.num == projected_deficit(0, 7, 3, drops)
+        y = max(y - allowance, 0) + d
+        assert dq.num == y * 3
 
 
 def test_deficit_queue_exact_value_is_exact():

@@ -5,20 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsrsched import (
-    ContractViolation,
     DcsaScheduler,
     DeadlineQueue,
     DeficitQueue,
     ServiceSpec,
     allocate_cohorts,
     make_scheduler,
-    projected_deficit,
 )
 from hsrsched.analysis import (
     ORACLE_MAX_ARRIVALS,
     ORACLE_MAX_CAPACITY,
     ORACLE_MAX_DEADLINE,
     ORACLE_MAX_SERVICES,
+    OracleInstance,
     brute_force_lex_min_drops,
     brute_force_min_weighted_drops,
 )
@@ -47,100 +46,94 @@ def _step(sched, frame, capacity, queues, deficits, arrivals):
     return rows
 
 
-def test_projected_deficit_zero_steps_is_identity():
-    # deficit 3.5 over the denominator 2 of allowance 1/2
-    assert projected_deficit(7, 1, 2, []) == 7
-
-
-def test_projected_deficit_stays_at_zero_without_drops():
-    assert projected_deficit(0, 2, 1, [0, 0, 0, 0]) == 0
-
-
-def test_projected_deficit_hand_iteration():
-    # ((4-1)^+ + 2 - 1)^+ + 0 = 4
-    assert projected_deficit(4, 1, 1, [2, 0]) == 4
-    # allowance 3/2: ((4-1.5)^+ + 2 - 1.5)^+ + 0 = 3, numerator 6 over 2
-    assert projected_deficit(8, 3, 2, [2, 0]) == 6
+def _assert_prefix_feasible(rows, grants, avail):
+    """Every cohort within its packets, and for each horizon d the cohorts
+    whose window lies inside offsets 0..d within the capacity there."""
+    for key, row in rows.items():
+        assert len(grants[key]) == len(row)
+        assert all(0 <= x <= a for x, a in zip(grants[key], row))
+    for d in range(len(avail)):
+        inside = sum(sum(grants[key][: d + 1]) for key in rows)
+        assert inside <= sum(avail[: d + 1])
 
 
 def test_allocate_single_service_spills_to_second_frame():
-    alloc = allocate_cohorts([1], {1: 5}, {1: 2}, [3, 3])
-    assert alloc[1] == [3, 2]
+    # 5 packets with 2 frames to go fit over two frames of 3, 7 do not
+    assert allocate_cohorts([1], {1: [0, 5]}, [3, 3]) == {1: [0, 5]}
+    assert allocate_cohorts([1], {1: [0, 7]}, [3, 3]) == {1: [0, 6]}
 
 
 def test_allocate_priority_order_shares_one_frame():
-    alloc = allocate_cohorts([2, 1], {1: 4, 2: 4}, {1: 1, 2: 1}, [5])
-    assert alloc[2] == [4]
-    assert alloc[1] == [1]
+    assert allocate_cohorts([2, 1], {1: [4], 2: [4]}, [5]) == {2: [4], 1: [1]}
 
 
 def test_allocate_no_arrivals_changes_nothing():
-    alloc = allocate_cohorts([1, 2], {1: 0, 2: 0}, {1: 2, 2: 2}, [4, 4])
-    assert alloc == {1: [0, 0], 2: [0, 0]}
+    assert allocate_cohorts([1, 2], {1: [0, 0], 2: [0, 0]}, [4, 4]) == {1: [0, 0], 2: [0, 0]}
 
 
 def test_allocate_never_exceeds_capacity():
     rng = random.Random(31)
     for _ in range(300):
         n = rng.randint(1, 3)
-        sids = list(range(1, n + 1))
-        deadlines = {sid: rng.randint(1, 4) for sid in sids}
-        arrivals = {sid: rng.randint(0, 9) for sid in sids}
-        horizon = max(deadlines.values())
-        avail = [rng.randint(0, 7) for _ in range(horizon)]
-        order = sids[:]
+        rows = {sid: [rng.randint(0, 9) for _ in range(rng.randint(1, 4))] for sid in range(1, n + 1)}
+        avail = [rng.randint(0, 7) for _ in range(max(map(len, rows.values())))]
+        order = list(rows)
         rng.shuffle(order)
-        alloc = allocate_cohorts(order, arrivals, deadlines, avail)
-        for i in range(horizon):
-            used = sum(alloc[sid][i] for sid in sids if i < deadlines[sid])
-            assert used <= avail[i]
-        for sid in sids:
-            assert sum(alloc[sid]) <= arrivals[sid]
-
-
-def _assert_within_capacity(alloc, deadlines, avail):
-    for i, cap in enumerate(avail):
-        assert sum(alloc[sid][i] for sid in alloc if i < deadlines[sid]) <= cap
+        _assert_prefix_feasible(rows, allocate_cohorts(order, rows, avail), avail)
 
 
 def test_allocate_short_deadline_not_crowded_out_by_long():
-    # the long-deadline service has priority, but serving it at offset 0
+    # the long-deadline cohort has priority, but serving it at offset 0
     # would leave the short-deadline packet nowhere to go
-    deadlines = {1: 1, 2: 2}
-    avail = [1, 1]
-    alloc = allocate_cohorts([2, 1], {1: 1, 2: 1}, deadlines, avail)
-    assert sum(alloc[1]) == 1
-    assert sum(alloc[2]) == 1
-    _assert_within_capacity(alloc, deadlines, avail)
+    rows = {1: [1], 2: [0, 1]}
+    grants = allocate_cohorts([2, 1], rows, [1, 1])
+    assert grants == {2: [0, 1], 1: [1]}
+    _assert_prefix_feasible(rows, grants, [1, 1])
+
+
+def test_allocate_later_cohort_of_a_service_limited_by_its_earlier_one():
+    # service 1's r=1 cohort takes offset 0; its r=2 cohort then has only
+    # offset 1 left, and service 2 none at all
+    rows = {1: [3, 3], 2: [0, 2]}
+    assert allocate_cohorts([1, 2], rows, [3, 2]) == {1: [3, 2], 2: [0, 0]}
+    # in the other order service 2 is whole and service 1 keeps offset 0
+    assert allocate_cohorts([2, 1], rows, [3, 2]) == {2: [0, 2], 1: [3, 0]}
 
 
 @st.composite
 def _oracle_instances(draw):
+    """Bucket rows of up to three services with at most three non-empty
+    cells in all, so one service may hold several cohorts."""
     n = draw(st.integers(1, ORACLE_MAX_SERVICES))
     sids = list(range(1, n + 1))
-    deadlines = {sid: draw(st.integers(1, ORACLE_MAX_DEADLINE)) for sid in sids}
-    arrivals = {sid: draw(st.integers(0, ORACLE_MAX_ARRIVALS)) for sid in sids}
-    horizon = max(deadlines.values())
-    avail = draw(
-        st.lists(st.integers(0, ORACLE_MAX_CAPACITY), min_size=horizon, max_size=horizon)
-    )
+    rows = {sid: [0] * draw(st.integers(1, ORACLE_MAX_DEADLINE)) for sid in sids}
+    cells = [(sid, i) for sid in sids for i in range(len(rows[sid]))]
+    occupied = st.lists(st.sampled_from(cells), min_size=1, max_size=ORACLE_MAX_SERVICES, unique=True)
+    for sid, i in draw(occupied):
+        rows[sid][i] = draw(st.integers(0, ORACLE_MAX_ARRIVALS))
+    horizon = max(map(len, rows.values()))
+    avail = draw(st.lists(st.integers(0, ORACLE_MAX_CAPACITY), min_size=horizon, max_size=horizon))
     order = draw(st.permutations(sids))
     # integer weights that never increase along the order, ties allowed
     weights = sorted(draw(st.lists(st.integers(0, 20), min_size=n, max_size=n)), reverse=True)
-    return order, arrivals, deadlines, avail, dict(zip(order, weights))
+    return order, rows, avail, dict(zip(order, weights))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_oracle_instances())
 def test_allocate_matches_lexicographic_oracle(instance):
-    order, arrivals, deadlines, avail, weights = instance
-    alloc = allocate_cohorts(order, arrivals, deadlines, avail)
-    drops = {sid: arrivals[sid] - sum(alloc[sid]) for sid in order}
-    assert drops == brute_force_lex_min_drops(order, arrivals, deadlines, avail)
-    _assert_within_capacity(alloc, deadlines, avail)
+    order, rows, avail, weights = instance
+    grants = allocate_cohorts(order, rows, avail)
+    _assert_prefix_feasible(rows, grants, avail)
+    # the oracle's view: non-empty cohorts keyed (service id, r), by service
+    # priority and then ascending r, each weighted as its service
+    instance = OracleInstance(tuple(order), rows, tuple(avail), weights)
+    keys, packets, windows, cohort_weights = instance.cohorts()
+    drops = {(sid, r): a - grants[sid][r - 1] for (sid, r), a in packets.items()}
+    assert drops == brute_force_lex_min_drops(keys, packets, windows, avail)
     # the lexicographic minimum is also a weighted minimum for such weights
-    best = brute_force_min_weighted_drops(weights, arrivals, deadlines, avail)
-    assert sum(weights[sid] * drops[sid] for sid in order) == sum(weights[sid] * best[sid] for sid in order)
+    best = brute_force_min_weighted_drops(cohort_weights, packets, windows, avail)
+    assert sum(w * (drops[k] - best[k]) for k, w in cohort_weights.items()) == 0
 
 
 class TestDcsa:
@@ -159,23 +152,18 @@ class TestDcsa:
         assert dropped == 0
 
     def test_capacity_past_the_trip_end_is_zero(self):
-        spec = _spec(1, deadline=2)
-        sched = DcsaScheduler([spec], (2,))
-        queues, deficits = _queues([spec]), _deficits([spec])
-        assert _step(sched, 0, 2, queues, deficits, [5]) == [[0, 2]]
-        # frame 1 lies past the trip, so the other 3 packets are fixed to drop
-        assert sched.projected(0, 0) == 3
-
-    def test_future_drops_recorded_for_unplannable_leftover(self):
-        spec = _spec(1, deadline=2)
-        sched = DcsaScheduler([spec], (1,) * 4)
-        queues = _queues([spec])
-        # cohort gets 1 packet at each of frames 0 and 1; 3 drop at frame 1
-        assert _step(sched, 0, 1, queues, [DeficitQueue(1, 0)], [5]) == [[0, 1]]
-        assert sched.projected(0, 0) == 3
-        assert _step(sched, 1, 1, queues, [DeficitQueue(1, 0)], [0]) == [[1, 0]]
-        # those drops have happened by frame 2; nothing else is fixed
-        assert sched.projected(0, 0) == 0
+        # service 1 outranks service 2; its r=2 cohort has only frame 0 left
+        # on a one-frame trip, so it takes that frame whole
+        specs = [_spec(1, deadline=2), _spec(2, deadline=1)]
+        sched = DcsaScheduler(specs, (2,))
+        queues = _queues(specs)
+        deficits = [DeficitQueue(1, specs[0].loss_allowance, num=10), DeficitQueue(2, specs[1].loss_allowance)]
+        assert _step(sched, 0, 2, queues, deficits, [2, 2]) == [[0, 2], [0]]
+        # with a second frame of capacity the r=2 cohort would wait for it
+        sched = DcsaScheduler(specs, (2, 2))
+        queues = _queues(specs)
+        deficits = [DeficitQueue(1, specs[0].loss_allowance, num=10), DeficitQueue(2, specs[1].loss_allowance)]
+        assert _step(sched, 0, 2, queues, deficits, [2, 2]) == [[0, 0], [2]]
 
     def test_earlier_batches_hold_later_capacity(self):
         s1 = _spec(1, deadline=3)
@@ -183,32 +171,18 @@ class TestDcsa:
         caps = (10, 2, 5)
         sched = DcsaScheduler([s1, s2], caps)
         queues, deficits = _queues([s1, s2]), _deficits([s1, s2])
-        # service 1 commits 10 at frame 0, 2 at frame 1
+        # service 1 gets 10 at frame 0 and keeps 2 packets with 2 frames to go
         assert _step(sched, 0, 10, queues, deficits, [12, 0]) == [[0, 0, 10], [0, 0]]
-        # frame 1's capacity is all held by that batch, so service 2's batch
-        # goes to frame 2, where the earlier batch holds nothing
+        # deficits tie at 0, so service 1's cohort ranks first and takes all
+        # of frame 1; service 2's batch still fits at frame 2
         assert _step(sched, 1, 2, queues, deficits, [0, 3]) == [[0, 2, 0], [0, 0]]
         assert _step(sched, 2, 5, queues, deficits, [0, 0]) == [[0, 0, 0], [3, 0]]
 
-    def test_frames_must_be_planned_in_order(self):
-        spec = _spec(1, deadline=3)
-        sched = DcsaScheduler([spec], (4,) * 5)
-        with pytest.raises(ContractViolation):
-            sched.plan_arrivals(1, [2], [0])
-        sched.plan_arrivals(0, [2], [0])
-        for frame in (0, 2):
-            with pytest.raises(ContractViolation):
-                sched.plan_arrivals(frame, [2], [0])
-        queues, deficits = _queues([spec]), _deficits([spec])
-        queues[0].admit(2)
-        with pytest.raises(ContractViolation):
-            sched.decide(2, 4, queues, deficits)
-        assert sched.decide(1, 4, queues, deficits) == [[0, 0, 2]]
-
     def test_priority_ties_break_by_ascending_id(self):
         specs = [_spec(1, deadline=1), _spec(2, deadline=1)]
-        sched = DcsaScheduler(specs, ())
-        assert sched.priority_order([0, 0]) == [0, 1]
+        sched = DcsaScheduler(specs, (1,))
+        queues, deficits = _queues(specs), _deficits(specs)
+        assert _step(sched, 0, 1, queues, deficits, [1, 1]) == [[1], [0]]
 
     def test_exact_zero_deficits_tie_by_ascending_id(self):
         # service 2 (lambda 60, ratio 0.9) drops 6 and drains back to exactly
@@ -225,24 +199,52 @@ class TestDcsa:
     def test_priority_compares_fractional_deficits_exactly(self):
         # allowances 1/2, 1 and 5/4: numerators over denominators 2, 1 and 4
         specs = [_spec(1, deadline=1, q=0.95), _spec(2, deadline=1, q=0.9), _spec(3, deadline=1, q=0.875)]
-        sched = DcsaScheduler(specs, ())
+        sched = DcsaScheduler(specs, (2,))
+
+        def served(nums):
+            queues = _queues(specs)
+            deficits = [DeficitQueue(s.service_id, s.loss_allowance, num) for s, num in zip(specs, nums)]
+            return _step(sched, 0, 2, queues, deficits, [1, 1, 1])
+
         # deficits 1.5, 1 and 1.5: the two 1.5s tie and keep id order
-        assert sched.priority_order([3, 1, 6]) == [0, 2, 1]
+        assert served([3, 1, 6]) == [[1], [0], [1]]
         # deficits 1.5, 2 and 1.75
-        assert sched.priority_order([3, 2, 7]) == [1, 2, 0]
+        assert served([3, 2, 7]) == [[0], [1], [1]]
 
     def test_priority_responsiveness(self):
+        # a higher deficit never loses contested capacity: raising one
+        # service's counter never lowers what it is served this frame
         rng = random.Random(17)
-        for _ in range(200):
+        for _ in range(500):
             specs = [_spec(sid, deadline=rng.randint(1, 3)) for sid in (1, 2, 3)]
-            sched = DcsaScheduler(specs, ())
-            deficits = [rng.randint(0, 20) for _ in specs]
+            caps = tuple(rng.randint(0, 8) for _ in range(3))
+            buckets = [[rng.randint(0, 5) for _ in range(s.deadline)] for s in specs]
+            nums = [rng.randint(0, 20) for _ in specs]
             bumped = rng.randrange(len(specs))
-            order_before = sched.priority_order(deficits)
-            deficits_after = list(deficits)
-            deficits_after[bumped] += rng.randint(0, 10)
-            order_after = sched.priority_order(deficits_after)
-            assert order_after.index(bumped) <= order_before.index(bumped)
+
+            def served(nums):
+                queues = _queues(specs)
+                for q, row in zip(queues, buckets):
+                    q.buckets = list(row)
+                deficits = [DeficitQueue(s.service_id, s.loss_allowance, num) for s, num in zip(specs, nums)]
+                rows = DcsaScheduler(specs, caps).decide(0, caps[0], queues, deficits)
+                assert sum(map(sum, rows)) <= caps[0]
+                return sum(rows[bumped])
+
+            before = served(nums)
+            nums[bumped] += rng.randint(0, 10)
+            assert served(nums) >= before
+
+    def test_higher_deficit_wins_contested_capacity(self):
+        specs = [_spec(1, deadline=2), _spec(2, deadline=2)]
+        sched = DcsaScheduler(specs, (4, 0))
+        # both cohorts fit the trip only at frame 0, which holds one of them
+        for nums, expected in (([0, 1], [[0, 0], [0, 4]]), ([1, 0], [[0, 4], [0, 0]])):
+            queues = _queues(specs)
+            queues[0].buckets = [0, 4]
+            queues[1].buckets = [0, 4]
+            deficits = [DeficitQueue(s.service_id, s.loss_allowance, num) for s, num in zip(specs, nums)]
+            assert sched.decide(0, 4, queues, deficits) == expected
 
 
 class TestRoundRobin:
