@@ -19,7 +19,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import analysis
 from .channel import RadioConfig, TrajectoryConfig
@@ -376,10 +376,12 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     for policy in SCHEDULER_POLICIES:
         trace = run(replace(cfg.sim, scheduler=policy))
         if cfg.inject_fault == "deficit":
-            # test hook: corrupt the counter state mid-run so checks must trip;
-            # the jump has to clear the allowance-squared slack of the bound
-            bump = 1000 + 10 * int(max(trace.loss_allowances))
-            trace.deficit_num[trace.num_frames // 2, 0] += bump * trace.loss_allowances[0].denominator
+            # test hook: drive service 1's counter at frame k negative, squared
+            # past the one-step bound from frame k - 1 and below the prefix bound
+            k = trace.num_frames // 2
+            p, q = trace.loss_allowances[0].as_integer_ratio()
+            before = int(trace.deficit_num[k - 1, 0]) if k else 0
+            trace.deficit_num[k, 0] = -(before + (int(trace.drops[k, 0]) + 1) * q + (k + 1) * p)
         drift = analysis.check_sample_drift(trace)
         lemma1 = analysis.check_lemma1(trace)
         for rep in (drift, lemma1):
@@ -388,6 +390,8 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
             reports.append(d)
             ok = ok and rep.passed
             print(f"{'PASS' if rep.passed else 'FAIL'} {d['check']} [{policy}]")
+            if not rep.passed:
+                print(rep.to_text(), end="")
     oracle = analysis.oracle_agreement(cfg.sim.seed, cfg.oracle_instances)
     reports.append(oracle.to_dict())
     ok = ok and oracle.passed
@@ -396,6 +400,8 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         f"({oracle.lex_agreed}/{oracle.total} lexicographic, "
         f"{oracle.weighted_agreed}/{oracle.total} weighted-optimal)"
     )
+    if (m := oracle.first_mismatch) is not None:
+        print(f"  first mismatch: {asdict(m)}")
     with open(os.path.join(cfg.output_dir, "verify_report.json"), "w") as fh:
         json.dump({"passed": ok, "checks": reports}, fh, indent=2, sort_keys=True)
         fh.write("\n")

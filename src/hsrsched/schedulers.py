@@ -6,17 +6,17 @@ deficit queues in service-id order (this frame's arrivals already admitted),
 they return one row of per-bucket transmission counts per service that never
 exceed the capacity or any bucket content.
 
-The deficit-driven policy keeps no plan between frames.  Every frame it ranks
-services by current deficit, grants every queued cohort (a service's packets
-with r frames to go) an amount over the next r frames through one greedy, and
-serves the first column of those grants laid out earliest deadline first.
+The deficit-driven policy keeps no plan between frames.  When services contend
+it ranks them by current deficit and grants every queued cohort (a service's
+packets with r frames to go) an amount over the next r frames through one
+greedy; it serves those grants, else the buckets, earliest deadline first.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, zip_longest
+from operator import le, sub
 from typing import Mapping, Sequence
 
 from .queueing import DeadlineQueue, DeficitQueue
@@ -117,17 +117,26 @@ class DcsaScheduler(Scheduler):
         queues: Sequence[DeadlineQueue],
         deficits: Sequence[DeficitQueue],
     ) -> list[list[int]]:
-        """Grant every queued cohort in order of descending deficit (exact,
-        ties by ascending id), then serve the grants earliest deadline first
-        up to the frame capacity."""
-        order = sorted(range(len(queues)), key=lambda j: (-deficits[j].num * self._scales[j], j))
-        grants = allocate_cohorts(
-            order, [q.buckets for q in queues], self._capacities[frame : frame + self._horizon]
-        )
+        """Serve the queued cells earliest deadline first up to the frame
+        capacity, ``capacities[frame]``; when services contend, serve instead
+        the grants of every queued cohort by descending deficit (exact)."""
+        rows = [q.buckets for q in queues]
+        available = self._capacities[frame : frame + self._horizon]
+        # Services contend when two or more hold packets and, for some d, the
+        # packets with at most d + 1 frames to go exceed the capacity of
+        # offsets 0..d.  Otherwise the grants fill as the buckets do: packets
+        # that fit every prefix of the nested windows lie in their polymatroid
+        # and are granted in full in any order, and a lone service's cohort i
+        # gets min(packets, C(i) - granted before), with C(i) >= the capacity.
+        if sum(map(any, rows)) > 1 and not all(
+            map(le, accumulate(map(sum, zip_longest(*rows, fillvalue=0))), accumulate(available))
+        ):
+            order = sorted(range(len(queues)), key=lambda j: (-deficits[j].num * self._scales[j], j))
+            rows = allocate_cohorts(order, rows, available)
         served = [[0] * q.deadline for q in queues]
         left = capacity
         for j, i in self._cells:
-            x = grants[j][i]
+            x = rows[j][i]
             if x:
                 if x >= left:
                     served[j][i] = left

@@ -227,7 +227,7 @@ def test_lemma1_on_seeded_run(table1_traj, table1_radio, two_services):
 
 
 def test_lemma1_names_the_worst_prefix_frame(table1_traj, table1_radio, two_services):
-    # the frame verify's inject_fault bumps; raised there the counter trips
+    # the frame verify's inject_fault corrupts; raised there the counter trips
     # the one-step bound only, lowered by as much it trips the prefix bound
     cfg = SimConfig(
         trajectory=table1_traj, radio=table1_radio, services=two_services, seed=4, num_frames=400

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from hsrsched import ServiceSpec, SimConfig, run
+from hsrsched import ServiceSpec, SimConfig, run, schedulers
 from hsrsched.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -397,16 +397,15 @@ def test_bad_fig3_grid_point_is_a_config_error(key, value, message, tmp_path, ca
     assert not out.exists()
 
 
-def _verify_with_fault(tmp_path, frames):
-    """Exit code and report of ``verify`` on the default config with
-    ``inject_fault = deficit`` and no oracle instances."""
+def _verify_with_fault(tmp_path, frames, verify="oracle_instances = 0\ninject_fault = deficit"):
+    """Exit code and report of ``verify`` on the default config, over
+    ``frames`` (the whole trip if None), with ``inject_fault = deficit`` and no
+    oracle instances unless ``verify`` replaces that section."""
     cfg_path = tmp_path / "verify.ini"
     base = parse_config(DEFAULT_CONFIG)
-    text = serialize_config(base).replace(
-        "oracle_instances = 200", "oracle_instances = 0\ninject_fault = deficit"
-    )
-    cfg_path.write_text(text)
-    rc = main(["verify", str(cfg_path), "--frames", frames, "--out", str(tmp_path / "v")])
+    cfg_path.write_text(serialize_config(base).replace("oracle_instances = 200", verify))
+    frame_args = [] if frames is None else ["--frames", frames]
+    rc = main(["verify", str(cfg_path), *frame_args, "--out", str(tmp_path / "v")])
     return rc, json.loads((tmp_path / "v" / "verify_report.json").read_text())
 
 
@@ -423,6 +422,44 @@ def test_cmd_verify_fault_injection_fails_on_one_frame(tmp_path):
     drift = [c for c in report["checks"] if c["check"] == "sample_drift"]
     assert len(drift) == 3
     assert all(c["passed"] is False and c["worst_frame"] == 0 for c in drift)
+
+
+@pytest.mark.parametrize("frames, k", [("1", 0), ("400", 200), (None, 15000)])
+def test_cmd_verify_fault_trips_both_checks_and_prints_witnesses(tmp_path, capsys, frames, k):
+    # the hook drives service 1's counter at frame num_frames // 2 negative
+    rc, report = _verify_with_fault(tmp_path, frames)
+    assert rc == EXIT_VERIFY
+    drift = [c for c in report["checks"] if c["check"] == "sample_drift"]
+    lemma1 = [c for c in report["checks"] if c["check"] == "lemma1"]
+    assert len(drift) == len(lemma1) == 3
+    assert all(not c["passed"] and (c["worst_frame"], c["worst_service"]) == (k, 1) for c in drift)
+    assert all(not c["passed"] and c["services"][0]["worst_prefix_frame"] == k for c in lemma1)
+    out = capsys.readouterr().out
+    for policy in ("dcsa", "rr", "edf"):
+        assert f"FAIL sample_drift [{policy}]\nFAIL sample_drift: " in out
+        assert f"FAIL lemma1 [{policy}]\nFAIL lemma1 " in out
+    assert out.count(f"  worst at frame {k}, service 1\n") == 3
+    assert out.count(f"    worst prefix at frame {k}\n") == 3
+    assert "first mismatch" not in out
+
+
+def test_cmd_verify_prints_the_first_oracle_mismatch(tmp_path, capsys, monkeypatch):
+    # a planner that grants nothing disagrees with the oracle wherever
+    # capacity is free
+    def grant_nothing(order, rows, available):
+        return {key: [0] * len(rows[key]) for key in order}
+
+    monkeypatch.setattr(schedulers, "allocate_cohorts", grant_nothing)
+    rc, report = _verify_with_fault(tmp_path, "1", verify="oracle_instances = 20")
+    assert rc == EXIT_VERIFY
+    first = report["checks"][-1]["first_mismatch"]
+    out = capsys.readouterr().out
+    assert "PASS sample_drift [dcsa]\nPASS lemma1 [dcsa]\n" in out
+    line = out.splitlines()[-1]
+    assert line.startswith("  first mismatch: {'order': ")
+    for key in ("order", "rows", "available", "weights"):
+        assert f"'{key}': " in line
+    assert f"'available': {tuple(first['available'])}" in line
 
 
 def test_unknown_log_level_is_a_config_error(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,11 @@ from hsrsched import (
     DeadlineQueue,
     DeficitQueue,
     ServiceSpec,
+    SimConfig,
     allocate_cohorts,
     make_scheduler,
+    run,
+    schedulers,
 )
 from hsrsched.analysis import (
     ORACLE_MAX_ARRIVALS,
@@ -245,6 +249,106 @@ class TestDcsa:
             queues[1].buckets = [0, 4]
             deficits = [DeficitQueue(s.service_id, s.loss_allowance, num) for s, num in zip(specs, nums)]
             assert sched.decide(0, 4, queues, deficits) == expected
+
+
+def _always_ranked(specs, caps, frame, buckets, nums):
+    """dcsa's frame without the contention guard: rank by exact deficit (ties
+    by ascending id), grant every cohort through ``allocate_cohorts`` and fill
+    the grants by ascending r, then ascending id, up to the frame capacity."""
+    horizon = max(s.deadline for s in specs)
+    available = (tuple(caps) + (0,) * horizon)[frame : frame + horizon]
+    deficits = [Fraction(num, s.loss_allowance.denominator) for s, num in zip(specs, nums)]
+    order = sorted(range(len(specs)), key=lambda j: (-deficits[j], j))
+    grants = allocate_cohorts(order, buckets, available)
+    served = [[0] * s.deadline for s in specs]
+    left = caps[frame]
+    for i in range(horizon):
+        for j, s in enumerate(specs):
+            if i < s.deadline:
+                served[j][i] = min(grants[j][i], left)
+                left -= served[j][i]
+    return served
+
+
+def _dcsa_frame(specs, caps, frame, buckets, nums):
+    queues = _queues(specs)
+    for q, row in zip(queues, buckets):
+        q.buckets = list(row)
+    deficits = [DeficitQueue(s.service_id, s.loss_allowance, num) for s, num in zip(specs, nums)]
+    return DcsaScheduler(specs, caps).decide(frame, caps[frame], queues, deficits)
+
+
+@st.composite
+def _dcsa_states(draw):
+    """One to three services with mixed deadlines and allowances, random
+    buckets and deficit numerators, and a frame of a short trip whose
+    horizon may run past the trip end."""
+    n = draw(st.integers(1, 3))
+    ratios = st.sampled_from([0.9, 0.95, 0.875])
+    specs = [_spec(sid, deadline=draw(st.integers(1, 5)), q=draw(ratios)) for sid in range(1, n + 1)]
+    cell = st.one_of(st.just(0), st.integers(0, 8))
+    buckets = [draw(st.lists(cell, min_size=s.deadline, max_size=s.deadline)) for s in specs]
+    nums = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    caps = tuple(draw(st.lists(st.integers(0, 12), min_size=1, max_size=7)))
+    frame = draw(st.integers(0, len(caps) - 1))
+    return specs, caps, frame, buckets, nums
+
+
+@settings(max_examples=500, deadline=None)
+@given(_dcsa_states())
+def test_contention_guard_matches_always_ranked_decide(state):
+    assert _dcsa_frame(*state) == _always_ranked(*state)
+
+
+def _counting_allocate(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return allocate_cohorts(*args)
+
+    monkeypatch.setattr(schedulers, "allocate_cohorts", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "deadlines, caps, buckets, nums, served, greedy_calls",
+    [
+        # one service holds packets beside an empty one: its buckets fill
+        # the frame, whatever the deficits
+        ((3, 1), (4, 1, 1), [[2, 0, 7], [0]], [0, 9], [[2, 0, 2], [0]], 0),
+        # two services whose packets fit every prefix of the horizon
+        ((2, 3), (3, 3, 3), [[1, 2], [0, 1, 3]], [0, 9], [[1, 2], [0, 0, 0]], 0),
+        # contended: service 2's higher deficit grants its long cohort the
+        # trip's one frame first, so service 1's short cohort is served none
+        ((1, 2), (4,), [[3], [0, 4]], [0, 9], [[0], [0, 4]], 1),
+    ],
+)
+def test_contention_guard_branches(deadlines, caps, buckets, nums, served, greedy_calls, monkeypatch):
+    specs = [_spec(sid, deadline=m) for sid, m in enumerate(deadlines, 1)]
+    calls = _counting_allocate(monkeypatch)
+    assert _dcsa_frame(specs, caps, 0, buckets, nums) == served
+    assert len(calls) == greedy_calls
+    assert _always_ranked(specs, caps, 0, buckets, nums) == served
+
+
+def test_greedy_runs_only_when_services_contend(table1_traj, table1_radio, monkeypatch):
+    calls = _counting_allocate(monkeypatch)
+
+    def trip(*services):
+        # a constant 100 packets per frame, below either offered load
+        cfg = SimConfig(table1_traj, table1_radio, services, seed=42, num_frames=2000, capacity_override=100)
+        run(cfg)
+        return len(calls)
+
+    # one service never contends, however overloaded
+    assert trip(ServiceSpec(1, arrival_rate=130.0, deadline=3, delivery_ratio=0.99)) == 0
+    mix = (
+        ServiceSpec(1, arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
+        ServiceSpec(2, arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
+        ServiceSpec(3, arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
+    )
+    assert trip(*mix) > 0
 
 
 class TestRoundRobin:
