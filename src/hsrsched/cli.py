@@ -18,12 +18,11 @@ import json
 import logging
 import os
 import sys
-import time
 from dataclasses import asdict, dataclass, fields, replace
 
 from . import analysis
 from .channel import RadioConfig, TrajectoryConfig
-from .engine import TRACE_SCHEMA, SimConfig, TraceLog, run
+from .engine import TRACE_SCHEMA, SimConfig, TraceLog, run, single_service_ratios
 from .schedulers import SCHEDULER_POLICIES
 from .traffic import DEFAULT_TAIL_EPS, ServiceSpec
 
@@ -283,15 +282,6 @@ def cmd_fig2(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _fig3_trip(sim: SimConfig) -> float:
-    """Delivery ratio of one fig3 trip.  The sweep's worker pool maps this
-    function by import path, so only the ratio crosses back, never the trace."""
-    ratio = run(sim).summary().services[0].delivery_ratio
-    if ratio is None:
-        raise RuntimeError("no arrivals in fig3 run; grid point unusable")
-    return ratio
-
-
 def fig3_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float]]:
     """Delivery ratio per (deadline, rate) grid point.
 
@@ -302,20 +292,15 @@ def fig3_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float]]:
     numbers.  The rates mostly share seeds too: with seed 7 and five
     replicates, rate 0 uses seeds 7-11 and rate 1 uses 6-10, four in common.
 
-    The trips are independent.  They run in a pool of spawned processes, one
-    per CPU this process may use (all CPUs where the platform cannot tell)
-    and at most one per trip; with one worker they run here, one after the
-    other.  Ratios come back in submission order
-    and each point sums its replicates in replicate order, so the rows do not
-    depend on the worker count.  A script that calls this function must guard
-    its entry point with ``if __name__ == "__main__":``, since spawned workers
-    import the script's main module.  One INFO line is logged per grid point.
+    All trips run in one lockstep loop, ``engine.single_service_ratios``,
+    whose ratios equal ``run``'s under every policy, so the config's
+    scheduler is ignored.  A trip without arrivals raises ``RuntimeError``.
+    One INFO line is logged per grid point.
     """
     if len(cfg.sim.services) != 1:
         raise ConfigError("fig3 needs exactly one service")
     if not cfg.sweep_deadlines or not cfg.sweep_rates:
         raise ConfigError("fig3 needs a non-empty sweep grid")
-    start = time.perf_counter()
     base = cfg.sim.services[0]
     reps = cfg.seeds_per_point
     points = [(p, float(rate), int(m)) for p, rate in enumerate(cfg.sweep_rates) for m in cfg.sweep_deadlines]
@@ -326,34 +311,18 @@ def fig3_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float]]:
         for p, rate, m in points
         for rep in range(reps)
     ]
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # not on every platform
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, len(sims))
-    if workers == 1:
-        return _fig3_average(points, reps, map(_fig3_trip, sims), start)
-    # imported here: at module level they slow the start-up of every command
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return _fig3_average(points, reps, pool.map(_fig3_trip, sims), start)
-
-
-def _fig3_average(points, reps, ratios, start) -> list[tuple[int, float, float]]:
-    """Rows of ``points`` from the trips' ratios, consumed in submission order."""
+    ratios = single_service_ratios(sims)
+    if None in ratios:
+        _, rate, m = points[ratios.index(None) // reps]
+        raise RuntimeError(f"no arrivals in fig3 run at m={m} lambda={rate:g}; grid point unusable")
     rows = []
-    for i, (_, rate, m) in enumerate(points, 1):
+    for i, (_, rate, m) in enumerate(points):
+        # left to right: sum() compensates float round-off from Python 3.12 on
         total = 0.0
-        for ratio in itertools.islice(ratios, reps):
+        for ratio in ratios[i * reps : (i + 1) * reps]:
             total += ratio
         rows.append((m, rate, total / reps))
-        elapsed = time.perf_counter() - start
-        log.info(
-            "fig3 point %d/%d: m=%d lambda=%g delivery_ratio=%.9g, %.1f s elapsed, ETA %.1f s",
-            i, len(points), m, rate, rows[-1][2], elapsed, elapsed / i * (len(points) - i),
-        )
+        log.info("fig3 point %d/%d: m=%d lambda=%g delivery_ratio=%.9g", i + 1, len(points), *rows[-1])
     return rows
 
 

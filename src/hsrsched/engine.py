@@ -3,11 +3,14 @@
 Each frame executes, in order: read capacity, admit sampled arrivals, take
 the scheduler's decision, check it against the frame capacity, serve and age
 the queues, update the deficit counters, append the trace row.  Runs are
-deterministic given the configuration.
+deterministic given the configuration.  ``single_service_ratios`` runs
+one-service trips side by side in one array loop, for their delivery ratios.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,9 +22,10 @@ from .schedulers import SCHEDULER_POLICIES, make_scheduler
 from .traffic import ArrivalGenerator, FeasibilityReport, ServiceSpec, feasibility_check, validate_service_ids
 
 TRACE_SCHEMA = 1
-# rows TraceLog.to_csv formats per write; bounds the text held in memory
+# frames per chunk of trace text (to_csv) and of arrivals (single_service_ratios); bounds memory
 CSV_CHUNK_ROWS = 512
 INT64_MAX = int(np.iinfo(np.int64).max)
+PROGRESS_LINES = 10
 
 
 @dataclass(frozen=True)
@@ -235,7 +239,7 @@ def run(config: SimConfig, collect_bucket_detail: bool = False) -> TraceLog:
         cap = caps[k]
         for q, a in zip(queues, arrivals[k].tolist()):
             q.admit(a)
-        decision = decide(k, cap, queues, deficits)
+        decision = decide(k, queues, deficits)
         if len(decision) != n_svc:
             raise ContractViolation(f"frame {k}: {len(decision)} rows decided for {n_svc} services")
         total = sum(map(sum, decision))
@@ -267,3 +271,50 @@ def run(config: SimConfig, collect_bucket_detail: bool = False) -> TraceLog:
         feasibility=feasibility_check(specs, profile),
         bucket_served=bucket_served,
     )
+
+
+def single_service_ratios(sims: list[SimConfig]) -> list[float | None]:
+    """Delivery ratio of each one-service trip of ``sims`` (``None`` where it
+    drew no arrivals), equal to ``run(sim).summary()``'s under any policy, as
+    each serves a lone service's oldest packets first up to the capacity.  The
+    trips share a capacity profile and frame count and advance as the rows of
+    one bucket array (column i: packets with i + 1 frames to go).  Arrivals
+    come ``CSV_CHUNK_ROWS`` frames at a time, one stream per rate, tail and
+    seed; at most ``PROGRESS_LINES`` INFO lines report the progress."""
+    profiles = {(sim.trajectory, sim.radio, sim.capacity_override, sim.frames) for sim in sims}
+    if len(profiles) != 1 or any(len(sim.services) != 1 for sim in sims):
+        raise ValueError("single_service_ratios needs one-service trips of one capacity profile and length")
+    start = time.perf_counter()
+    n = sims[0].frames
+    caps = sims[0].profile().capacities
+    # the deadline does not change a trip's arrivals
+    keys = [(sim.services[0].arrival_rate, sim.services[0].tail_eps, sim.seed) for sim in sims]
+    gens = {key: ArrivalGenerator(sim.services, sim.seed) for key, sim in zip(keys, sims)}
+    tops = np.array([sim.services[0].deadline - 1 for sim in sims])
+    lanes = np.arange(len(sims))
+    buckets = np.zeros((len(sims), int(tops.max()) + 1), dtype=np.int64)
+    arrived, dropped = np.zeros((2, len(sims)), dtype=np.int64)
+    # frames between progress lines, a whole number of chunks
+    log_every = -(-n // (PROGRESS_LINES * CSV_CHUNK_ROWS)) * CSV_CHUNK_ROWS
+    for lo in range(0, n, CSV_CHUNK_ROWS):
+        hi = min(lo + CSV_CHUNK_ROWS, n)
+        drawn = {key: g.sample_run(hi - lo)[:, 0] for key, g in gens.items()}
+        draws = np.column_stack([drawn[key] for key in keys])
+        arrived += draws.sum(axis=0)
+        for cap, admitted in zip(caps[lo:hi], draws):
+            buckets[lanes, tops] = admitted
+            # unserved: the packets of each bucket and the older ones past the capacity
+            left = np.cumsum(buckets, axis=1)
+            left -= cap
+            np.maximum(left, 0, out=left)
+            np.minimum(left, buckets, out=left)
+            dropped += left[:, 0]
+            # the top column is overwritten by the next admission
+            buckets[:, :-1] = left[:, 1:]
+        if hi % log_every == 0 or hi == n:
+            elapsed = time.perf_counter() - start
+            logging.getLogger(__name__).info(
+                "%d lockstep trips: frame %d/%d, %.1f s elapsed, ETA %.1f s",
+                len(sims), hi, n, elapsed, elapsed / hi * (n - hi),
+            )
+    return [None if a == 0 else (a - d) / a for a, d in zip(arrived.tolist(), dropped.tolist())]

@@ -1,10 +1,11 @@
 """Scheduling policies: deficit-driven re-planning (dcsa), round robin and EDF.
 
-All policies implement one contract, ``decide(frame, capacity, queues,
-deficits)``: given the frame index, the frame capacity, and the deadline and
-deficit queues in service-id order (this frame's arrivals already admitted),
-they return one row of per-bucket transmission counts per service that never
-exceed the capacity or any bucket content.
+All policies implement one contract, ``decide(frame, queues, deficits)``:
+given the frame index and the deadline and deficit queues in service-id order
+(this frame's arrivals already admitted), they return one row of per-bucket
+transmission counts per service that never exceed any bucket content or the
+frame's capacity, which every policy reads from the trip's capacity tuple it
+was built with.
 
 The deficit-driven policy keeps no plan between frames.  When services contend
 it ranks them by current deficit and grants every queued cohort (a service's
@@ -71,19 +72,39 @@ class Scheduler:
 
     name: str = "base"
 
-    def __init__(self, specs: Sequence[ServiceSpec]):
+    def __init__(self, specs: Sequence[ServiceSpec], capacities: Sequence[int]):
         validate_service_ids(specs)
         self.specs = tuple(sorted(specs, key=lambda s: s.service_id))
+        # the trip's per-frame capacities, the only source of a frame's capacity
+        self.capacities = tuple(capacities)
+        deadlines = [s.deadline for s in self.specs]
+        self._horizon = max(deadlines)
+        # (position, bucket) by ascending frames to go, then ascending id
+        self._cells = [(j, i) for i in range(self._horizon) for j, m in enumerate(deadlines) if i < m]
 
     def decide(
         self,
         frame: int,
-        capacity: int,
         queues: Sequence[DeadlineQueue],
         deficits: Sequence[DeficitQueue],
     ) -> list[list[int]]:
         """Row j serves ``queues[j]``: ``row[i]`` packets from bucket r = i + 1."""
         raise NotImplementedError
+
+    def _serve(self, cells, rows, frame: int) -> list[list[int]]:
+        """Serve ``rows[j][i]`` packets cell by cell in the order of ``cells``,
+        (position j, bucket i) pairs, until the frame's capacity runs out."""
+        served = [[0] * s.deadline for s in self.specs]
+        left = self.capacities[frame]
+        for j, i in cells:
+            x = rows[j][i]
+            if x:
+                if x >= left:
+                    served[j][i] = left
+                    break
+                served[j][i] = x
+                left -= x
+        return served
 
 
 class DcsaScheduler(Scheduler):
@@ -98,22 +119,17 @@ class DcsaScheduler(Scheduler):
     name = "dcsa"
 
     def __init__(self, specs: Sequence[ServiceSpec], capacities: Sequence[int]):
-        super().__init__(specs)
-        deadlines = [s.deadline for s in self.specs]
-        self._horizon = max(deadlines)
-        # the trip's capacities, zero past its end
-        self._capacities = tuple(capacities) + (0,) * self._horizon
+        super().__init__(specs, capacities)
+        # zero past the trip end
+        self.capacities += (0,) * self._horizon
         denominators = [s.loss_allowance.denominator for s in self.specs]
         # deficit numerators times these share one denominator, the lcm
         lcm = math.lcm(*denominators)
         self._scales = [lcm // q for q in denominators]
-        # (position, bucket) by ascending frames to go, then ascending id
-        self._cells = [(j, i) for i in range(self._horizon) for j, m in enumerate(deadlines) if i < m]
 
     def decide(
         self,
         frame: int,
-        capacity: int,
         queues: Sequence[DeadlineQueue],
         deficits: Sequence[DeficitQueue],
     ) -> list[list[int]]:
@@ -121,7 +137,7 @@ class DcsaScheduler(Scheduler):
         capacity, ``capacities[frame]``; when services contend, serve instead
         the grants of every queued cohort by descending deficit (exact)."""
         rows = [q.buckets for q in queues]
-        available = self._capacities[frame : frame + self._horizon]
+        available = self.capacities[frame : frame + self._horizon]
         # Services contend when two or more hold packets and, for some d, the
         # packets with at most d + 1 frames to go exceed the capacity of
         # offsets 0..d.  Otherwise the grants fill as the buckets do: packets
@@ -133,17 +149,7 @@ class DcsaScheduler(Scheduler):
         ):
             order = sorted(range(len(queues)), key=lambda j: (-deficits[j].num * self._scales[j], j))
             rows = allocate_cohorts(order, rows, available)
-        served = [[0] * q.deadline for q in queues]
-        left = capacity
-        for j, i in self._cells:
-            x = rows[j][i]
-            if x:
-                if x >= left:
-                    served[j][i] = left
-                    break
-                served[j][i] = x
-                left -= x
-        return served
+        return self._serve(self._cells, rows, frame)
 
 
 class RoundRobinScheduler(Scheduler):
@@ -154,21 +160,11 @@ class RoundRobinScheduler(Scheduler):
     def decide(
         self,
         frame: int,
-        capacity: int,
         queues: Sequence[DeadlineQueue],
         deficits: Sequence[DeficitQueue],
     ) -> list[list[int]]:
-        counts = [[0] * s.deadline for s in self.specs]
         j = frame % len(self.specs)
-        served = counts[j]
-        left = capacity
-        for i, b in enumerate(queues[j].buckets):
-            if left == 0:
-                break
-            x = min(left, b)
-            served[i] = x
-            left -= x
-        return counts
+        return self._serve([(j, i) for i in range(queues[j].deadline)], {j: queues[j].buckets}, frame)
 
 
 class EdfScheduler(Scheduler):
@@ -180,45 +176,29 @@ class EdfScheduler(Scheduler):
 
     name = "edf"
 
-    def __init__(self, specs: Sequence[ServiceSpec]):
-        super().__init__(specs)
-        self._max_m = max(s.deadline for s in self.specs)
-        self._by_desc_id = [(j, s.deadline) for j, s in enumerate(self.specs)][::-1]
+    def __init__(self, specs: Sequence[ServiceSpec], capacities: Sequence[int]):
+        super().__init__(specs, capacities)
+        # by ascending frames to go, then descending id
+        self._cells.sort(key=lambda cell: (cell[1], -cell[0]))
 
     def decide(
         self,
         frame: int,
-        capacity: int,
         queues: Sequence[DeadlineQueue],
         deficits: Sequence[DeficitQueue],
     ) -> list[list[int]]:
-        counts = [[0] * s.deadline for s in self.specs]
-        left = capacity
-        for i in range(self._max_m):
-            if left == 0:
-                break
-            for j, m in self._by_desc_id:
-                if i >= m:
-                    continue
-                x = min(left, queues[j].buckets[i])
-                if x > 0:
-                    counts[j][i] = x
-                    left -= x
-                if left == 0:
-                    break
-        return counts
+        return self._serve(self._cells, [q.buckets for q in queues], frame)
 
 
 SCHEDULER_POLICIES = ("dcsa", "rr", "edf")
 
 
 def make_scheduler(policy: str, specs: Sequence[ServiceSpec], capacities: Sequence[int]) -> Scheduler:
-    """The named policy; ``capacities`` is the trip's per-frame capacity,
-    which only the deficit-driven policy reads."""
+    """The named policy over the trip's per-frame ``capacities``."""
     if policy == "dcsa":
         return DcsaScheduler(specs, capacities)
     if policy == "rr":
-        return RoundRobinScheduler(specs)
+        return RoundRobinScheduler(specs, capacities)
     if policy == "edf":
-        return EdfScheduler(specs)
+        return EdfScheduler(specs, capacities)
     raise ValueError(f"unknown scheduler policy {policy!r}; expected one of {SCHEDULER_POLICIES}")

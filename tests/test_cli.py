@@ -1,18 +1,17 @@
 import hashlib
 import json
 import logging
-import multiprocessing
 import os
 import re
 import subprocess
 import sys
 import threading
-import time
 from dataclasses import replace
 
 import pytest
 
 from hsrsched import ServiceSpec, SimConfig, run, schedulers
+from hsrsched.engine import PROGRESS_LINES
 from hsrsched.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -30,7 +29,7 @@ REPO_CONFIGS = os.path.join(REPO, "configs")
 DEFAULT_CONFIG = os.path.join(REPO_CONFIGS, "table1_fig2.ini")
 FIG3_CONFIG = os.path.join(REPO_CONFIGS, "fig3.ini")
 SWEEP_CONFIG = os.path.join(REPO, "perfbench", "configs", "sweep.ini")
-# bound on every wait for a fig3 sweep or its worker processes
+# bound on every wait for a fig3 sweep
 POOL_TIMEOUT_S = 120
 
 
@@ -221,39 +220,6 @@ def _fig3_bytes(config, out, *extra):
     return (out / "fig3.csv").read_bytes()
 
 
-def test_fig3_csv_same_bytes_with_one_and_two_workers(tmp_path, monkeypatch):
-    config = _write_small_fig3(tmp_path, seeds=2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    pooled = _fig3_bytes(config, tmp_path / "two", "--frames", "1500")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    serial = _fig3_bytes(config, tmp_path / "one", "--frames", "1500")
-    assert pooled == serial
-    assert len(pooled.splitlines()) == 2 + 4
-
-
-def test_fig3_worker_count_without_sched_getaffinity(tmp_path, monkeypatch):
-    # where the platform lacks os.sched_getaffinity, os.cpu_count() sets the count
-    import concurrent.futures
-
-    started = []
-
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    monkeypatch.delattr(os, "sched_getaffinity")
-    cfg = parse_config(_write_small_fig3(tmp_path, frames=300))
-    rows = {}
-    for cpus in (None, 1, 2, 8):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        rows[cpus] = _with_timeout(fig3_rows, cfg)
-    assert started == [2, 4]
-    assert rows[None] == rows[1] == rows[2] == rows[8]
-    assert rows[1][0] == "value"
-
-
 def test_fig3_sweep_config_bytes_pinned(tmp_path):
     # perfbench/configs/sweep.ini at seed 7: four full trips; the digest was
     # taken from the serial sweep before the trips ran in a worker pool
@@ -263,47 +229,43 @@ def test_fig3_sweep_config_bytes_pinned(tmp_path):
     )
 
 
-def _no_children_within_timeout():
-    deadline = time.monotonic() + POOL_TIMEOUT_S
-    while multiprocessing.active_children() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    return multiprocessing.active_children()
-
-
-def test_fig3_worker_exception_reaches_caller_and_leaves_no_child(tmp_path, monkeypatch):
-    # rate 1e-4 over 5 frames draws no arrivals, so the worker raises
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def test_fig3_trip_without_arrivals_raises(tmp_path):
+    # rate 1e-4 over 5 frames draws no arrivals
     cfg = parse_config(_write_small_fig3(tmp_path, frames=5, seeds=3, lambdas="0.0001,250.0"))
-    kind, exc = _with_timeout(fig3_rows, cfg)
-    assert kind == "error"
-    assert type(exc) is RuntimeError
-    assert "no arrivals" in str(exc)
-    assert _no_children_within_timeout() == []
+    with pytest.raises(RuntimeError, match="^no arrivals in fig3 run at m=1 lambda=0.0001;"):
+        fig3_rows(cfg)
 
 
-def test_fig3_worker_exception_exits_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def test_fig3_trip_without_arrivals_exits_two(tmp_path, capsys):
     config = _write_small_fig3(tmp_path, frames=5, lambdas="0.0001,250.0")
     out = tmp_path / "f3"
-    assert _with_timeout(main, ["fig3", config, "--out", str(out)]) == ("value", EXIT_RUNTIME)
+    assert main(["fig3", config, "--out", str(out)]) == EXIT_RUNTIME
     assert "runtime error: RuntimeError: no arrivals" in capsys.readouterr().err
     assert not (out / "fig3.csv").exists()
-    assert _no_children_within_timeout() == []
 
 
 def test_fig3_logs_one_progress_line_per_point(tmp_path, caplog):
-    cfg = parse_config(_write_small_fig3(tmp_path, frames=300, seeds=2))
+    # a full 30000-frame trip is 59 arrival chunks of 512 frames
+    cfg = parse_config(_write_small_fig3(tmp_path, frames=30000, seeds=2))
     with caplog.at_level(logging.INFO, logger="hsrsched"):
         kind, rows = _with_timeout(fig3_rows, cfg)
     assert kind == "value"
-    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("fig3 point")]
-    assert len(lines) == len(rows) == 4
-    pattern = r"fig3 point (\d)/4: m=(\d+) lambda=(\S+) delivery_ratio=(\S+), \S+ s elapsed, ETA \S+ s"
-    for i, (line, (m, rate, ratio)) in enumerate(zip(lines, rows), 1):
-        match = re.fullmatch(pattern, line)
+    messages = [r.getMessage() for r in caplog.records]
+    progress = [m for m in messages if m.startswith("8 lockstep trips")]
+    assert len(progress) == PROGRESS_LINES
+    done = []
+    for line in progress:
+        match = re.fullmatch(r"8 lockstep trips: frame (\d+)/30000, \S+ s elapsed, ETA \S+ s", line)
         assert match, line
-        assert match.groups() == (str(i), str(m), f"{rate:g}", f"{ratio:.9g}")
-    assert lines[-1].endswith("ETA 0.0 s")
+        done.append(int(match.group(1)))
+    assert done == [3072 * i for i in range(1, 10)] + [30000]
+    assert progress[-1].endswith("ETA 0.0 s")
+    points = [m for m in messages if m.startswith("fig3 point")]
+    assert len(points) == len(rows) == 4
+    for i, (line, (m, rate, ratio)) in enumerate(zip(points, rows), 1):
+        assert line == f"fig3 point {i}/4: m={m} lambda={rate:g} delivery_ratio={ratio:.9g}"
+    # the loop's progress comes first, then one line per point
+    assert messages.index(points[0]) > messages.index(progress[-1])
 
 
 def test_fig3_prints_nothing_at_default_log_level(tmp_path):

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsrsched import ContractViolation, ServiceSpec, SimConfig, run
+from hsrsched.engine import single_service_ratios
 from hsrsched.schedulers import SCHEDULER_POLICIES, Scheduler
 
 
@@ -94,7 +97,7 @@ def test_cohort_drop_equivalence(table1_traj, table1_radio, two_services):
 def _run_with(scheduler_cls, table1_traj, table1_radio, services, monkeypatch):
     import hsrsched.engine as engine_mod
 
-    monkeypatch.setattr(engine_mod, "make_scheduler", lambda *a, **kw: scheduler_cls(services))
+    monkeypatch.setattr(engine_mod, "make_scheduler", lambda policy, specs, caps: scheduler_cls(specs, caps))
     return run(_config(table1_traj, table1_radio, services, num_frames=10))
 
 
@@ -102,7 +105,7 @@ def test_engine_rejects_overserving_scheduler(table1_traj, table1_radio, two_ser
     class Greedy(Scheduler):
         name = "dcsa"
 
-        def decide(self, frame, capacity, queues, deficits):
+        def decide(self, frame, queues, deficits):
             return [[0] * (s.deadline - 1) + [10**6] for s in self.specs]
 
     with pytest.raises(ContractViolation, match="exceeds frame capacity"):
@@ -118,10 +121,10 @@ def test_engine_rejects_bucket_overserve_within_capacity(
 
         name = "dcsa"
 
-        def decide(self, frame, capacity, queues, deficits):
+        def decide(self, frame, queues, deficits):
             counts = [[0] * s.deadline for s in self.specs]
             counts[0][-1] = queues[0].buckets[-1] + 1
-            assert sum(map(sum, counts)) <= capacity
+            assert sum(map(sum, counts)) <= self.capacities[frame]
             return counts
 
     with pytest.raises(ContractViolation, match="from bucket r=10"):
@@ -132,7 +135,7 @@ def test_engine_rejects_negative_served_count(table1_traj, table1_radio, two_ser
     class Negative(Scheduler):
         name = "dcsa"
 
-        def decide(self, frame, capacity, queues, deficits):
+        def decide(self, frame, queues, deficits):
             counts = [[0] * s.deadline for s in self.specs]
             counts[1][0] = -1
             return counts
@@ -149,7 +152,7 @@ def test_engine_rejects_wrong_row_count(rows, table1_traj, table1_radio, two_ser
 
         name = "dcsa"
 
-        def decide(self, frame, capacity, queues, deficits):
+        def decide(self, frame, queues, deficits):
             n = rows if frame == 9 else len(self.specs)
             return [[0] * 10 for _ in range(n)]
 
@@ -288,3 +291,46 @@ def test_engine_conservation_laws(policy, params, table1_traj, table1_radio):
         lifetime = sum(trace.bucket_served[i : i + batches, j, m - 1 - i] for i in range(m))
         assert (arrivals[:batches] - lifetime == drops[m - 1 :]).all()
         assert not drops[: m - 1].any()
+
+
+@st.composite
+def _lockstep_grids(draw):
+    """One-service trips on one capacity profile and frame count, with mixed
+    deadlines; rates and seeds repeat, so some trips share an arrival stream."""
+    frames = draw(st.integers(1, 1100))
+    override = draw(st.sampled_from([None, 0, 3, 50, 120]))
+    trips = st.tuples(st.integers(1, 12), st.sampled_from([0.01, 5.0, 60.0, 130.0]), st.integers(0, 3))
+    return frames, override, draw(st.lists(trips, min_size=1, max_size=4))
+
+
+@settings(max_examples=50, deadline=None)
+@given(grid=_lockstep_grids())
+def test_lockstep_ratios_equal_run_under_every_policy(grid, table1_traj, table1_radio):
+    frames, override, trips = grid
+    sims = [
+        _config(
+            table1_traj,
+            table1_radio,
+            (ServiceSpec(service_id=1, arrival_rate=rate, deadline=m, delivery_ratio=0.9),),
+            seed=seed,
+            num_frames=frames,
+            capacity_override=override,
+        )
+        for m, rate, seed in trips
+    ]
+    for sim, ratio in zip(sims, single_service_ratios(sims), strict=True):
+        for policy in SCHEDULER_POLICIES:
+            assert run(replace(sim, scheduler=policy)).summary().services[0].delivery_ratio == ratio
+
+
+def test_lockstep_rejects_trips_it_cannot_share_a_loop(table1_traj, table1_radio, two_services):
+    one = _config(table1_traj, table1_radio, two_services[:1], num_frames=10)
+    with pytest.raises(ValueError, match="single_service_ratios needs"):
+        single_service_ratios([])
+    for other in (
+        _config(table1_traj, table1_radio, two_services, num_frames=10),
+        replace(one, num_frames=11),
+        replace(one, capacity_override=5),
+    ):
+        with pytest.raises(ValueError, match="single_service_ratios needs"):
+            single_service_ratios([one, other])

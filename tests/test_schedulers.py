@@ -40,11 +40,11 @@ def _deficits(specs):
     return [DeficitQueue(s.service_id, s.loss_allowance) for s in specs]
 
 
-def _step(sched, frame, capacity, queues, deficits, arrivals):
+def _step(sched, frame, queues, deficits, arrivals):
     """One engine frame: admit, decide, serve and age, update the deficits."""
     for q, a in zip(queues, arrivals):
         q.admit(a)
-    rows = sched.decide(frame, capacity, queues, deficits)
+    rows = sched.decide(frame, queues, deficits)
     for q, dq, row in zip(queues, deficits, rows):
         dq.update(q.serve_and_age(row))
     return rows
@@ -146,11 +146,11 @@ class TestDcsa:
         sched = DcsaScheduler([spec], (3, 3))
         queues, deficits = _queues([spec]), _deficits([spec])
         queues[0].admit(5)
-        served0 = sched.decide(0, 3, queues, deficits)
+        served0 = sched.decide(0, queues, deficits)
         assert served0 == [[0, 3]]  # r=2 bucket holds the fresh cohort
         queues[0].serve_and_age(served0[0])
         queues[0].admit(0)
-        served1 = sched.decide(1, 3, queues, deficits)
+        served1 = sched.decide(1, queues, deficits)
         assert served1 == [[2, 0]]
         dropped = queues[0].serve_and_age(served1[0])
         assert dropped == 0
@@ -162,12 +162,12 @@ class TestDcsa:
         sched = DcsaScheduler(specs, (2,))
         queues = _queues(specs)
         deficits = [DeficitQueue(1, specs[0].loss_allowance, num=10), DeficitQueue(2, specs[1].loss_allowance)]
-        assert _step(sched, 0, 2, queues, deficits, [2, 2]) == [[0, 2], [0]]
+        assert _step(sched, 0, queues, deficits, [2, 2]) == [[0, 2], [0]]
         # with a second frame of capacity the r=2 cohort would wait for it
         sched = DcsaScheduler(specs, (2, 2))
         queues = _queues(specs)
         deficits = [DeficitQueue(1, specs[0].loss_allowance, num=10), DeficitQueue(2, specs[1].loss_allowance)]
-        assert _step(sched, 0, 2, queues, deficits, [2, 2]) == [[0, 0], [2]]
+        assert _step(sched, 0, queues, deficits, [2, 2]) == [[0, 0], [2]]
 
     def test_earlier_batches_hold_later_capacity(self):
         s1 = _spec(1, deadline=3)
@@ -176,17 +176,17 @@ class TestDcsa:
         sched = DcsaScheduler([s1, s2], caps)
         queues, deficits = _queues([s1, s2]), _deficits([s1, s2])
         # service 1 gets 10 at frame 0 and keeps 2 packets with 2 frames to go
-        assert _step(sched, 0, 10, queues, deficits, [12, 0]) == [[0, 0, 10], [0, 0]]
+        assert _step(sched, 0, queues, deficits, [12, 0]) == [[0, 0, 10], [0, 0]]
         # deficits tie at 0, so service 1's cohort ranks first and takes all
         # of frame 1; service 2's batch still fits at frame 2
-        assert _step(sched, 1, 2, queues, deficits, [0, 3]) == [[0, 2, 0], [0, 0]]
-        assert _step(sched, 2, 5, queues, deficits, [0, 0]) == [[0, 0, 0], [3, 0]]
+        assert _step(sched, 1, queues, deficits, [0, 3]) == [[0, 2, 0], [0, 0]]
+        assert _step(sched, 2, queues, deficits, [0, 0]) == [[0, 0, 0], [3, 0]]
 
     def test_priority_ties_break_by_ascending_id(self):
         specs = [_spec(1, deadline=1), _spec(2, deadline=1)]
         sched = DcsaScheduler(specs, (1,))
         queues, deficits = _queues(specs), _deficits(specs)
-        assert _step(sched, 0, 1, queues, deficits, [1, 1]) == [[1], [0]]
+        assert _step(sched, 0, queues, deficits, [1, 1]) == [[1], [0]]
 
     def test_exact_zero_deficits_tie_by_ascending_id(self):
         # service 2 (lambda 60, ratio 0.9) drops 6 and drains back to exactly
@@ -195,10 +195,10 @@ class TestDcsa:
         specs = [_spec(1, rate=100.0, deadline=1, q=0.99), _spec(2, rate=60.0, deadline=1, q=0.9)]
         sched = DcsaScheduler(specs, (0, 0, 1))
         queues, deficits = _queues(specs), _deficits(specs)
-        _step(sched, 0, 0, queues, deficits, [0, 6])
-        _step(sched, 1, 0, queues, deficits, [0, 0])
+        _step(sched, 0, queues, deficits, [0, 6])
+        _step(sched, 1, queues, deficits, [0, 0])
         assert [dq.num for dq in deficits] == [0, 0]
-        assert _step(sched, 2, 1, queues, deficits, [1, 1]) == [[1], [0]]
+        assert _step(sched, 2, queues, deficits, [1, 1]) == [[1], [0]]
 
     def test_priority_compares_fractional_deficits_exactly(self):
         # allowances 1/2, 1 and 5/4: numerators over denominators 2, 1 and 4
@@ -208,7 +208,7 @@ class TestDcsa:
         def served(nums):
             queues = _queues(specs)
             deficits = [DeficitQueue(s.service_id, s.loss_allowance, num) for s, num in zip(specs, nums)]
-            return _step(sched, 0, 2, queues, deficits, [1, 1, 1])
+            return _step(sched, 0, queues, deficits, [1, 1, 1])
 
         # deficits 1.5, 1 and 1.5: the two 1.5s tie and keep id order
         assert served([3, 1, 6]) == [[1], [0], [1]]
@@ -231,7 +231,7 @@ class TestDcsa:
                 for q, row in zip(queues, buckets):
                     q.buckets = list(row)
                 deficits = [DeficitQueue(s.service_id, s.loss_allowance, num) for s, num in zip(specs, nums)]
-                rows = DcsaScheduler(specs, caps).decide(0, caps[0], queues, deficits)
+                rows = DcsaScheduler(specs, caps).decide(0, queues, deficits)
                 assert sum(map(sum, rows)) <= caps[0]
                 return sum(rows[bumped])
 
@@ -248,7 +248,7 @@ class TestDcsa:
             queues[0].buckets = [0, 4]
             queues[1].buckets = [0, 4]
             deficits = [DeficitQueue(s.service_id, s.loss_allowance, num) for s, num in zip(specs, nums)]
-            assert sched.decide(0, 4, queues, deficits) == expected
+            assert sched.decide(0, queues, deficits) == expected
 
 
 def _always_ranked(specs, caps, frame, buckets, nums):
@@ -275,7 +275,7 @@ def _dcsa_frame(specs, caps, frame, buckets, nums):
     for q, row in zip(queues, buckets):
         q.buckets = list(row)
     deficits = [DeficitQueue(s.service_id, s.loss_allowance, num) for s, num in zip(specs, nums)]
-    return DcsaScheduler(specs, caps).decide(frame, caps[frame], queues, deficits)
+    return DcsaScheduler(specs, caps).decide(frame, queues, deficits)
 
 
 @st.composite
@@ -354,62 +354,71 @@ def test_greedy_runs_only_when_services_contend(table1_traj, table1_radio, monke
 class TestRoundRobin:
     def test_rotation_over_frames(self):
         specs = [_spec(1, deadline=2), _spec(2, deadline=2)]
-        sched = RoundRobinScheduler(specs)
+        sched = RoundRobinScheduler(specs, (10, 10))
         queues = _queues(specs)
         queues[0].buckets = [1, 1]
         queues[1].buckets = [1, 1]
-        even = sched.decide(0, 10, queues, _deficits(specs))
+        even = sched.decide(0, queues, _deficits(specs))
         assert sum(even[0]) == 2 and sum(even[1]) == 0
-        odd = sched.decide(1, 10, queues, _deficits(specs))
+        odd = sched.decide(1, queues, _deficits(specs))
         assert sum(odd[0]) == 0 and sum(odd[1]) == 2
 
     def test_empty_selected_service_wastes_capacity(self):
         specs = [_spec(1, deadline=2), _spec(2, deadline=2)]
-        sched = RoundRobinScheduler(specs)
+        sched = RoundRobinScheduler(specs, (10,))
         queues = _queues(specs)
         queues[1].buckets = [4, 0]
-        assert sched.decide(0, 10, queues, _deficits(specs)) == [[0, 0], [0, 0]]
+        assert sched.decide(0, queues, _deficits(specs)) == [[0, 0], [0, 0]]
 
     def test_fills_earliest_buckets_first(self):
         specs = [_spec(1, deadline=2)]
-        sched = RoundRobinScheduler(specs)
+        sched = RoundRobinScheduler(specs, (7,))
         queues = _queues(specs)
         queues[0].buckets = [4, 6]
-        assert sched.decide(0, 7, queues, _deficits(specs)) == [[4, 3]]
+        assert sched.decide(0, queues, _deficits(specs)) == [[4, 3]]
 
 
 class TestEdf:
     def test_single_packet_served(self):
         specs = [_spec(1, deadline=3)]
-        sched = EdfScheduler(specs)
+        sched = EdfScheduler(specs, (5,))
         queues = _queues(specs)
         queues[0].buckets = [0, 1, 0]
-        assert sched.decide(0, 5, queues, _deficits(specs)) == [[0, 1, 0]]
+        assert sched.decide(0, queues, _deficits(specs)) == [[0, 1, 0]]
 
     def test_urgency_tie_goes_to_higher_service_id(self):
         specs = [_spec(1, deadline=2), _spec(2, deadline=2)]
-        sched = EdfScheduler(specs)
+        sched = EdfScheduler(specs, (4,))
         queues = _queues(specs)
         queues[0].buckets = [2, 0]
         queues[1].buckets = [3, 0]
-        assert sched.decide(0, 4, queues, _deficits(specs)) == [[1, 0], [3, 0]]
+        assert sched.decide(0, queues, _deficits(specs)) == [[1, 0], [3, 0]]
 
     def test_zero_capacity_serves_nothing(self):
         specs = [_spec(1, deadline=2), _spec(2, deadline=2)]
-        sched = EdfScheduler(specs)
+        sched = EdfScheduler(specs, (0,))
         queues = _queues(specs)
         queues[0].buckets = [5, 5]
         queues[1].buckets = [5, 5]
-        assert sched.decide(0, 0, queues, _deficits(specs)) == [[0, 0], [0, 0]]
+        assert sched.decide(0, queues, _deficits(specs)) == [[0, 0], [0, 0]]
 
     def test_mixed_deadlines(self):
         specs = [_spec(1, deadline=1), _spec(2, deadline=3)]
-        sched = EdfScheduler(specs)
+        sched = EdfScheduler(specs, (4,))
         queues = _queues(specs)
         queues[0].buckets = [2]
         queues[1].buckets = [1, 0, 4]
         # r=1 first (s2 then s1), leftover goes to s2's r=3 bucket
-        assert sched.decide(0, 4, queues, _deficits(specs)) == [[2], [1, 0, 1]]
+        assert sched.decide(0, queues, _deficits(specs)) == [[2], [1, 0, 1]]
+
+
+@pytest.mark.parametrize("policy", schedulers.SCHEDULER_POLICIES)
+def test_frame_capacity_is_read_from_the_trip_capacities(policy):
+    # a bucket of 10 on a trip whose one frame holds 3
+    spec = _spec(1, deadline=1)
+    queues = _queues([spec])
+    queues[0].admit(10)
+    assert make_scheduler(policy, [spec], (3,)).decide(0, queues, _deficits([spec])) == [[3]]
 
 
 def test_make_scheduler_factory(two_services):
