@@ -11,7 +11,6 @@ from dataclasses import replace
 import pytest
 
 from hsrsched import ServiceSpec, SimConfig, run, schedulers
-from hsrsched.engine import PROGRESS_LINES
 from hsrsched.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -23,6 +22,7 @@ from hsrsched.cli import (
     parse_config,
     serialize_config,
 )
+from hsrsched.engine import PROGRESS_LINES
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 REPO_CONFIGS = os.path.join(REPO, "configs")

@@ -323,7 +323,7 @@ def test_lockstep_ratios_equal_run_under_every_policy(grid, table1_traj, table1_
             assert run(replace(sim, scheduler=policy)).summary().services[0].delivery_ratio == ratio
 
 
-def test_lockstep_rejects_trips_it_cannot_share_a_loop(table1_traj, table1_radio, two_services):
+def test_lockstep_rejects_trips_that_cannot_share_a_loop(table1_traj, table1_radio, two_services):
     one = _config(table1_traj, table1_radio, two_services[:1], num_frames=10)
     with pytest.raises(ValueError, match="single_service_ratios needs"):
         single_service_ratios([])
