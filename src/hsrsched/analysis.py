@@ -4,8 +4,8 @@ The deficit counters obey two deterministic facts that hold sample-path-wise,
 not just in expectation: a squared one-step inequality and a telescoped prefix
 inequality.  Both are checked here in exact integer arithmetic (the engine
 records each counter as one integer numerator over its loss allowance's
-denominator) so violations cannot hide behind float round-off, and round-off
-cannot fake violations.
+denominator), and a check passes only when no violation is positive: there is
+no tolerance for a fault to hide behind, and no round-off to fake one.
 
 The oracle enumerates the feasible lifetime allocations of one frame's queued
 cohorts and returns a drop vector of minimal integer-weighted sum; the
@@ -28,6 +28,9 @@ ORACLE_MAX_SERVICES = 3
 ORACLE_MAX_DEADLINE = 3
 ORACLE_MAX_ARRIVALS = 6
 ORACLE_MAX_CAPACITY = 6
+# final deficit per frame below which lemma1 reports a service rate-stable;
+# reported only, never part of a verdict
+RATE_STABLE_THRESHOLD = 1e-3
 
 
 def _exact_columns(trace: TraceLog, j: int) -> tuple[np.ndarray, int, int]:
@@ -44,7 +47,6 @@ class DriftCheckReport:
     worst_frame: int | None
     worst_service: int | None
     transitions_checked: int
-    tolerance: float
 
     def to_dict(self) -> dict:
         return {"check": "sample_drift", **asdict(self)}
@@ -53,14 +55,14 @@ class DriftCheckReport:
         status = "PASS" if self.passed else "FAIL"
         lines = [
             f"{status} sample_drift: {self.transitions_checked} transitions, "
-            f"max violation {self.max_violation:.3g} (tolerance {self.tolerance:.3g})"
+            f"max violation {self.max_violation:.3g}"
         ]
         if not self.passed:
             lines.append(f"  worst at frame {self.worst_frame}, service {self.worst_service}")
         return "\n".join(lines) + "\n"
 
 
-def check_sample_drift(trace: TraceLog, tolerance: float = 1e-9) -> DriftCheckReport:
+def check_sample_drift(trace: TraceLog) -> DriftCheckReport:
     """Squared one-step deficit inequality, checked on every transition.
 
     For every service and frame, with Y the counter before the frame's update,
@@ -70,7 +72,8 @@ def check_sample_drift(trace: TraceLog, tolerance: float = 1e-9) -> DriftCheckRe
 
     Evaluated on each service's deficit numerators N = Y * q (allowance p/q),
     where it reads N_next^2 <= N^2 + p^2 + (D*q)^2 + 2*N*(D*q - p), as whole
-    columns of Python integers, so no product can overflow.
+    columns of Python integers, so no product can overflow.  It passes iff
+    no transition's violation is positive.
     """
     max_violation = Fraction(0)
     worst = (None, None)
@@ -84,12 +87,11 @@ def check_sample_drift(trace: TraceLog, tolerance: float = 1e-9) -> DriftCheckRe
             max_violation = top
             worst = (int(np.argmax(violation)), sid)
     return DriftCheckReport(
-        passed=max_violation <= tolerance,
+        passed=not max_violation,
         max_violation=float(max_violation),
         worst_frame=worst[0],
         worst_service=worst[1],
         transitions_checked=trace.drops.size,
-        tolerance=tolerance,
     )
 
 
@@ -103,22 +105,19 @@ class ServiceLemma1Report:
     final_deficit_per_frame: float
     mean_drops: float
     loss_allowance: float
-    mean_drop_bound_ok: bool
 
 
 @dataclass(frozen=True)
 class Lemma1Report:
     passed: bool
     services: tuple[ServiceLemma1Report, ...]
-    tolerance: float
-    rate_threshold: float
 
     def to_dict(self) -> dict:
         return {"check": "lemma1", **asdict(self)}
 
     def to_text(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        lines = [f"{status} lemma1 (tolerance {self.tolerance:.3g})"]
+        lines = [f"{status} lemma1"]
         for s in self.services:
             lines.append(
                 f"  service {s.service_id}: prefix_ok={s.prefix_ok}, "
@@ -130,14 +129,12 @@ class Lemma1Report:
         return "\n".join(lines) + "\n"
 
 
-def check_lemma1(
-    trace: TraceLog,
-    rate_threshold: float = 1e-3,
-    tolerance: float = 1e-9,
-) -> Lemma1Report:
-    """Telescoped deficit inequality over every prefix, plus the finite-horizon
-    consequence: when the final counter is small per frame, the mean drop rate
-    stays within the loss allowance plus that residue.
+def check_lemma1(trace: TraceLog) -> Lemma1Report:
+    """Telescoped deficit inequality over every prefix: the counter is at
+    least the drops so far less the allowance so far.  It passes iff no
+    prefix's violation is positive.  At the last frame the bound reads
+    mean drops <= allowance + final counter per frame, the finite-horizon
+    form of the delivery target.
     """
     if trace.num_frames < 1:
         raise ValueError("trace too short")
@@ -152,29 +149,19 @@ def check_lemma1(
         worst = int(np.argmax(violation))
         max_violation = Fraction(max(0, violation[worst]), q)
         final_rate = Fraction(num[-1], q * n)
-        mean_drops = Fraction(running[-1], n)
-        allowance = Fraction(p, q)
-        bound_ok = mean_drops <= allowance + final_rate + Fraction(tolerance)
         reports.append(
             ServiceLemma1Report(
                 service_id=sid,
-                prefix_ok=max_violation <= tolerance,
+                prefix_ok=not max_violation,
                 max_prefix_violation=float(max_violation),
                 worst_prefix_frame=worst if max_violation else None,
-                rate_stable=float(final_rate) < rate_threshold,
+                rate_stable=float(final_rate) < RATE_STABLE_THRESHOLD,
                 final_deficit_per_frame=float(final_rate),
-                mean_drops=float(mean_drops),
-                loss_allowance=float(allowance),
-                mean_drop_bound_ok=bool(bound_ok),
+                mean_drops=float(Fraction(running[-1], n)),
+                loss_allowance=float(Fraction(p, q)),
             )
         )
-    passed = all(r.prefix_ok and r.mean_drop_bound_ok for r in reports)
-    return Lemma1Report(
-        passed=passed,
-        services=tuple(reports),
-        tolerance=tolerance,
-        rate_threshold=rate_threshold,
-    )
+    return Lemma1Report(passed=all(r.prefix_ok for r in reports), services=tuple(reports))
 
 
 def _check_oracle_guard(weights, arrivals, deadlines, available) -> None:

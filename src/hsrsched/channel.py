@@ -46,20 +46,11 @@ class TrajectoryConfig:
             raise ValueError("trip shorter than one frame")
 
     @property
-    def cell_period(self) -> float:
-        """Time to cross one cell (seconds)."""
-        return 2.0 * self.cell_radius / self.speed
-
-    @property
     def num_frames(self) -> int:
         """Whole frames in the trip, floored exactly from the decimal values
         as written (0.3 / 0.1 is 3 frames; the float quotient truncates to 2)."""
         duration, length = (Fraction(repr(float(x))) for x in (self.trip_duration, self.frame_length))
         return int(duration // length)
-
-    @property
-    def max_distance(self) -> float:
-        return math.hypot(self.cell_radius, self.track_offset)
 
 
 @dataclass(frozen=True)

@@ -91,8 +91,6 @@ def parse_config(path: str) -> ExperimentConfig:
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     scheduler = _get(exp, "scheduler", str, default="dcsa")
-    if scheduler not in SCHEDULER_POLICIES:
-        raise ConfigError(f"unknown scheduler {scheduler!r}")
 
     traj_sec = _section(parser, "trajectory")
     radio_sec = _section(parser, "radio")

@@ -124,7 +124,9 @@ class ArrivalGenerator:
         self.specs = tuple(sorted(specs, key=lambda s: s.service_id))
         self.seed = seed
         self._rng = np.random.Generator(np.random.PCG64(seed))
-        self._cdfs = [np.cumsum(s.pmf) for s in self.specs]
+        # the last cdf value is left out: it may round below 1, and a draw
+        # above it must still land on the burst bound, not one past it
+        self._cdfs = [np.cumsum(s.pmf)[:-1] for s in self.specs]
 
     def sample_run(self, num_frames: int) -> np.ndarray:
         """All arrivals of a run at once: one row per frame, services in id order."""

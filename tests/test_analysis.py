@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsrsched import (
     ServiceSpec,
@@ -19,12 +21,14 @@ from hsrsched import (
 from hsrsched.analysis import (
     ORACLE_MAX_DEADLINE,
     ORACLE_MAX_SERVICES,
+    RATE_STABLE_THRESHOLD,
     DriftCheckReport,
     Lemma1Report,
     OracleAgreementReport,
     ServiceLemma1Report,
     random_oracle_instances,
 )
+from hsrsched.schedulers import SCHEDULER_POLICIES
 from hsrsched.traffic import FeasibilityReport
 
 # the shipped link with three services of deadlines 2, 5 and 10
@@ -68,7 +72,7 @@ def _hand_trace(drops_per_frame, loss_allowance, deficits=None):
     )
 
 
-def _reference_sample_drift(trace, tolerance=1e-9):
+def _reference_sample_drift(trace):
     """Per-transition Fraction loop of the one-step inequality; the array
     form in ``check_sample_drift`` must agree with it field for field."""
     max_violation = Fraction(0)
@@ -89,16 +93,15 @@ def _reference_sample_drift(trace, tolerance=1e-9):
             checked += 1
             prev = cur
     return DriftCheckReport(
-        passed=max_violation <= tolerance,
+        passed=max_violation == 0,
         max_violation=float(max_violation),
         worst_frame=worst[0],
         worst_service=worst[1],
         transitions_checked=checked,
-        tolerance=tolerance,
     )
 
 
-def _reference_lemma1(trace, rate_threshold=1e-3, tolerance=1e-9):
+def _reference_lemma1(trace):
     """Per-prefix Fraction loop of the telescoped inequality; the array form
     in ``check_lemma1`` must agree with it field for field."""
     reports = []
@@ -116,27 +119,19 @@ def _reference_lemma1(trace, rate_threshold=1e-3, tolerance=1e-9):
                 max_violation = violation
                 worst = k - 1
         final_rate = Fraction(int(trace.deficit_num[-1, j]), q * n)
-        mean_drops = Fraction(running, n)
-        allowance = Fraction(p, q)
         reports.append(
             ServiceLemma1Report(
                 service_id=sid,
-                prefix_ok=max_violation <= tolerance,
+                prefix_ok=max_violation == 0,
                 max_prefix_violation=float(max_violation),
                 worst_prefix_frame=worst,
-                rate_stable=float(final_rate) < rate_threshold,
+                rate_stable=float(final_rate) < RATE_STABLE_THRESHOLD,
                 final_deficit_per_frame=float(final_rate),
-                mean_drops=float(mean_drops),
-                loss_allowance=float(allowance),
-                mean_drop_bound_ok=mean_drops <= allowance + final_rate + Fraction(tolerance),
+                mean_drops=float(Fraction(running, n)),
+                loss_allowance=float(Fraction(p, q)),
             )
         )
-    return Lemma1Report(
-        passed=all(r.prefix_ok and r.mean_drop_bound_ok for r in reports),
-        services=tuple(reports),
-        tolerance=tolerance,
-        rate_threshold=rate_threshold,
-    )
+    return Lemma1Report(passed=all(r.prefix_ok for r in reports), services=tuple(reports))
 
 
 def _assert_checks_match_reference(trace):
@@ -185,7 +180,7 @@ def test_lemma1_zero_drop_trace_is_rate_stable():
     report = check_lemma1(_hand_trace([0] * 100, Fraction(3, 2)))
     assert report.passed
     svc = report.services[0]
-    assert svc.prefix_ok and svc.rate_stable and svc.mean_drop_bound_ok
+    assert svc.prefix_ok and svc.rate_stable
     assert svc.mean_drops == 0.0
     assert "rate_stable=True" in report.to_text()
 
@@ -198,7 +193,6 @@ def test_lemma1_constant_excess_drops_grow_linearly():
     assert svc.prefix_ok  # the update itself is valid
     assert not svc.rate_stable  # deficit grows one packet per frame
     assert svc.final_deficit_per_frame == pytest.approx(1.0, rel=0.02)
-    assert svc.mean_drop_bound_ok
     assert svc.mean_drops == pytest.approx(3.0)
 
 
@@ -455,3 +449,93 @@ def test_array_checks_match_reference_beyond_int64_squares():
     trace.deficit_num[8, 0] -= 5
     drift, lemma1 = _assert_checks_match_reference(trace)
     assert not lemma1.passed
+
+
+def test_sample_drift_flags_a_one_unit_fault_worth_under_1e9(table1_traj, table1_radio):
+    # allowance 1234567899/8000000000: one unit on a numerator is a violation
+    # of 4.6e-10 packets squared, below any float tolerance of 1e-9
+    spec = ServiceSpec(service_id=1, arrival_rate=12.5, deadline=1, delivery_ratio=0.98765432101)
+    assert spec.loss_allowance == Fraction(1234567899, 8000000000)
+    cfg = SimConfig(
+        trajectory=table1_traj,
+        radio=table1_radio,
+        services=(spec,),
+        seed=42,
+        num_frames=2000,
+        capacity_override=13,
+    )
+    trace = run(cfg)
+    assert check_sample_drift(trace).passed
+    trace.deficit_num[1, 0] += 1
+    drift, lemma1 = _assert_checks_match_reference(trace)
+    assert not drift.passed and drift.worst_frame == 1
+    assert 0 < drift.max_violation < 1e-9
+    assert lemma1.passed
+
+
+@st.composite
+def _exact_check_runs(draw):
+    """Small runs whose loss allowances have up to 14 decimal places, so the
+    numerators' squares overflow int64 while the run passes the int64 guard."""
+    services = []
+    for sid in range(1, draw(st.integers(1, 3)) + 1):
+        places = draw(st.integers(1, 14))
+        services.append(
+            ServiceSpec(
+                service_id=sid,
+                arrival_rate=draw(st.integers(1, 400)) / 8,
+                deadline=draw(st.integers(1, 4)),
+                delivery_ratio=draw(st.integers(1, 10**places - 1)) / 10**places,
+            )
+        )
+    return (
+        tuple(services),
+        draw(st.sampled_from(SCHEDULER_POLICIES)),
+        draw(st.integers(0, 80)),
+        draw(st.integers(1, 60)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=_exact_check_runs(), data=st.data())
+def test_exact_checks_flag_a_one_unit_fault_either_way(params, data, table1_traj, table1_radio):
+    services, policy, link, frames, seed = params
+    cfg = SimConfig(
+        trajectory=table1_traj,
+        radio=table1_radio,
+        services=services,
+        scheduler=policy,
+        seed=seed,
+        num_frames=frames,
+        capacity_override=link,
+    )
+    trace = run(cfg)
+    drift, lemma1 = _assert_checks_match_reference(trace)
+    assert drift.passed and lemma1.passed
+    j = data.draw(st.integers(0, len(services) - 1))
+    sid = trace.service_ids[j]
+    p, q = trace.loss_allowances[j].as_integer_ratio()
+    num, drops = trace.deficit_num[:, j].tolist(), trace.drops[:, j].tolist()
+    # where a frame drops nothing and the counter covers the allowance, the
+    # update drains exactly p, so one unit more breaks the one-step bound there
+    drains = [k for k in range(1, frames) if drops[k] == 0 and num[k - 1] >= p]
+    if drains:
+        k = data.draw(st.sampled_from(drains))
+        bad = replace(trace, deficit_num=trace.deficit_num.copy())
+        bad.deficit_num[k, j] += 1
+        drift, lemma1 = _assert_checks_match_reference(bad)
+        assert not drift.passed and (drift.worst_frame, drift.worst_service) == (k, sid)
+        assert lemma1.passed
+    # one unit below the prefix bound at frame k breaks it there and only there
+    k = data.draw(st.integers(0, frames - 1))
+    slack = num[k] - (sum(drops[: k + 1]) * q - (k + 1) * p)
+    assert slack >= 0
+    bad = replace(trace, deficit_num=trace.deficit_num.copy())
+    bad.deficit_num[k, j] -= slack + 1
+    drift, lemma1 = _assert_checks_match_reference(bad)
+    assert not lemma1.passed
+    assert [s.worst_prefix_frame for s in lemma1.services] == [
+        k if i == j else None for i in range(len(services))
+    ]
+    assert lemma1.services[j].max_prefix_violation == 1 / q

@@ -29,13 +29,13 @@ def test_distance_periodicity():
     traj = TrajectoryConfig(
         speed=100.0, cell_radius=1500.0, track_offset=30.0, trip_duration=90.0, frame_length=1e-3
     )
-    assert traj.cell_period == 30.0
+    assert 2.0 * traj.cell_radius / traj.speed == 30.0
     for t in (0.0, 3.7, 11.2, 14.999, 29.5, 42.0):
         assert distance_at(t + 30.0, traj) == pytest.approx(distance_at(t, traj), rel=1e-9)
 
 
 def test_distance_symmetry_within_cell(table1_traj):
-    period = table1_traj.cell_period
+    period = 2.0 * table1_traj.cell_radius / table1_traj.speed
     for t in (0.5, 4.2, 9.9, 14.0):
         assert distance_at(t, table1_traj) == pytest.approx(
             distance_at(period - t, table1_traj), rel=1e-9
@@ -153,7 +153,8 @@ def test_profile_symmetry(table1_traj, table1_radio):
 
 
 def test_default_profile_stays_below_breakpoint(table1_traj, table1_radio):
-    assert table1_traj.max_distance < table1_radio.breakpoint_distance
+    max_distance = math.hypot(table1_traj.cell_radius, table1_traj.track_offset)
+    assert max_distance < table1_radio.breakpoint_distance
 
 
 def test_profile_periodic_across_cells(table1_radio):

@@ -329,6 +329,39 @@ def test_cmd_verify_checks_pass_without_oracle(tmp_path):
     assert ("lemma1", "edf") in checks
 
 
+def test_verify_report_key_sets_are_pinned(tmp_path):
+    # a field added to or dropped from a check's report must change this test
+    rc, report = _verify_with_fault(tmp_path, "50", verify="oracle_instances = 3")
+    assert rc == EXIT_OK
+    assert set(report) == {"passed", "checks"}
+    keys = {}
+    for c in report["checks"]:
+        keys.setdefault(c["check"], set()).add(" ".join(sorted(c)))
+    assert keys == {
+        "sample_drift": {
+            "check max_violation passed scheduler transitions_checked worst_frame worst_service"
+        },
+        "lemma1": {"check passed scheduler services"},
+        "oracle_agreement": {"check first_mismatch lex_agreed passed total weighted_agreed"},
+    }
+    services = {" ".join(sorted(s)) for c in report["checks"] if c["check"] == "lemma1" for s in c["services"]}
+    assert services == {
+        "final_deficit_per_frame loss_allowance max_prefix_violation mean_drops "
+        "prefix_ok rate_stable service_id worst_prefix_frame"
+    }
+
+
+def test_unknown_scheduler_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "sched.ini"
+    text = serialize_config(parse_config(DEFAULT_CONFIG))
+    path.write_text(text.replace("scheduler = dcsa", "scheduler = fifo"))
+    out = tmp_path / "x"
+    rc = main(["run", str(path), "--frames", "10", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "error: unknown scheduler 'fifo'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_oracle_instances_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "neg.ini"
     text = serialize_config(parse_config(DEFAULT_CONFIG))
@@ -399,7 +432,7 @@ def test_cmd_verify_fault_trips_both_checks_and_prints_witnesses(tmp_path, capsy
     out = capsys.readouterr().out
     for policy in ("dcsa", "rr", "edf"):
         assert f"FAIL sample_drift [{policy}]\nFAIL sample_drift: " in out
-        assert f"FAIL lemma1 [{policy}]\nFAIL lemma1 " in out
+        assert f"FAIL lemma1 [{policy}]\nFAIL lemma1\n" in out
     assert out.count(f"  worst at frame {k}, service 1\n") == 3
     assert out.count(f"    worst prefix at frame {k}\n") == 3
     assert "first mismatch" not in out

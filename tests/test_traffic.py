@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -128,13 +129,24 @@ def test_sampling_deterministic(two_services):
 
 def test_per_frame_and_bulk_sampling_agree(two_services):
     # reference drawn straight from PCG64: per frame one uniform per service,
-    # in id order, mapped to the number of cdf values at or below it
+    # in id order, mapped to the number of cdf values at or below it, the
+    # last value left out so a draw never passes the burst bound
     bulk = ArrivalGenerator(two_services, seed=11).sample_run(500)
     rng = np.random.Generator(np.random.PCG64(11))
-    cdfs = [np.cumsum(s.pmf) for s in two_services]
+    cdfs = [np.cumsum(s.pmf)[:-1] for s in two_services]
     for k in range(500):
         u = rng.random(len(two_services))
         assert tuple(bulk[k]) == tuple(int((cdf <= x).sum()) for cdf, x in zip(cdfs, u))
+
+
+def test_draw_above_the_last_cdf_value_stays_on_the_support():
+    # at rate 130 the summed pmf rounds to 1 - 4.4e-16, below the largest draw
+    spec = ServiceSpec(service_id=1, arrival_rate=130.0, deadline=1, delivery_ratio=0.9)
+    top = np.nextafter(1.0, 0.0)
+    assert np.cumsum(spec.pmf)[-1] < top
+    gen = ArrivalGenerator((spec,), seed=0)
+    gen._rng = SimpleNamespace(random=lambda shape: np.full(shape, top))
+    assert gen.sample_run(3).tolist() == [[spec.max_arrivals]] * 3
 
 
 def test_empirical_mean_within_three_standard_errors():
