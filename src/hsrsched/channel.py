@@ -17,10 +17,10 @@ SPEED_OF_LIGHT = 3.0e8  # m/s
 
 
 def _require_positive(config) -> None:
-    """Every field of a config dataclass must be strictly positive."""
+    """Every field of a config dataclass must be strictly positive and finite."""
     for f in fields(config):
-        if getattr(config, f.name) <= 0:
-            raise ValueError(f"{f.name} must be strictly positive")
+        if not 0 < getattr(config, f.name) < math.inf:
+            raise ValueError(f"{f.name} must be strictly positive and finite")
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,13 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from . import analysis
 from .channel import RadioConfig, TrajectoryConfig
 from .engine import TRACE_SCHEMA, SimConfig, TraceLog, run, single_service_ratios
 from .schedulers import SCHEDULER_POLICIES
-from .traffic import DEFAULT_TAIL_EPS, ServiceSpec
+from .traffic import ServiceSpec
 
 log = logging.getLogger("hsrsched")
 
@@ -43,193 +43,163 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str
-    output_dir: str
     sim: SimConfig
+    kind: str = "single"
+    output_dir: str = "out"
     sweep_deadlines: tuple[int, ...] = ()
     sweep_rates: tuple[float, ...] = ()
     seeds_per_point: int = 5
     oracle_instances: int = 200
     inject_fault: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in EXPERIMENT_KINDS:
+            raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        if self.seeds_per_point < 1:
+            raise ConfigError("seeds_per_point must be at least 1")
+        if self.oracle_instances < 0:
+            raise ConfigError("oracle_instances must be non-negative")
+        if self.inject_fault not in (None, "deficit"):
+            raise ConfigError(f"unknown inject_fault {self.inject_fault!r}")
+        for base, rate, m in itertools.product(self.sim.services, self.sweep_rates, self.sweep_deadlines):
+            try:
+                replace(base, arrival_rate=rate, deadline=m)
+            except ValueError as exc:
+                raise ConfigError(f"[sweep] point lambda={rate!r} deadline={m}: {exc}") from None
+        if self.kind == "fig2" and len(self.sim.services) != 2:
+            raise ConfigError("fig2 experiments need exactly two services")
+        if self.kind == "fig3":
+            if len(self.sim.services) != 1:
+                raise ConfigError("fig3 experiments need exactly one service")
+            if not self.sweep_deadlines or not self.sweep_rates:
+                raise ConfigError("fig3 experiments need a non-empty [sweep] grid")
 
-def _section(parser: configparser.ConfigParser, name: str) -> configparser.SectionProxy:
-    if not parser.has_section(name):
-        raise ConfigError(f"missing [{name}] section")
-    return parser[name]
+
+def _list(conv):
+    """Conversion of a comma-separated list of ``conv`` values to a tuple."""
+    return lambda text: tuple(conv(x) for x in text.split(",") if x.strip())
 
 
-def _get(section, key, conv, *, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing key {key!r} in [{section.name}]")
-        return default
-    raw = section[key]
-    try:
-        return conv(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {key} = {raw!r}: {exc}") from None
+# [section] -> rows (ini key, dataclass, field, conversion); every [service.<id>]
+# section reads the "service" rows.  A key left out takes the field's default.
+SCHEMA = {
+    "experiment": (
+        ("kind", ExperimentConfig, "kind", str),
+        ("scheduler", SimConfig, "scheduler", str),
+        ("seed", SimConfig, "seed", int),
+        ("output_dir", ExperimentConfig, "output_dir", str),
+        ("num_frames", SimConfig, "num_frames", int),
+        ("capacity_override", SimConfig, "capacity_override", int),
+    ),
+    **{
+        name: tuple((f.name, cls, f.name, float) for f in fields(cls))
+        for name, cls in (("trajectory", TrajectoryConfig), ("radio", RadioConfig))
+    },
+    "service": (
+        ("lambda", ServiceSpec, "arrival_rate", float),
+        ("deadline", ServiceSpec, "deadline", int),
+        ("delivery_ratio", ServiceSpec, "delivery_ratio", float),
+        ("tail_eps", ServiceSpec, "tail_eps", float),
+    ),
+    "sweep": (
+        ("deadlines", ExperimentConfig, "sweep_deadlines", _list(int)),
+        ("lambdas", ExperimentConfig, "sweep_rates", _list(float)),
+        ("seeds_per_point", ExperimentConfig, "seeds_per_point", int),
+    ),
+    "verify": (
+        ("oracle_instances", ExperimentConfig, "oracle_instances", int),
+        ("inject_fault", ExperimentConfig, "inject_fault", lambda text: None if text == "none" else text),
+    ),
+}
 
 
-def _float_keys(section, cls) -> dict[str, float]:
-    """Every field of the float-valued dataclass ``cls`` from its section, all required."""
-    return {f.name: _get(section, f.name, float, required=True) for f in fields(cls)}
+def _read(parser: configparser.ConfigParser, name: str, rows) -> dict:
+    """{dataclass: {field: value}} from section ``name`` (empty if absent)."""
+    section = parser[name] if parser.has_section(name) else {}
+    keys = {key for key, *_ in rows}
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in [{name}]")
+    values = {cls: {} for _, cls, _, _ in rows}
+    for key, cls, field, conv in rows:
+        if key in section:
+            try:
+                values[cls][field] = conv(section[key])
+            except ValueError as exc:
+                raise ConfigError(f"[{name}] {key} = {section[key]!r}: {exc}") from None
+        elif cls.__dataclass_fields__[field].default is MISSING:
+            raise ConfigError(f"missing key {key!r} in [{name}]")
+    return values
 
 
 def parse_config(path: str) -> ExperimentConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    exp = _section(parser, "experiment")
-    kind = _get(exp, "kind", str, default="single")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-    scheduler = _get(exp, "scheduler", str, default="dcsa")
-
-    traj_sec = _section(parser, "trajectory")
-    radio_sec = _section(parser, "radio")
+    service_sections = []
+    # keys under [DEFAULT] would reach every section
+    for name in parser.sections() + (["DEFAULT"] if parser.defaults() else []):
+        head, dot, sid = name.partition(".")
+        if head not in SCHEMA or (head == "service") != bool(dot):
+            raise ConfigError(f"unknown section [{name}]")
+        if dot:
+            if not sid.isdecimal():
+                raise ConfigError(f"bad service section name [{name}]")
+            service_sections.append((int(sid), name))
+    kwargs = {}
     try:
-        trajectory = TrajectoryConfig(**_float_keys(traj_sec, TrajectoryConfig))
-        radio = RadioConfig(**_float_keys(radio_sec, RadioConfig))
-        services = []
-        for name in sorted(s for s in parser.sections() if s.startswith("service.")):
-            sec = parser[name]
-            try:
-                sid = int(name.split(".", 1)[1])
-            except ValueError:
-                raise ConfigError(f"bad service section name [{name}]") from None
-            services.append(
-                ServiceSpec(
-                    service_id=sid,
-                    arrival_rate=_get(sec, "lambda", float, required=True),
-                    deadline=_get(sec, "deadline", int, required=True),
-                    delivery_ratio=_get(sec, "delivery_ratio", float, required=True),
-                    tail_eps=_get(sec, "tail_eps", float, default=DEFAULT_TAIL_EPS),
-                )
-            )
-        sim = SimConfig(
-            trajectory=trajectory,
-            radio=radio,
-            services=tuple(services),
-            scheduler=scheduler,
-            seed=_get(exp, "seed", int, default=0),
-            num_frames=_get(exp, "num_frames", int),
-            capacity_override=_get(exp, "capacity_override", int),
+        for name, rows in SCHEMA.items():
+            if name != "service":
+                for cls, values in _read(parser, name, rows).items():
+                    kwargs.setdefault(cls, {}).update(values)
+        services = tuple(
+            ServiceSpec(service_id=sid, **_read(parser, name, SCHEMA["service"])[ServiceSpec])
+            for sid, name in sorted(service_sections)
         )
-    except ConfigError:
-        raise
+        trajectory = TrajectoryConfig(**kwargs[TrajectoryConfig])
+        radio = RadioConfig(**kwargs[RadioConfig])
+        sim = SimConfig(trajectory, radio, services, **kwargs[SimConfig])
+        return ExperimentConfig(sim, **kwargs[ExperimentConfig])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    sweep_deadlines = ()
-    sweep_rates = ()
-    seeds_per_point = 5
-    if parser.has_section("sweep"):
-        sw = parser["sweep"]
-        sweep_deadlines = tuple(
-            _get(sw, "deadlines", lambda v: [int(x) for x in v.split(",") if x.strip()], default=())
-        )
-        sweep_rates = tuple(
-            _get(sw, "lambdas", lambda v: [float(x) for x in v.split(",") if x.strip()], default=())
-        )
-        seeds_per_point = _get(sw, "seeds_per_point", int, default=5)
-        if seeds_per_point < 1:
-            raise ConfigError("seeds_per_point must be at least 1")
-        for base, rate, m in itertools.product(services, sweep_rates, sweep_deadlines):
-            try:
-                replace(base, arrival_rate=rate, deadline=m)
-            except ValueError as exc:
-                raise ConfigError(f"[sweep] point lambda={rate!r} deadline={m}: {exc}") from None
 
-    oracle_instances = 200
-    inject_fault = None
-    if parser.has_section("verify"):
-        vf = parser["verify"]
-        oracle_instances = _get(vf, "oracle_instances", int, default=200)
-        if oracle_instances < 0:
-            raise ConfigError("oracle_instances must be non-negative")
-        inject_fault = _get(vf, "inject_fault", str)
-        if inject_fault not in (None, "none", "deficit"):
-            raise ConfigError(f"unknown inject_fault {inject_fault!r}")
-        if inject_fault == "none":
-            inject_fault = None
-
-    if kind == "fig2" and len(services) != 2:
-        raise ConfigError("fig2 experiments need exactly two services")
-    if kind == "fig3":
-        if len(services) != 1:
-            raise ConfigError("fig3 experiments need exactly one service")
-        if not sweep_deadlines or not sweep_rates:
-            raise ConfigError("fig3 experiments need a non-empty [sweep] grid")
-
-    return ExperimentConfig(
-        kind=kind,
-        output_dir=_get(exp, "output_dir", str, default="out"),
-        sim=sim,
-        sweep_deadlines=sweep_deadlines,
-        sweep_rates=sweep_rates,
-        seeds_per_point=seeds_per_point,
-        oracle_instances=oracle_instances,
-        inject_fault=inject_fault,
-    )
+def _block(name: str, rows, owners: dict) -> str:
+    """Section ``name`` with each row's field read from ``owners[dataclass]``;
+    a field that is None or an empty list is left out."""
+    lines = [f"[{name}]"]
+    for key, cls, field, _ in rows:
+        value = getattr(owners[cls], field)
+        if value is not None and value != ():
+            if not isinstance(value, str):
+                value = ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parse(serialize(parse(f))) == parse(f)."""
     sim = cfg.sim
-    lines = [
-        "[experiment]",
-        f"kind = {cfg.kind}",
-        f"scheduler = {sim.scheduler}",
-        f"seed = {sim.seed}",
-        f"output_dir = {cfg.output_dir}",
-    ]
-    if sim.num_frames is not None:
-        lines.append(f"num_frames = {sim.num_frames}")
-    if sim.capacity_override is not None:
-        lines.append(f"capacity_override = {sim.capacity_override}")
-    for name, obj in (("trajectory", sim.trajectory), ("radio", sim.radio)):
-        lines += ["", f"[{name}]"] + [f"{f.name} = {getattr(obj, f.name)!r}" for f in fields(obj)]
-    for s in sim.services:
-        lines += [
-            "",
-            f"[service.{s.service_id}]",
-            f"lambda = {s.arrival_rate!r}",
-            f"deadline = {s.deadline}",
-            f"delivery_ratio = {s.delivery_ratio!r}",
-            f"tail_eps = {s.tail_eps!r}",
-        ]
-    if cfg.sweep_deadlines or cfg.sweep_rates:
-        lines += [
-            "",
-            "[sweep]",
-            f"deadlines = {','.join(str(m) for m in cfg.sweep_deadlines)}",
-            f"lambdas = {','.join(repr(x) for x in cfg.sweep_rates)}",
-            f"seeds_per_point = {cfg.seeds_per_point}",
-        ]
-    lines += [
-        "",
-        "[verify]",
-        f"oracle_instances = {cfg.oracle_instances}",
-    ]
-    if cfg.inject_fault is not None:
-        lines.append(f"inject_fault = {cfg.inject_fault}")
-    return "\n".join(lines) + "\n"
+    owners = {ExperimentConfig: cfg, SimConfig: sim, TrajectoryConfig: sim.trajectory, RadioConfig: sim.radio}
+    blocks = []
+    for name, rows in SCHEMA.items():
+        if name == "service":
+            blocks += [_block(f"service.{s.service_id}", rows, {ServiceSpec: s}) for s in sim.services]
+        else:
+            blocks.append(_block(name, rows, owners))
+    return "\n".join(blocks)
 
 
 def apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    sim = cfg.sim
+    changes = {"seed": args.seed, "num_frames": args.frames}
     try:
-        if args.seed is not None:
-            sim = replace(sim, seed=args.seed)
-        if args.frames is not None:
-            sim = replace(sim, num_frames=args.frames)
+        sim = replace(cfg.sim, **{k: v for k, v in changes.items() if v is not None})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     out_dir = args.out if args.out is not None else cfg.output_dir

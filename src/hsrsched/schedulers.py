@@ -190,15 +190,12 @@ class EdfScheduler(Scheduler):
         return self._serve(self._cells, [q.buckets for q in queues], frame)
 
 
-SCHEDULER_POLICIES = ("dcsa", "rr", "edf")
+_POLICIES = {cls.name: cls for cls in (DcsaScheduler, RoundRobinScheduler, EdfScheduler)}
+SCHEDULER_POLICIES = tuple(_POLICIES)
 
 
 def make_scheduler(policy: str, specs: Sequence[ServiceSpec], capacities: Sequence[int]) -> Scheduler:
     """The named policy over the trip's per-frame ``capacities``."""
-    if policy == "dcsa":
-        return DcsaScheduler(specs, capacities)
-    if policy == "rr":
-        return RoundRobinScheduler(specs, capacities)
-    if policy == "edf":
-        return EdfScheduler(specs, capacities)
-    raise ValueError(f"unknown scheduler policy {policy!r}; expected one of {SCHEDULER_POLICIES}")
+    if policy not in _POLICIES:
+        raise ValueError(f"unknown scheduler policy {policy!r}; expected one of {SCHEDULER_POLICIES}")
+    return _POLICIES[policy](specs, capacities)

@@ -73,8 +73,8 @@ class ServiceSpec:
     def __post_init__(self) -> None:
         if self.service_id < 0:
             raise ValueError("service_id must be non-negative")
-        if self.arrival_rate <= 0:
-            raise ValueError("arrival_rate must be strictly positive")
+        if not 0 < self.arrival_rate < math.inf:
+            raise ValueError("arrival_rate must be strictly positive and finite")
         if self.deadline < 1:
             raise ValueError("deadline must be at least one frame")
         if not 0.0 < self.delivery_ratio < 1.0:

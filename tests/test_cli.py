@@ -6,11 +6,11 @@ import re
 import subprocess
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from hsrsched import ServiceSpec, SimConfig, run, schedulers
+from hsrsched import RadioConfig, ServiceSpec, SimConfig, TrajectoryConfig, run, schedulers
 from hsrsched.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -109,12 +109,70 @@ def test_parse_rejects_bad_values(tmp_path):
 
 def test_fig2_kind_requires_two_services(tmp_path):
     cfg = parse_config(DEFAULT_CONFIG)
-    text = serialize_config(cfg)
-    text = text.replace("[service.2]", "[service_disabled.2]")
+    text, dropped = re.subn(r"^\[service\.2\]\n(?:.+\n)*", "", serialize_config(cfg), flags=re.M)
+    assert dropped == 1
     path = tmp_path / "one.ini"
     path.write_text(text)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="fig2 experiments need exactly two services"):
         parse_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "section, line, name",
+    [
+        ("experiment", "num_frame = 10", "num_frame"),
+        ("sweep", "seeds_per_pont = 1", "seeds_per_pont"),
+        ("service.1", "tail_esp = 1e-3", "tail_esp"),
+        ("verfy", "oracle_instances = 3", "verfy"),
+        ("DEFAULT", "seed = 3", "DEFAULT"),
+    ],
+)
+def test_unknown_key_or_section_is_a_config_error(section, line, name, tmp_path, capsys):
+    with open(FIG3_CONFIG) as fh:
+        text = fh.read()
+    header = f"[{section}]\n"
+    text = text.replace(header, header + line + "\n") if header in text else text + header + line + "\n"
+    path = tmp_path / "typo.ini"
+    path.write_text(text)
+    out = tmp_path / "f3"
+    rc = main(["fig3", str(path), "--frames", "10", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert not out.exists()
+
+
+FLOAT_KEYS = [f.name for cls in (TrajectoryConfig, RadioConfig) for f in fields(cls)] + [
+    "lambda",
+    "delivery_ratio",
+    "tail_eps",
+    "lambdas",
+]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_is_a_config_error(key, value, tmp_path, capsys):
+    text = serialize_config(parse_config(FIG3_CONFIG))
+    text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert count == 1
+    path = tmp_path / "inf.ini"
+    path.write_text(text)
+    out = tmp_path / "x"
+    rc = main(["run", str(path), "--frames", "10", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_percent_in_a_value_is_literal(tmp_path, monkeypatch):
+    path = tmp_path / "pct.ini"
+    text = serialize_config(parse_config(DEFAULT_CONFIG)).replace("output_dir = out", "output_dir = out%x")
+    path.write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert parse_config(str(path)).output_dir == "out%x"
+    assert main(["run", str(path), "--frames", "10"]) == EXIT_OK
+    assert (tmp_path / "out%x" / "trace.csv").exists()
 
 
 def test_cmd_run_outputs_and_determinism(tmp_path, monkeypatch):
