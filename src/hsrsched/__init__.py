@@ -1,6 +1,6 @@
 """Deadline-constrained multi-service downlink scheduling over a deterministic
-time-varying rail link: channel model, traffic, queueing, schedulers, frame
-engine, verification checks and a CLI."""
+time-varying rail link: channel model, traffic, schedulers, frame engine,
+verification checks and a CLI."""
 
 from .analysis import (
     brute_force_lex_min_drops,
@@ -10,7 +10,6 @@ from .analysis import (
     oracle_agreement,
 )
 from .channel import (
-    CapacityProfile,
     RadioConfig,
     TrajectoryConfig,
     build_capacity_profile,
@@ -20,8 +19,7 @@ from .channel import (
     rate_bps,
     snr_db,
 )
-from .engine import RunSummary, SimConfig, TraceLog, run
-from .queueing import ContractViolation, DeadlineQueue, DeficitQueue
+from .engine import ContractViolation, RunSummary, SimConfig, TraceLog, run
 from .schedulers import (
     DcsaScheduler,
     EdfScheduler,
@@ -42,11 +40,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArrivalGenerator",
-    "CapacityProfile",
     "ContractViolation",
     "DcsaScheduler",
-    "DeadlineQueue",
-    "DeficitQueue",
     "EdfScheduler",
     "FeasibilityReport",
     "RadioConfig",

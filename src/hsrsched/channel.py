@@ -129,28 +129,6 @@ def rate_bps(t: float, traj: TrajectoryConfig, radio: RadioConfig) -> float:
     return radio.bandwidth * math.log2(1.0 + gamma)
 
 
-@dataclass(frozen=True)
-class CapacityProfile:
-    """Per-frame packet capacities over the whole trip."""
-
-    capacities: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(c < 0 for c in self.capacities):
-            raise ValueError("capacities must be non-negative")
-
-    def __len__(self) -> int:
-        return len(self.capacities)
-
-    @property
-    def mean(self) -> float:
-        return sum(self.capacities) / len(self.capacities)
-
-    @classmethod
-    def constant(cls, value: int, num_frames: int) -> "CapacityProfile":
-        return cls(capacities=(int(value),) * num_frames)
-
-
 def frame_capacity(k: int, traj: TrajectoryConfig, radio: RadioConfig) -> int:
     """Packets transmittable in frame k, sampled at the frame start instant."""
     t = k * traj.frame_length
@@ -158,8 +136,7 @@ def frame_capacity(k: int, traj: TrajectoryConfig, radio: RadioConfig) -> int:
 
 
 @lru_cache(maxsize=16)
-def build_capacity_profile(traj: TrajectoryConfig, radio: RadioConfig) -> CapacityProfile:
+def build_capacity_profile(traj: TrajectoryConfig, radio: RadioConfig) -> tuple[int, ...]:
     """Capacity of every frame of the trip (length = traj.num_frames)."""
-    caps = tuple(frame_capacity(k, traj, radio) for k in range(traj.num_frames))
-    return CapacityProfile(capacities=caps)
+    return tuple(frame_capacity(k, traj, radio) for k in range(traj.num_frames))
 

@@ -132,7 +132,11 @@ def _read(parser: configparser.ConfigParser, name: str, rows) -> dict:
     return values
 
 
-def parse_config(path: str) -> ExperimentConfig:
+def parse_config(
+    path: str, seed: int | None = None, frames: int | None = None, out: str | None = None
+) -> ExperimentConfig:
+    """The experiment of the config file at ``path``; ``seed``, ``frames`` and
+    ``out``, where given, replace its seed, num_frames and output_dir."""
     if not os.path.exists(path):
         raise ConfigError(f"config not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
@@ -158,6 +162,9 @@ def parse_config(path: str) -> ExperimentConfig:
             if name != "service":
                 for cls, values in _read(parser, name, rows).items():
                     kwargs.setdefault(cls, {}).update(values)
+        overrides = {SimConfig: {"seed": seed, "num_frames": frames}, ExperimentConfig: {"output_dir": out}}
+        for cls, values in overrides.items():
+            kwargs[cls].update((field, v) for field, v in values.items() if v is not None)
         services = tuple(
             ServiceSpec(service_id=sid, **_read(parser, name, SCHEMA["service"])[ServiceSpec])
             for sid, name in sorted(service_sections)
@@ -194,16 +201,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         else:
             blocks.append(_block(name, rows, owners))
     return "\n".join(blocks)
-
-
-def apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    changes = {"seed": args.seed, "num_frames": args.frames}
-    try:
-        sim = replace(cfg.sim, **{k: v for k, v in changes.items() if v is not None})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    out_dir = args.out if args.out is not None else cfg.output_dir
-    return replace(cfg, sim=sim, output_dir=out_dir)
 
 
 def _write_deficit_csv(path: str, trace: TraceLog, frames: int) -> None:
@@ -377,7 +374,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        cfg = apply_overrides(parse_config(args.config), args)
+        cfg = parse_config(args.config, args.seed, args.frames, args.out)
         return COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,11 @@
-"""Frame loop wiring the link profile, traffic, queues and a scheduler.
+"""Frame loop wiring the link profile, traffic, the frame state and a scheduler.
 
-Each frame executes, in order: read capacity, admit sampled arrivals, take
-the scheduler's decision, check it against the frame capacity, serve and age
-the queues, update the deficit counters, append the trace row.  Runs are
-deterministic given the configuration.  ``single_service_ratios`` runs
+A run's state is plain data: per service, deadline buckets (``row[i]`` holds
+the packets with i + 1 frames to go) and the exact deficit numerator.  Each
+frame executes, in order: admit sampled arrivals into the top buckets, take
+the scheduler's decision, check it, serve and age the buckets (unserved r = 1
+packets expire), update the deficit numerators, append the trace row.  Runs
+are deterministic given the configuration.  ``single_service_ratios`` runs
 one-service trips side by side in one array loop, for their delivery ratios.
 """
 
@@ -11,13 +13,13 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 import numpy as np
 
-from .channel import CapacityProfile, RadioConfig, TrajectoryConfig, build_capacity_profile
-from .queueing import ContractViolation, DeadlineQueue, DeficitQueue
+from .channel import RadioConfig, TrajectoryConfig, build_capacity_profile
 from .schedulers import SCHEDULER_POLICIES, make_scheduler
 from .traffic import ArrivalGenerator, FeasibilityReport, ServiceSpec, feasibility_check, validate_service_ids
 
@@ -26,6 +28,10 @@ TRACE_SCHEMA = 1
 CSV_CHUNK_ROWS = 512
 INT64_MAX = int(np.iinfo(np.int64).max)
 PROGRESS_LINES = 10
+
+
+class ContractViolation(RuntimeError):
+    """A scheduler's decision breaks the frame contract."""
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,8 @@ class SimConfig:
                     f"num_frames {self.num_frames} exceeds trip length "
                     f"{self.trajectory.num_frames}"
                 )
-        if self.capacity_override is not None and self.capacity_override < 0:
-            raise ValueError("capacity_override must be non-negative")
+        if self.capacity_override is not None and not 0 <= self.capacity_override <= INT64_MAX:
+            raise ValueError(f"capacity_override must be in 0..{INT64_MAX}")
         for s in self.services:
             # a deficit never exceeds the drops so far, at most max_arrivals a frame
             if s.loss_allowance.denominator * s.max_arrivals * self.frames > INT64_MAX:
@@ -67,11 +73,11 @@ class SimConfig:
     def frames(self) -> int:
         return self.trajectory.num_frames if self.num_frames is None else self.num_frames
 
-    def profile(self) -> CapacityProfile:
-        """Capacity over the full trip (the scheduler may look past the run
-        horizon, never past the trip end)."""
+    def capacities(self) -> tuple[int, ...]:
+        """Capacity of every frame of the full trip (the scheduler may look
+        past the run horizon, never past the trip end)."""
         if self.capacity_override is not None:
-            return CapacityProfile.constant(self.capacity_override, self.trajectory.num_frames)
+            return (int(self.capacity_override),) * self.trajectory.num_frames
         return build_capacity_profile(self.trajectory, self.radio)
 
 
@@ -134,8 +140,6 @@ class TraceLog:
     deficit_num: np.ndarray
     backlog: np.ndarray
     feasibility: FeasibilityReport
-    # per-frame per-service per-bucket served counts, when detail was requested
-    bucket_served: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def num_frames(self) -> int:
@@ -210,51 +214,56 @@ class TraceLog:
                 fh.write("".join([row_format % row for row in zip(*columns)]))
 
 
-def run(config: SimConfig, collect_bucket_detail: bool = False) -> TraceLog:
+def run(config: SimConfig) -> TraceLog:
     """Execute one seeded run and return its trace."""
     specs = tuple(sorted(config.services, key=lambda s: s.service_id))
-    profile = config.profile()
+    caps = config.capacities()
     n = config.frames
     n_svc = len(specs)
-    max_m = max(s.deadline for s in specs)
+    arrivals = ArrivalGenerator(specs, config.seed).sample_run(n)
+    decide = make_scheduler(config.scheduler, specs, caps).decide
 
-    gen = ArrivalGenerator(specs, config.seed)
-    arrivals = gen.sample_run(n)
+    # buckets[j][i]: service j's packets with i + 1 frames to go
+    buckets = [[0] * s.deadline for s in specs]
+    # nums[j]: service j's deficit times q for its loss allowance p / q
+    nums = [0] * n_svc
+    allowances = [s.loss_allowance.as_integer_ratio() for s in specs]
 
-    queues = [DeadlineQueue(s.service_id, s.deadline) for s in specs]
-    deficits = [DeficitQueue(s.service_id, s.loss_allowance) for s in specs]
-    scheduler = make_scheduler(config.scheduler, specs, profile.capacities)
-
-    capacity = np.array(profile.capacities[:n], dtype=np.int64)
+    capacity = np.array(caps[:n], dtype=np.int64)
     served_arr = np.zeros((n, n_svc), dtype=np.int64)
     drops_arr = np.zeros((n, n_svc), dtype=np.int64)
     deficit_num = np.zeros((n, n_svc), dtype=np.int64)
     backlog_arr = np.zeros((n, n_svc), dtype=np.int64)
-    bucket_served = np.zeros((n, n_svc, max_m), dtype=np.int64) if collect_bucket_detail else None
-
-    caps = profile.capacities
-    decide = scheduler.decide
 
     for k in range(n):
-        cap = caps[k]
-        for q, a in zip(queues, arrivals[k].tolist()):
-            q.admit(a)
-        decision = decide(k, queues, deficits)
+        for row, a in zip(buckets, arrivals[k].tolist()):
+            row[-1] = a
+        decision = decide(k, buckets, nums)
+        # the decision contract: row count, frame capacity, then each row's
+        # length and bucket bounds before the row is applied
         if len(decision) != n_svc:
             raise ContractViolation(f"frame {k}: {len(decision)} rows decided for {n_svc} services")
         total = sum(map(sum, decision))
-        if total > cap:
-            raise ContractViolation(f"served total {total} exceeds frame capacity {cap}")
-
-        for j, (q, dq, served) in enumerate(zip(queues, deficits, decision)):
-            dropped = q.serve_and_age(served)
-            dq.update(dropped)
+        if total > caps[k]:
+            raise ContractViolation(f"served total {total} exceeds frame capacity {caps[k]}")
+        for j, (row, served, (p, q)) in enumerate(zip(buckets, decision, allowances)):
+            if len(served) != len(row):
+                raise ContractViolation(f"frame {k}: service {j + 1}: {len(served)} counts, {len(row)} buckets")
+            # what each bucket keeps: the rest of r = 1 drops, the others age
+            left = list(map(sub, row, served))
+            if min(served) < 0 or min(left) < 0:
+                i = next(i for i, (x, b) in enumerate(zip(served, row)) if not 0 <= x <= b)
+                raise ContractViolation(
+                    f"frame {k}: service {j + 1}: served {served[i]} from bucket r={i + 1} holding {row[i]}"
+                )
+            dropped = left[0]
+            row[:-1] = left[1:]
+            row[-1] = 0
+            nums[j] = max(nums[j] - p, 0) + dropped * q
             served_arr[k, j] = sum(served)
             drops_arr[k, j] = dropped
-            deficit_num[k, j] = dq.num
-            backlog_arr[k, j] = q.backlog()
-            if bucket_served is not None:
-                bucket_served[k, j, : len(served)] = served
+            deficit_num[k, j] = nums[j]
+            backlog_arr[k, j] = sum(row)
 
     return TraceLog(
         scheduler=config.scheduler,
@@ -268,8 +277,7 @@ def run(config: SimConfig, collect_bucket_detail: bool = False) -> TraceLog:
         drops=drops_arr,
         deficit_num=deficit_num,
         backlog=backlog_arr,
-        feasibility=feasibility_check(specs, profile),
-        bucket_served=bucket_served,
+        feasibility=feasibility_check(specs, caps),
     )
 
 
@@ -286,7 +294,7 @@ def single_service_ratios(sims: list[SimConfig]) -> list[float | None]:
         raise ValueError("single_service_ratios needs one-service trips of one capacity profile and length")
     start = time.perf_counter()
     n = sims[0].frames
-    caps = sims[0].profile().capacities
+    caps = sims[0].capacities()
     # the deadline does not change a trip's arrivals
     keys = [(sim.services[0].arrival_rate, sim.services[0].tail_eps, sim.seed) for sim in sims]
     gens = {key: ArrivalGenerator(sim.services, sim.seed) for key, sim in zip(keys, sims)}

@@ -1,11 +1,12 @@
 """Scheduling policies: deficit-driven re-planning (dcsa), round robin and EDF.
 
-All policies implement one contract, ``decide(frame, queues, deficits)``:
-given the frame index and the deadline and deficit queues in service-id order
-(this frame's arrivals already admitted), they return one row of per-bucket
-transmission counts per service that never exceed any bucket content or the
-frame's capacity, which every policy reads from the trip's capacity tuple it
-was built with.
+All policies implement one contract, ``decide(frame, buckets, nums)``: given
+the frame index, each service's deadline buckets (``buckets[j][i]`` holds
+service j's packets with i + 1 frames to go, this frame's arrivals already
+admitted) and exact deficit numerators in service-id order, they return one
+row of per-bucket transmission counts per service that never exceed any
+bucket content or the frame's capacity, which every policy reads from the
+trip's capacity tuple it was built with.
 
 The deficit-driven policy keeps no plan between frames.  When services contend
 it ranks them by current deficit and grants every queued cohort (a service's
@@ -20,7 +21,6 @@ from itertools import accumulate, zip_longest
 from operator import le, sub
 from typing import Mapping, Sequence
 
-from .queueing import DeadlineQueue, DeficitQueue
 from .traffic import ServiceSpec, validate_service_ids
 
 
@@ -82,13 +82,9 @@ class Scheduler:
         # (position, bucket) by ascending frames to go, then ascending id
         self._cells = [(j, i) for i in range(self._horizon) for j, m in enumerate(deadlines) if i < m]
 
-    def decide(
-        self,
-        frame: int,
-        queues: Sequence[DeadlineQueue],
-        deficits: Sequence[DeficitQueue],
-    ) -> list[list[int]]:
-        """Row j serves ``queues[j]``: ``row[i]`` packets from bucket r = i + 1."""
+    def decide(self, frame: int, buckets: Sequence[Sequence[int]], nums: Sequence[int]) -> list[list[int]]:
+        """Row j serves ``buckets[j]``: ``row[i]`` packets from bucket r = i + 1.
+        ``nums[j]`` is service j's deficit times its allowance's denominator."""
         raise NotImplementedError
 
     def _serve(self, cells, rows, frame: int) -> list[list[int]]:
@@ -127,16 +123,10 @@ class DcsaScheduler(Scheduler):
         lcm = math.lcm(*denominators)
         self._scales = [lcm // q for q in denominators]
 
-    def decide(
-        self,
-        frame: int,
-        queues: Sequence[DeadlineQueue],
-        deficits: Sequence[DeficitQueue],
-    ) -> list[list[int]]:
+    def decide(self, frame: int, buckets: Sequence[Sequence[int]], nums: Sequence[int]) -> list[list[int]]:
         """Serve the queued cells earliest deadline first up to the frame
         capacity, ``capacities[frame]``; when services contend, serve instead
         the grants of every queued cohort by descending deficit (exact)."""
-        rows = [q.buckets for q in queues]
         available = self.capacities[frame : frame + self._horizon]
         # Services contend when two or more hold packets and, for some d, the
         # packets with at most d + 1 frames to go exceed the capacity of
@@ -144,12 +134,12 @@ class DcsaScheduler(Scheduler):
         # that fit every prefix of the nested windows lie in their polymatroid
         # and are granted in full in any order, and a lone service's cohort i
         # gets min(packets, C(i) - granted before), with C(i) >= the capacity.
-        if sum(map(any, rows)) > 1 and not all(
-            map(le, accumulate(map(sum, zip_longest(*rows, fillvalue=0))), accumulate(available))
+        if sum(map(any, buckets)) > 1 and not all(
+            map(le, accumulate(map(sum, zip_longest(*buckets, fillvalue=0))), accumulate(available))
         ):
-            order = sorted(range(len(queues)), key=lambda j: (-deficits[j].num * self._scales[j], j))
-            rows = allocate_cohorts(order, rows, available)
-        return self._serve(self._cells, rows, frame)
+            order = sorted(range(len(buckets)), key=lambda j: (-nums[j] * self._scales[j], j))
+            return self._serve(self._cells, allocate_cohorts(order, buckets, available), frame)
+        return self._serve(self._cells, buckets, frame)
 
 
 class RoundRobinScheduler(Scheduler):
@@ -157,14 +147,9 @@ class RoundRobinScheduler(Scheduler):
 
     name = "rr"
 
-    def decide(
-        self,
-        frame: int,
-        queues: Sequence[DeadlineQueue],
-        deficits: Sequence[DeficitQueue],
-    ) -> list[list[int]]:
+    def decide(self, frame: int, buckets: Sequence[Sequence[int]], nums: Sequence[int]) -> list[list[int]]:
         j = frame % len(self.specs)
-        return self._serve([(j, i) for i in range(queues[j].deadline)], {j: queues[j].buckets}, frame)
+        return self._serve([(j, i) for i in range(len(buckets[j]))], buckets, frame)
 
 
 class EdfScheduler(Scheduler):
@@ -181,13 +166,8 @@ class EdfScheduler(Scheduler):
         # by ascending frames to go, then descending id
         self._cells.sort(key=lambda cell: (cell[1], -cell[0]))
 
-    def decide(
-        self,
-        frame: int,
-        queues: Sequence[DeadlineQueue],
-        deficits: Sequence[DeficitQueue],
-    ) -> list[list[int]]:
-        return self._serve(self._cells, [q.buckets for q in queues], frame)
+    def decide(self, frame: int, buckets: Sequence[Sequence[int]], nums: Sequence[int]) -> list[list[int]]:
+        return self._serve(self._cells, buckets, frame)
 
 
 _POLICIES = {cls.name: cls for cls in (DcsaScheduler, RoundRobinScheduler, EdfScheduler)}

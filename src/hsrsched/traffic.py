@@ -15,8 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import CapacityProfile
-
 DEFAULT_TAIL_EPS = 1e-6
 
 
@@ -145,17 +143,17 @@ class FeasibilityReport:
     required_rate: float
 
 
-def feasibility_check(specs, profile: CapacityProfile) -> FeasibilityReport:
-    """Check the service mix against mean link capacity.
+def feasibility_check(specs, capacities) -> FeasibilityReport:
+    """Check the service mix against the mean of the per-frame ``capacities``.
 
     The mix is feasible when the summed rate-weighted delivery requirements do
     not exceed the mean per-frame capacity; the (signed) slack is returned
     either way.
     """
-    if len(profile) < 1:
+    if len(capacities) < 1:
         raise ValueError("capacity profile is empty")
     required = sum(s.arrival_rate * s.delivery_ratio for s in specs)
-    mean_cap = profile.mean
+    mean_cap = sum(capacities) / len(capacities)
     margin = mean_cap - required
     return FeasibilityReport(
         feasible=required <= mean_cap,

@@ -1,8 +1,10 @@
 import warnings
 
+import numpy as np
 import pytest
 
-from hsrsched import RadioConfig, ServiceSpec, TrajectoryConfig
+import hsrsched.engine as engine_mod
+from hsrsched import RadioConfig, ServiceSpec, TrajectoryConfig, make_scheduler, run
 
 # hypothesis's pytest plugin imports this module when a property test fails,
 # and the import chain (libcst, mypy_extensions) raises a DeprecationWarning.
@@ -46,3 +48,33 @@ def two_services():
         ServiceSpec(service_id=1, arrival_rate=100.0, deadline=10, delivery_ratio=0.99),
         ServiceSpec(service_id=2, arrival_rate=60.0, deadline=10, delivery_ratio=0.90),
     )
+
+
+@pytest.fixture(scope="session")
+def run_recording_decisions():
+    """``run(config)`` that also returns every frame's decision, recorded by a
+    wrapper around the scheduler ``engine.make_scheduler`` builds, as an array
+    ``[frame, service position, bucket]`` (zero past a service's deadline)."""
+
+    def go(config):
+        shape = (config.frames, len(config.services), max(s.deadline for s in config.services))
+        served = np.zeros(shape, dtype=np.int64)
+
+        def recording(policy, specs, capacities):
+            scheduler = make_scheduler(policy, specs, capacities)
+            decide = scheduler.decide
+
+            def recorded(frame, buckets, nums):
+                rows = decide(frame, buckets, nums)
+                for j, row in enumerate(rows):
+                    served[frame, j, : len(row)] = row
+                return rows
+
+            scheduler.decide = recorded
+            return scheduler
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine_mod, "make_scheduler", recording)
+            return run(config), served
+
+    return go

@@ -41,16 +41,23 @@ def default_sim():
 
 
 @pytest.fixture(scope="module")
-def matrix(default_sim):
-    """Full-trip traces for every scheduler and seed, with bucket detail."""
+def recorded(default_sim, run_recording_decisions):
+    """Full-trip traces for every scheduler and seed, each with its per-frame
+    per-service per-bucket served counts."""
     from dataclasses import replace
 
-    traces = {}
+    runs = {}
     for policy in POLICIES:
         for seed in MATRIX_SEEDS:
             cfg = replace(default_sim, scheduler=policy, seed=seed)
-            traces[(policy, seed)] = run(cfg, collect_bucket_detail=True)
-    return traces
+            runs[(policy, seed)] = run_recording_decisions(cfg)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def matrix(recorded):
+    """Full-trip traces for every scheduler and seed."""
+    return {key: trace for key, (trace, _) in recorded.items()}
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +74,11 @@ def saturated(default_sim):
 
 def test_criterion_01_channel_derived_values(default_sim):
     radio, traj = default_sim.radio, default_sim.trajectory
-    profile = build_capacity_profile(traj, radio)
+    caps = build_capacity_profile(traj, radio)
     d_bp = radio.breakpoint_distance
     pl30 = path_loss_db(30.0, radio)
-    c0 = profile.capacities[0]
-    c_edge = profile.capacities[15000]
+    c0 = caps[0]
+    c_edge = caps[15000]
     ok = (
         abs(d_bp - 8000.0) <= 1.0
         and abs(pl30 - 69.58) <= 0.05
@@ -87,7 +94,7 @@ def test_criterion_01_channel_derived_values(default_sim):
 
 
 def test_criterion_02_capacity_profile_shape(default_sim):
-    caps = build_capacity_profile(default_sim.trajectory, default_sim.radio).capacities
+    caps = build_capacity_profile(default_sim.trajectory, default_sim.radio)
     period = len(caps)
     edge = period // 2
     valley_ok = all(caps[k] >= caps[k + 1] for k in range(edge)) and all(
@@ -106,10 +113,10 @@ def test_criterion_02_capacity_profile_shape(default_sim):
     )
 
 
-def test_criterion_03_constraint_invariants(matrix):
+def test_criterion_03_constraint_invariants(recorded):
     violations = 0
     cohorts_checked = 0
-    for (policy, seed), trace in matrix.items():
+    for (policy, seed), (trace, bucket_served) in recorded.items():
         n = trace.num_frames
         if not (trace.served.sum(axis=1) <= trace.capacity).all():
             violations += 1
@@ -120,7 +127,7 @@ def test_criterion_03_constraint_invariants(matrix):
         for j, m in enumerate(trace.deadlines):
             lifetime = np.zeros(n - m + 1, dtype=np.int64)
             for i in range(m):
-                lifetime += trace.bucket_served[i : n - m + 1 + i, j, m - 1 - i]
+                lifetime += bucket_served[i : n - m + 1 + i, j, m - 1 - i]
             expected_drops = trace.arrivals[: n - m + 1, j] - lifetime
             if not (expected_drops == trace.drops[m - 1 :, j]).all():
                 violations += 1
@@ -128,7 +135,7 @@ def test_criterion_03_constraint_invariants(matrix):
     _report(
         3,
         violations == 0,
-        f"{len(matrix)} runs x 30000 frames: capacity/bucket violations={violations}, "
+        f"{len(recorded)} runs x 30000 frames: capacity/bucket violations={violations}, "
         f"cohort conservation checked on {cohorts_checked} cohorts",
     )
 
@@ -246,7 +253,7 @@ def test_criterion_09_determinism(tmp_path):
 
 def test_criterion_10_feasibility_margin(matrix, default_sim):
     trace = matrix[("dcsa", 42)]
-    caps = build_capacity_profile(default_sim.trajectory, default_sim.radio).capacities
+    caps = build_capacity_profile(default_sim.trajectory, default_sim.radio)
     mean_cap = sum(caps) / len(caps)
     required = sum(s.arrival_rate * s.delivery_ratio for s in default_sim.services)
     independent = mean_cap - required

@@ -1,9 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from hsrsched import (
-    CapacityProfile,
     RadioConfig,
     TrajectoryConfig,
     build_capacity_profile,
@@ -116,10 +116,10 @@ def test_rate_values(table1_traj, table1_radio):
 
 
 def test_capacity_profile_values(table1_traj, table1_radio):
-    profile = build_capacity_profile(table1_traj, table1_radio)
-    assert len(profile) == 30000
-    assert profile.capacities[0] == 301
-    assert profile.capacities[15000] == 62
+    caps = build_capacity_profile(table1_traj, table1_radio)
+    assert len(caps) == 30000
+    assert caps[0] == 301
+    assert caps[15000] == 62
     assert frame_capacity(0, table1_traj, table1_radio) == 301
 
 
@@ -136,7 +136,7 @@ def test_capacity_zero_when_rate_below_packet(table1_traj, table1_radio):
 
 
 def test_profile_unimodal_valley(table1_traj, table1_radio):
-    caps = build_capacity_profile(table1_traj, table1_radio).capacities
+    caps = build_capacity_profile(table1_traj, table1_radio)
     edge = 15000
     assert caps[edge] == min(caps)
     for k in range(edge):
@@ -146,7 +146,7 @@ def test_profile_unimodal_valley(table1_traj, table1_radio):
 
 
 def test_profile_symmetry(table1_traj, table1_radio):
-    caps = build_capacity_profile(table1_traj, table1_radio).capacities
+    caps = build_capacity_profile(table1_traj, table1_radio)
     period = len(caps)
     for k in range(1, period):
         assert abs(caps[k] - caps[period - k]) <= 1
@@ -161,17 +161,18 @@ def test_profile_periodic_across_cells(table1_radio):
     traj = TrajectoryConfig(
         speed=100.0, cell_radius=1500.0, track_offset=30.0, trip_duration=60.0, frame_length=1e-3
     )
-    caps = build_capacity_profile(traj, table1_radio).capacities
+    caps = build_capacity_profile(traj, table1_radio)
     period = 30000
     for k in range(0, period, 211):
         assert caps[k] == caps[k + period]
 
 
 def test_capacity_profile_is_immutable_value(table1_traj, table1_radio):
-    profile = build_capacity_profile(table1_traj, table1_radio)
-    assert isinstance(profile.capacities, tuple)
-    with pytest.raises(ValueError):
-        CapacityProfile(capacities=(3, -1))
+    caps = build_capacity_profile(table1_traj, table1_radio)
+    assert isinstance(caps, tuple)
+    # a rate below one packet per frame floors to 0, never below
+    assert min(caps) >= 0
+    assert min(build_capacity_profile(table1_traj, replace(table1_radio, tx_power_over_noise=1e-6))) == 0
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from hsrsched import RadioConfig, ServiceSpec, SimConfig, TrajectoryConfig, run, schedulers
+from hsrsched import RadioConfig, ServiceSpec, SimConfig, TrajectoryConfig, run, schedulers, traffic
 from hsrsched.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -559,3 +559,25 @@ def test_zero_frames_is_a_config_error(command, tmp_path, capsys):
 def test_frames_override_validation(tmp_path):
     rc = main(["run", DEFAULT_CONFIG, "--frames", "99999", "--out", str(tmp_path / "x")])
     assert rc == EXIT_CONFIG
+
+
+def test_overrides_check_the_sweep_grid_once(tmp_path, monkeypatch):
+    cfg = parse_config(FIG3_CONFIG)
+    points = len(cfg.sweep_rates) * len(cfg.sweep_deadlines)
+    walks = []
+    pmf = traffic.truncated_poisson_pmf
+    monkeypatch.setattr(traffic, "truncated_poisson_pmf", lambda *args: walks.append(args) or pmf(*args))
+    assert main(["fig3", FIG3_CONFIG, "--frames", "50", "--seed", "7", "--out", str(tmp_path / "f3")]) == EXIT_OK
+    # each ServiceSpec walks its pmf once: the base service, one per grid
+    # point the config checks, one per trip
+    assert len(walks) == 1 + points + points * cfg.seeds_per_point
+
+
+def test_capacity_override_beyond_int64_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "cap.ini"
+    text = serialize_config(parse_config(DEFAULT_CONFIG))
+    path.write_text(text.replace("[experiment]\n", "[experiment]\ncapacity_override = 100000000000000000000\n"))
+    out = tmp_path / "x"
+    assert main(["run", str(path), "--frames", "10", "--out", str(out)]) == EXIT_CONFIG
+    assert "capacity_override must be in 0..9223372036854775807" in capsys.readouterr().err
+    assert not out.exists()

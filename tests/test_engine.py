@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def test_capacity_and_bucket_limits_hold(policy, table1_traj, table1_radio, two_
     assert (trace.served.sum(axis=1) <= trace.capacity).all()
 
 
-def test_cohort_drop_equivalence(table1_traj, table1_radio, two_services):
+def test_cohort_drop_equivalence(table1_traj, table1_radio, two_services, run_recording_decisions):
     # a mix of deadlines 2/5/10 gives each service a different ring length in
     # the dcsa planner and different bucket counts in the queues; both links
     # carry less than the offered load, so batches do drop
@@ -84,12 +85,12 @@ def test_cohort_drop_equivalence(table1_traj, table1_radio, two_services):
                 num_frames=3000,
                 capacity_override=link,
             )
-            trace = run(cfg, collect_bucket_detail=True)
+            trace, bucket_served = run_recording_decisions(cfg)
             assert trace.drops.sum() > 0
             for j, m in enumerate(trace.deadlines):
-                assert not trace.bucket_served[:, j, m:].any()
+                assert not bucket_served[:, j, m:].any()
                 for k in range(trace.num_frames - m + 1):
-                    lifetime = [int(trace.bucket_served[k + i, j, m - 1 - i]) for i in range(m)]
+                    lifetime = [int(bucket_served[k + i, j, m - 1 - i]) for i in range(m)]
                     expected = int(trace.arrivals[k, j]) - sum(lifetime)
                     assert expected == int(trace.drops[k + m - 1, j]), (policy, j, k)
 
@@ -105,7 +106,7 @@ def test_engine_rejects_overserving_scheduler(table1_traj, table1_radio, two_ser
     class Greedy(Scheduler):
         name = "dcsa"
 
-        def decide(self, frame, queues, deficits):
+        def decide(self, frame, buckets, nums):
             return [[0] * (s.deadline - 1) + [10**6] for s in self.specs]
 
     with pytest.raises(ContractViolation, match="exceeds frame capacity"):
@@ -121,9 +122,9 @@ def test_engine_rejects_bucket_overserve_within_capacity(
 
         name = "dcsa"
 
-        def decide(self, frame, queues, deficits):
+        def decide(self, frame, buckets, nums):
             counts = [[0] * s.deadline for s in self.specs]
-            counts[0][-1] = queues[0].buckets[-1] + 1
+            counts[0][-1] = buckets[0][-1] + 1
             assert sum(map(sum, counts)) <= self.capacities[frame]
             return counts
 
@@ -135,7 +136,7 @@ def test_engine_rejects_negative_served_count(table1_traj, table1_radio, two_ser
     class Negative(Scheduler):
         name = "dcsa"
 
-        def decide(self, frame, queues, deficits):
+        def decide(self, frame, buckets, nums):
             counts = [[0] * s.deadline for s in self.specs]
             counts[1][0] = -1
             return counts
@@ -152,12 +153,27 @@ def test_engine_rejects_wrong_row_count(rows, table1_traj, table1_radio, two_ser
 
         name = "dcsa"
 
-        def decide(self, frame, queues, deficits):
+        def decide(self, frame, buckets, nums):
             n = rows if frame == 9 else len(self.specs)
             return [[0] * 10 for _ in range(n)]
 
     with pytest.raises(ContractViolation, match=f"frame 9: {rows} rows decided for 2 services"):
         _run_with(WrongRows, table1_traj, table1_radio, two_services, monkeypatch)
+
+
+@pytest.mark.parametrize("length", [9, 11])
+def test_engine_rejects_wrong_row_length(length, table1_traj, table1_radio, two_services, monkeypatch):
+    class WrongLength(Scheduler):
+        """Serves nothing, but gives service 2 one count too few or too many
+        on frame 4."""
+
+        name = "dcsa"
+
+        def decide(self, frame, buckets, nums):
+            return [[0] * 10, [0] * (length if frame == 4 else 10)]
+
+    with pytest.raises(ContractViolation, match=f"frame 4: service 2: {length} counts, 10 buckets"):
+        _run_with(WrongLength, table1_traj, table1_radio, two_services, monkeypatch)
 
 
 @pytest.mark.parametrize("policy", SCHEDULER_POLICIES)
@@ -226,6 +242,16 @@ def test_config_validation(table1_traj, table1_radio, two_services):
         _config(table1_traj, table1_radio, two_services, capacity_override=-1)
 
 
+def test_capacity_override_beyond_int64_rejected(table1_traj, table1_radio, two_services):
+    with pytest.raises(ValueError, match="capacity_override must be in 0..9223372036854775807"):
+        _config(table1_traj, table1_radio, two_services, capacity_override=2**63)
+    cfg = _config(table1_traj, table1_radio, two_services, num_frames=20, capacity_override=2**63 - 1)
+    for policy in SCHEDULER_POLICIES:
+        trace = run(replace(cfg, scheduler=policy))
+        assert (trace.capacity == 2**63 - 1).all()
+        assert trace.drops.sum() == 0
+
+
 def test_allowance_beyond_int64_numerators_rejected(table1_traj, table1_radio):
     # 16 decimal places: the allowance is 1831252068573033 / (5 * 10**14)
     spec = ServiceSpec(service_id=1, arrival_rate=10.0, deadline=2, delivery_ratio=0.6337495862853934)
@@ -267,7 +293,7 @@ def _small_runs(draw):
 @pytest.mark.parametrize("policy", SCHEDULER_POLICIES)
 @settings(max_examples=50, deadline=None)
 @given(params=_small_runs())
-def test_engine_conservation_laws(policy, params, table1_traj, table1_radio):
+def test_engine_conservation_laws(policy, params, table1_traj, table1_radio, run_recording_decisions):
     services, link, frames, seed = params
     cfg = _config(
         table1_traj,
@@ -278,8 +304,8 @@ def test_engine_conservation_laws(policy, params, table1_traj, table1_radio):
         num_frames=frames,
         capacity_override=link,
     )
-    trace = run(cfg, collect_bucket_detail=True)
-    assert (trace.served == trace.bucket_served.sum(axis=2)).all()
+    trace, bucket_served = run_recording_decisions(cfg)
+    assert (trace.served == bucket_served.sum(axis=2)).all()
     assert (trace.served.sum(axis=1) <= trace.capacity).all()
     assert (trace.deficit >= 0.0).all()
     for j, m in enumerate(trace.deadlines):
@@ -288,9 +314,16 @@ def test_engine_conservation_laws(policy, params, table1_traj, table1_radio):
         # the batch of frame k is served from bucket r = m - i at frame k + i
         # and its unserved rest drops at the end of frame k + m - 1
         batches = max(frames - m + 1, 0)
-        lifetime = sum(trace.bucket_served[i : i + batches, j, m - 1 - i] for i in range(m))
+        lifetime = sum(bucket_served[i : i + batches, j, m - 1 - i] for i in range(m))
         assert (arrivals[:batches] - lifetime == drops[m - 1 :]).all()
         assert not drops[: m - 1].any()
+        # the deficit numerators follow Y <- max(Y - allowance, 0) + drops in
+        # exact rationals, frame by frame
+        allowance = trace.loss_allowances[j]
+        y = Fraction(0)
+        for d, num in zip(drops.tolist(), trace.deficit_num[:, j].tolist()):
+            y = max(y - allowance, 0) + d
+            assert num == y * allowance.denominator
 
 
 @st.composite

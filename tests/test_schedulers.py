@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,6 @@ from hypothesis import strategies as st
 
 from hsrsched import (
     DcsaScheduler,
-    DeadlineQueue,
-    DeficitQueue,
     ServiceSpec,
     SimConfig,
     allocate_cohorts,
@@ -32,22 +31,24 @@ def _spec(sid, rate=10.0, deadline=2, q=0.9):
     return ServiceSpec(service_id=sid, arrival_rate=rate, deadline=deadline, delivery_ratio=q)
 
 
-def _queues(specs):
-    return [DeadlineQueue(s.service_id, s.deadline) for s in specs]
+def _buckets(specs):
+    return [[0] * s.deadline for s in specs]
 
 
-def _deficits(specs):
-    return [DeficitQueue(s.service_id, s.loss_allowance) for s in specs]
-
-
-def _step(sched, frame, queues, deficits, arrivals):
-    """One engine frame: admit, decide, serve and age, update the deficits."""
-    for q, a in zip(queues, arrivals):
-        q.admit(a)
-    rows = sched.decide(frame, queues, deficits)
-    for q, dq, row in zip(queues, deficits, rows):
-        dq.update(q.serve_and_age(row))
-    return rows
+def _step(sched, frame, buckets, nums, arrivals):
+    """One engine frame: admit, decide, serve and age, update the deficit
+    numerators; returns the decision and each service's drops."""
+    for row, a in zip(buckets, arrivals):
+        row[-1] = a
+    rows = sched.decide(frame, buckets, nums)
+    drops = []
+    for j, (row, served, spec) in enumerate(zip(buckets, rows, sched.specs)):
+        p, q = spec.loss_allowance.as_integer_ratio()
+        drops.append(row[0] - served[0])
+        row[:-1] = map(sub, row[1:], served[1:])
+        row[-1] = 0
+        nums[j] = max(nums[j] - p, 0) + drops[-1] * q
+    return rows, drops
 
 
 def _assert_prefix_feasible(rows, grants, avail):
@@ -144,49 +145,38 @@ class TestDcsa:
     def test_plan_and_decide_single_cohort(self):
         spec = _spec(1, deadline=2)
         sched = DcsaScheduler([spec], (3, 3))
-        queues, deficits = _queues([spec]), _deficits([spec])
-        queues[0].admit(5)
-        served0 = sched.decide(0, queues, deficits)
-        assert served0 == [[0, 3]]  # r=2 bucket holds the fresh cohort
-        queues[0].serve_and_age(served0[0])
-        queues[0].admit(0)
-        served1 = sched.decide(1, queues, deficits)
-        assert served1 == [[2, 0]]
-        dropped = queues[0].serve_and_age(served1[0])
-        assert dropped == 0
+        buckets, nums = _buckets([spec]), [0]
+        # r=2 bucket holds the fresh cohort
+        assert _step(sched, 0, buckets, nums, [5]) == ([[0, 3]], [0])
+        assert _step(sched, 1, buckets, nums, [0]) == ([[2, 0]], [0])
 
     def test_capacity_past_the_trip_end_is_zero(self):
         # service 1 outranks service 2; its r=2 cohort has only frame 0 left
         # on a one-frame trip, so it takes that frame whole
         specs = [_spec(1, deadline=2), _spec(2, deadline=1)]
         sched = DcsaScheduler(specs, (2,))
-        queues = _queues(specs)
-        deficits = [DeficitQueue(1, specs[0].loss_allowance, num=10), DeficitQueue(2, specs[1].loss_allowance)]
-        assert _step(sched, 0, queues, deficits, [2, 2]) == [[0, 2], [0]]
+        assert sched.decide(0, [[0, 2], [2]], [10, 0]) == [[0, 2], [0]]
         # with a second frame of capacity the r=2 cohort would wait for it
         sched = DcsaScheduler(specs, (2, 2))
-        queues = _queues(specs)
-        deficits = [DeficitQueue(1, specs[0].loss_allowance, num=10), DeficitQueue(2, specs[1].loss_allowance)]
-        assert _step(sched, 0, queues, deficits, [2, 2]) == [[0, 0], [2]]
+        assert sched.decide(0, [[0, 2], [2]], [10, 0]) == [[0, 0], [2]]
 
     def test_earlier_batches_hold_later_capacity(self):
         s1 = _spec(1, deadline=3)
         s2 = _spec(2, deadline=2)
         caps = (10, 2, 5)
         sched = DcsaScheduler([s1, s2], caps)
-        queues, deficits = _queues([s1, s2]), _deficits([s1, s2])
+        buckets, nums = _buckets([s1, s2]), [0, 0]
         # service 1 gets 10 at frame 0 and keeps 2 packets with 2 frames to go
-        assert _step(sched, 0, queues, deficits, [12, 0]) == [[0, 0, 10], [0, 0]]
+        assert _step(sched, 0, buckets, nums, [12, 0])[0] == [[0, 0, 10], [0, 0]]
         # deficits tie at 0, so service 1's cohort ranks first and takes all
         # of frame 1; service 2's batch still fits at frame 2
-        assert _step(sched, 1, queues, deficits, [0, 3]) == [[0, 2, 0], [0, 0]]
-        assert _step(sched, 2, queues, deficits, [0, 0]) == [[0, 0, 0], [3, 0]]
+        assert _step(sched, 1, buckets, nums, [0, 3])[0] == [[0, 2, 0], [0, 0]]
+        assert _step(sched, 2, buckets, nums, [0, 0])[0] == [[0, 0, 0], [3, 0]]
 
     def test_priority_ties_break_by_ascending_id(self):
         specs = [_spec(1, deadline=1), _spec(2, deadline=1)]
         sched = DcsaScheduler(specs, (1,))
-        queues, deficits = _queues(specs), _deficits(specs)
-        assert _step(sched, 0, queues, deficits, [1, 1]) == [[1], [0]]
+        assert sched.decide(0, [[1], [1]], [0, 0]) == [[1], [0]]
 
     def test_exact_zero_deficits_tie_by_ascending_id(self):
         # service 2 (lambda 60, ratio 0.9) drops 6 and drains back to exactly
@@ -194,26 +184,21 @@ class TestDcsa:
         # and outranked service 1, whose deficit is also 0
         specs = [_spec(1, rate=100.0, deadline=1, q=0.99), _spec(2, rate=60.0, deadline=1, q=0.9)]
         sched = DcsaScheduler(specs, (0, 0, 1))
-        queues, deficits = _queues(specs), _deficits(specs)
-        _step(sched, 0, queues, deficits, [0, 6])
-        _step(sched, 1, queues, deficits, [0, 0])
-        assert [dq.num for dq in deficits] == [0, 0]
-        assert _step(sched, 2, queues, deficits, [1, 1]) == [[1], [0]]
+        buckets, nums = _buckets(specs), [0, 0]
+        _step(sched, 0, buckets, nums, [0, 6])
+        _step(sched, 1, buckets, nums, [0, 0])
+        assert nums == [0, 0]
+        assert _step(sched, 2, buckets, nums, [1, 1])[0] == [[1], [0]]
 
     def test_priority_compares_fractional_deficits_exactly(self):
         # allowances 1/2, 1 and 5/4: numerators over denominators 2, 1 and 4
         specs = [_spec(1, deadline=1, q=0.95), _spec(2, deadline=1, q=0.9), _spec(3, deadline=1, q=0.875)]
         sched = DcsaScheduler(specs, (2,))
 
-        def served(nums):
-            queues = _queues(specs)
-            deficits = [DeficitQueue(s.service_id, s.loss_allowance, num) for s, num in zip(specs, nums)]
-            return _step(sched, 0, queues, deficits, [1, 1, 1])
-
         # deficits 1.5, 1 and 1.5: the two 1.5s tie and keep id order
-        assert served([3, 1, 6]) == [[1], [0], [1]]
+        assert sched.decide(0, [[1], [1], [1]], [3, 1, 6]) == [[1], [0], [1]]
         # deficits 1.5, 2 and 1.75
-        assert served([3, 2, 7]) == [[0], [1], [1]]
+        assert sched.decide(0, [[1], [1], [1]], [3, 2, 7]) == [[0], [1], [1]]
 
     def test_priority_responsiveness(self):
         # a higher deficit never loses contested capacity: raising one
@@ -227,11 +212,7 @@ class TestDcsa:
             bumped = rng.randrange(len(specs))
 
             def served(nums):
-                queues = _queues(specs)
-                for q, row in zip(queues, buckets):
-                    q.buckets = list(row)
-                deficits = [DeficitQueue(s.service_id, s.loss_allowance, num) for s, num in zip(specs, nums)]
-                rows = DcsaScheduler(specs, caps).decide(0, queues, deficits)
+                rows = DcsaScheduler(specs, caps).decide(0, buckets, nums)
                 assert sum(map(sum, rows)) <= caps[0]
                 return sum(rows[bumped])
 
@@ -244,11 +225,7 @@ class TestDcsa:
         sched = DcsaScheduler(specs, (4, 0))
         # both cohorts fit the trip only at frame 0, which holds one of them
         for nums, expected in (([0, 1], [[0, 0], [0, 4]]), ([1, 0], [[0, 4], [0, 0]])):
-            queues = _queues(specs)
-            queues[0].buckets = [0, 4]
-            queues[1].buckets = [0, 4]
-            deficits = [DeficitQueue(s.service_id, s.loss_allowance, num) for s, num in zip(specs, nums)]
-            assert sched.decide(0, queues, deficits) == expected
+            assert sched.decide(0, [[0, 4], [0, 4]], nums) == expected
 
 
 def _always_ranked(specs, caps, frame, buckets, nums):
@@ -271,11 +248,7 @@ def _always_ranked(specs, caps, frame, buckets, nums):
 
 
 def _dcsa_frame(specs, caps, frame, buckets, nums):
-    queues = _queues(specs)
-    for q, row in zip(queues, buckets):
-        q.buckets = list(row)
-    deficits = [DeficitQueue(s.service_id, s.loss_allowance, num) for s, num in zip(specs, nums)]
-    return DcsaScheduler(specs, caps).decide(frame, queues, deficits)
+    return DcsaScheduler(specs, caps).decide(frame, buckets, nums)
 
 
 @st.composite
@@ -355,70 +328,51 @@ class TestRoundRobin:
     def test_rotation_over_frames(self):
         specs = [_spec(1, deadline=2), _spec(2, deadline=2)]
         sched = RoundRobinScheduler(specs, (10, 10))
-        queues = _queues(specs)
-        queues[0].buckets = [1, 1]
-        queues[1].buckets = [1, 1]
-        even = sched.decide(0, queues, _deficits(specs))
+        buckets = [[1, 1], [1, 1]]
+        even = sched.decide(0, buckets, [0, 0])
         assert sum(even[0]) == 2 and sum(even[1]) == 0
-        odd = sched.decide(1, queues, _deficits(specs))
+        odd = sched.decide(1, buckets, [0, 0])
         assert sum(odd[0]) == 0 and sum(odd[1]) == 2
 
     def test_empty_selected_service_wastes_capacity(self):
         specs = [_spec(1, deadline=2), _spec(2, deadline=2)]
         sched = RoundRobinScheduler(specs, (10,))
-        queues = _queues(specs)
-        queues[1].buckets = [4, 0]
-        assert sched.decide(0, queues, _deficits(specs)) == [[0, 0], [0, 0]]
+        assert sched.decide(0, [[0, 0], [4, 0]], [0, 0]) == [[0, 0], [0, 0]]
 
     def test_fills_earliest_buckets_first(self):
         specs = [_spec(1, deadline=2)]
         sched = RoundRobinScheduler(specs, (7,))
-        queues = _queues(specs)
-        queues[0].buckets = [4, 6]
-        assert sched.decide(0, queues, _deficits(specs)) == [[4, 3]]
+        assert sched.decide(0, [[4, 6]], [0]) == [[4, 3]]
 
 
 class TestEdf:
     def test_single_packet_served(self):
         specs = [_spec(1, deadline=3)]
         sched = EdfScheduler(specs, (5,))
-        queues = _queues(specs)
-        queues[0].buckets = [0, 1, 0]
-        assert sched.decide(0, queues, _deficits(specs)) == [[0, 1, 0]]
+        assert sched.decide(0, [[0, 1, 0]], [0]) == [[0, 1, 0]]
 
     def test_urgency_tie_goes_to_higher_service_id(self):
         specs = [_spec(1, deadline=2), _spec(2, deadline=2)]
         sched = EdfScheduler(specs, (4,))
-        queues = _queues(specs)
-        queues[0].buckets = [2, 0]
-        queues[1].buckets = [3, 0]
-        assert sched.decide(0, queues, _deficits(specs)) == [[1, 0], [3, 0]]
+        assert sched.decide(0, [[2, 0], [3, 0]], [0, 0]) == [[1, 0], [3, 0]]
 
     def test_zero_capacity_serves_nothing(self):
         specs = [_spec(1, deadline=2), _spec(2, deadline=2)]
         sched = EdfScheduler(specs, (0,))
-        queues = _queues(specs)
-        queues[0].buckets = [5, 5]
-        queues[1].buckets = [5, 5]
-        assert sched.decide(0, queues, _deficits(specs)) == [[0, 0], [0, 0]]
+        assert sched.decide(0, [[5, 5], [5, 5]], [0, 0]) == [[0, 0], [0, 0]]
 
     def test_mixed_deadlines(self):
         specs = [_spec(1, deadline=1), _spec(2, deadline=3)]
         sched = EdfScheduler(specs, (4,))
-        queues = _queues(specs)
-        queues[0].buckets = [2]
-        queues[1].buckets = [1, 0, 4]
         # r=1 first (s2 then s1), leftover goes to s2's r=3 bucket
-        assert sched.decide(0, queues, _deficits(specs)) == [[2], [1, 0, 1]]
+        assert sched.decide(0, [[2], [1, 0, 4]], [0, 0]) == [[2], [1, 0, 1]]
 
 
 @pytest.mark.parametrize("policy", schedulers.SCHEDULER_POLICIES)
 def test_frame_capacity_is_read_from_the_trip_capacities(policy):
     # a bucket of 10 on a trip whose one frame holds 3
     spec = _spec(1, deadline=1)
-    queues = _queues([spec])
-    queues[0].admit(10)
-    assert make_scheduler(policy, [spec], (3,)).decide(0, queues, _deficits([spec])) == [[3]]
+    assert make_scheduler(policy, [spec], (3,)).decide(0, [[10]], [0]) == [[3]]
 
 
 def test_make_scheduler_factory(two_services):

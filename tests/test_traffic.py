@@ -7,7 +7,6 @@ import pytest
 
 from hsrsched import (
     ArrivalGenerator,
-    CapacityProfile,
     ServiceSpec,
     build_capacity_profile,
     feasibility_check,
@@ -159,7 +158,7 @@ def test_empirical_mean_within_three_standard_errors():
 
 def test_feasibility_single_service_slack():
     spec = ServiceSpec(service_id=1, arrival_rate=1.0, deadline=2, delivery_ratio=0.5)
-    report = feasibility_check([spec], CapacityProfile.constant(1, 10))
+    report = feasibility_check([spec], (1,) * 10)
     assert report.feasible
     assert report.margin == pytest.approx(0.5)
 
@@ -167,15 +166,14 @@ def test_feasibility_single_service_slack():
 def test_feasibility_boundary_is_feasible():
     # requirement exactly equals mean capacity: non-strict inequality
     spec = ServiceSpec(service_id=1, arrival_rate=2.0, deadline=2, delivery_ratio=0.5)
-    report = feasibility_check([spec], CapacityProfile.constant(1, 5))
+    report = feasibility_check([spec], (1,) * 5)
     assert report.required_rate == pytest.approx(1.0)
     assert report.feasible
     assert report.margin == pytest.approx(0.0)
 
 
 def test_feasibility_default_mix_is_infeasible(table1_traj, table1_radio, two_services):
-    profile = build_capacity_profile(table1_traj, table1_radio)
-    report = feasibility_check(two_services, profile)
+    report = feasibility_check(two_services, build_capacity_profile(table1_traj, table1_radio))
     assert report.required_rate == pytest.approx(153.0)
     assert report.mean_capacity == pytest.approx(119.79836666666667, rel=1e-12)
     assert not report.feasible
@@ -184,4 +182,4 @@ def test_feasibility_default_mix_is_infeasible(table1_traj, table1_radio, two_se
 
 def test_feasibility_rejects_empty_profile(two_services):
     with pytest.raises(ValueError):
-        feasibility_check(two_services, CapacityProfile(capacities=()))
+        feasibility_check(two_services, ())
