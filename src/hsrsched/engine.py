@@ -4,8 +4,10 @@ A run's state is plain data: per service, deadline buckets (``row[i]`` holds
 the packets with i + 1 frames to go) and the exact deficit numerator.  Each
 frame executes, in order: admit sampled arrivals into the top buckets, take
 the scheduler's decision, check it, serve and age the buckets (unserved r = 1
-packets expire), update the deficit numerators, append the trace row.  Runs
-are deterministic given the configuration.  ``single_service_ratios`` runs
+packets expire), update the deficit numerators and record the frame's
+served, dropped and deficit counts.  The backlog is derived after the loop,
+as the running sum of arrivals less served and dropped packets.  Runs are
+deterministic given the configuration.  ``single_service_ratios`` runs
 one-service trips side by side in one array loop, for their delivery ratios.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import time
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
@@ -24,7 +27,7 @@ from .schedulers import SCHEDULER_POLICIES, make_scheduler
 from .traffic import ArrivalGenerator, FeasibilityReport, ServiceSpec, feasibility_check, validate_service_ids
 
 TRACE_SCHEMA = 1
-# frames per chunk of trace text (to_csv) and of arrivals (single_service_ratios); bounds memory
+# frames per chunk of trace text (to_csv) and of arrivals (run, single_service_ratios); bounds memory
 CSV_CHUNK_ROWS = 512
 INT64_MAX = int(np.iinfo(np.int64).max)
 PROGRESS_LINES = 10
@@ -195,7 +198,7 @@ class TraceLog:
         """Write the trace as CSV, formatting ``CSV_CHUNK_ROWS`` rows at a time
         so the text of the whole trace is never held in memory."""
         n_svc = len(self.service_ids)
-        row_format = ",".join(["%d,%d"] + ["%d,%d,%d,%s,%d"] * n_svc) + "\n"
+        row_format = ",".join(["%d,%d"] + ["%d,%d,%d,%.9g,%d"] * n_svc) + "\n"
         deficit = self.deficit
         with open(path, "w", newline="") as fh:
             fh.write(f"# schema={TRACE_SCHEMA}\n")
@@ -208,7 +211,7 @@ class TraceLog:
                         self.arrivals[lo:hi, j].tolist(),
                         self.served[lo:hi, j].tolist(),
                         self.drops[lo:hi, j].tolist(),
-                        [format(y, ".9g") for y in deficit[lo:hi, j].tolist()],
+                        deficit[lo:hi, j].tolist(),
                         self.backlog[lo:hi, j].tolist(),
                     ]
                 fh.write("".join([row_format % row for row in zip(*columns)]))
@@ -228,42 +231,42 @@ def run(config: SimConfig) -> TraceLog:
     # nums[j]: service j's deficit times q for its loss allowance p / q
     nums = [0] * n_svc
     allowances = [s.loss_allowance.as_integer_ratio() for s in specs]
+    # per frame and service: packets served, packets dropped, deficit numerator
+    record = array("q")
 
-    capacity = np.array(caps[:n], dtype=np.int64)
-    served_arr = np.zeros((n, n_svc), dtype=np.int64)
-    drops_arr = np.zeros((n, n_svc), dtype=np.int64)
-    deficit_num = np.zeros((n, n_svc), dtype=np.int64)
-    backlog_arr = np.zeros((n, n_svc), dtype=np.int64)
+    for lo in range(0, n, CSV_CHUNK_ROWS):
+        for k, arrived in enumerate(arrivals[lo : lo + CSV_CHUNK_ROWS].tolist(), lo):
+            for row, a in zip(buckets, arrived):
+                row[-1] = a
+            decision = decide(k, buckets, nums)
+            # the decision contract: row count, frame capacity, then each row's
+            # length and bucket bounds before the row is applied
+            if len(decision) != n_svc:
+                raise ContractViolation(f"frame {k}: {len(decision)} rows decided for {n_svc} services")
+            totals = list(map(sum, decision))
+            if sum(totals) > caps[k]:
+                raise ContractViolation(f"frame {k}: served total {sum(totals)} exceeds frame capacity {caps[k]}")
+            for j, (row, served, total, (p, q)) in enumerate(zip(buckets, decision, totals, allowances)):
+                if len(served) != len(row):
+                    raise ContractViolation(f"frame {k}: service {j + 1}: {len(served)} counts, {len(row)} buckets")
+                # what each bucket keeps: the rest of r = 1 drops, the others age
+                left = list(map(sub, row, served))
+                if min(served) < 0 or min(left) < 0:
+                    i = next(i for i, (x, b) in enumerate(zip(served, row)) if not 0 <= x <= b)
+                    raise ContractViolation(
+                        f"frame {k}: service {j + 1}: served {served[i]} from bucket r={i + 1} holding {row[i]}"
+                    )
+                dropped = left.pop(0)
+                left.append(0)
+                buckets[j] = left
+                nums[j] = num = max(nums[j] - p, 0) + dropped * q
+                record.extend((total, dropped, num))
 
-    for k in range(n):
-        for row, a in zip(buckets, arrivals[k].tolist()):
-            row[-1] = a
-        decision = decide(k, buckets, nums)
-        # the decision contract: row count, frame capacity, then each row's
-        # length and bucket bounds before the row is applied
-        if len(decision) != n_svc:
-            raise ContractViolation(f"frame {k}: {len(decision)} rows decided for {n_svc} services")
-        total = sum(map(sum, decision))
-        if total > caps[k]:
-            raise ContractViolation(f"served total {total} exceeds frame capacity {caps[k]}")
-        for j, (row, served, (p, q)) in enumerate(zip(buckets, decision, allowances)):
-            if len(served) != len(row):
-                raise ContractViolation(f"frame {k}: service {j + 1}: {len(served)} counts, {len(row)} buckets")
-            # what each bucket keeps: the rest of r = 1 drops, the others age
-            left = list(map(sub, row, served))
-            if min(served) < 0 or min(left) < 0:
-                i = next(i for i, (x, b) in enumerate(zip(served, row)) if not 0 <= x <= b)
-                raise ContractViolation(
-                    f"frame {k}: service {j + 1}: served {served[i]} from bucket r={i + 1} holding {row[i]}"
-                )
-            dropped = left[0]
-            row[:-1] = left[1:]
-            row[-1] = 0
-            nums[j] = max(nums[j] - p, 0) + dropped * q
-            served_arr[k, j] = sum(served)
-            drops_arr[k, j] = dropped
-            deficit_num[k, j] = nums[j]
-            backlog_arr[k, j] = sum(row)
+    served, drops, deficit_num = np.frombuffer(record, dtype=np.int64).reshape(n, n_svc, 3).transpose(2, 0, 1)
+    # what the buckets hold after each frame: every arrival not yet served or dropped
+    backlog = arrivals - served
+    backlog -= drops
+    np.cumsum(backlog, axis=0, out=backlog)
 
     return TraceLog(
         scheduler=config.scheduler,
@@ -271,13 +274,13 @@ def run(config: SimConfig) -> TraceLog:
         service_ids=tuple(s.service_id for s in specs),
         deadlines=tuple(s.deadline for s in specs),
         loss_allowances=tuple(s.loss_allowance for s in specs),
-        capacity=capacity,
+        capacity=np.array(caps[:n], dtype=np.int64),
         arrivals=arrivals,
-        served=served_arr,
-        drops=drops_arr,
+        served=served,
+        drops=drops,
         deficit_num=deficit_num,
-        backlog=backlog_arr,
-        feasibility=feasibility_check(specs, caps),
+        backlog=backlog,
+        feasibility=feasibility_check(specs, caps[:n]),
     )
 
 

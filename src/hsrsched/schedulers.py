@@ -28,7 +28,8 @@ def allocate_cohorts(order: Sequence, rows: Mapping | Sequence, available: Seque
     """Per key of ``order`` (highest priority first), the amount granted to
     each cohort of ``rows[key]``, whose entry i holds the packets with i + 1
     frames to go: window offsets 0..i of the per-offset capacity
-    ``available``, which covers at least the longest row.
+    ``available``, which covers at least the longest row and is never
+    negative.
 
     Keys are taken in order and a key's cohorts by ascending window; each gets
     the minimum of its packets and the capacity left under every horizon at or
@@ -41,16 +42,17 @@ def allocate_cohorts(order: Sequence, rows: Mapping | Sequence, available: Seque
     # slack[d]: capacity over offsets 0..d not yet granted to cohorts whose
     # whole window lies inside it
     slack = list(accumulate(available[:horizon]))
+    # floor[i]: the least slack over every horizon at or beyond i; the prefix
+    # sums of a non-negative capacity never decrease, so at first it is slack
+    floor = slack
     grants = {}
-    for key in order:
+    last = len(order) - 1
+    for n, key in enumerate(order):
         row = rows[key]
         if not slack[-1] or not any(row):
             # no capacity left over the whole horizon, or nothing queued
             grants[key] = [0] * len(row)
             continue
-        # floor[i]: the least slack over every horizon at or beyond i
-        floor = list(accumulate(reversed(slack), min))
-        floor.reverse()
         granted = 0
         out = []
         for a, f in zip(row, floor):
@@ -59,11 +61,14 @@ def allocate_cohorts(order: Sequence, rows: Mapping | Sequence, available: Seque
                 x = a
             granted += x
             out.append(x)
-        if granted:
+        grants[key] = out
+        # no key after the last reads the slack
+        if granted and n < last:
             m = len(row)
             slack[:m] = map(sub, slack, accumulate(out))
             slack[m:] = [v - granted for v in slack[m:]]
-        grants[key] = out
+            floor = list(accumulate(reversed(slack), min))
+            floor.reverse()
     return grants
 
 
@@ -137,7 +142,8 @@ class DcsaScheduler(Scheduler):
         if sum(map(any, buckets)) > 1 and not all(
             map(le, accumulate(map(sum, zip_longest(*buckets, fillvalue=0))), accumulate(available))
         ):
-            order = sorted(range(len(buckets)), key=lambda j: (-nums[j] * self._scales[j], j))
+            # sorted is stable: equal deficits keep ascending id
+            order = sorted(range(len(buckets)), key=lambda j: -nums[j] * self._scales[j])
             return self._serve(self._cells, allocate_cohorts(order, buckets, available), frame)
         return self._serve(self._cells, buckets, frame)
 
@@ -147,9 +153,13 @@ class RoundRobinScheduler(Scheduler):
 
     name = "rr"
 
+    def __init__(self, specs: Sequence[ServiceSpec], capacities: Sequence[int]):
+        super().__init__(specs, capacities)
+        # turn j: service j's cells, oldest first
+        self._turns = [[(j, i) for i in range(s.deadline)] for j, s in enumerate(self.specs)]
+
     def decide(self, frame: int, buckets: Sequence[Sequence[int]], nums: Sequence[int]) -> list[list[int]]:
-        j = frame % len(self.specs)
-        return self._serve([(j, i) for i in range(len(buckets[j]))], buckets, frame)
+        return self._serve(self._turns[frame % len(self._turns)], buckets, frame)
 
 
 class EdfScheduler(Scheduler):

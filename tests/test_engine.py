@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hsrsched import ContractViolation, ServiceSpec, SimConfig, run
 from hsrsched.engine import single_service_ratios
-from hsrsched.schedulers import SCHEDULER_POLICIES, Scheduler
+from hsrsched.schedulers import SCHEDULER_POLICIES, Scheduler, make_scheduler
 
 
 def _config(table1_traj, table1_radio, services, **kw):
@@ -109,7 +109,7 @@ def test_engine_rejects_overserving_scheduler(table1_traj, table1_radio, two_ser
         def decide(self, frame, buckets, nums):
             return [[0] * (s.deadline - 1) + [10**6] for s in self.specs]
 
-    with pytest.raises(ContractViolation, match="exceeds frame capacity"):
+    with pytest.raises(ContractViolation, match=r"frame 0: served total 2000000 exceeds frame capacity \d+$"):
         _run_with(Greedy, table1_traj, table1_radio, two_services, monkeypatch)
 
 
@@ -260,6 +260,52 @@ def test_allowance_beyond_int64_numerators_rejected(table1_traj, table1_radio):
         _config(table1_traj, table1_radio, (spec,))
     short = _config(table1_traj, table1_radio, (spec,), num_frames=20, capacity_override=0)
     assert run(short).deficit_num[-1, 0] > 0
+
+
+def test_truncated_run_feasibility_covers_the_frames_run(table1_traj, table1_radio, two_services):
+    # the first 1000 frames lie near the base station, well above the trip's mean
+    trace = run(_config(table1_traj, table1_radio, two_services, seed=42, num_frames=1000))
+    report = trace.summary().feasibility
+    assert report.mean_capacity == trace.capacity.mean()
+    assert report.mean_capacity > 200
+    assert report.feasible
+
+
+@pytest.mark.parametrize("policy", SCHEDULER_POLICIES)
+def test_backlog_is_what_the_buckets_hold_frame_by_frame(policy, table1_traj, table1_radio, monkeypatch):
+    import hsrsched.engine as engine_mod
+
+    held = []
+
+    def recording(policy, specs, capacities):
+        scheduler = make_scheduler(policy, specs, capacities)
+        decide = scheduler.decide
+
+        def recorded(frame, buckets, nums):
+            held.append([sum(row) for row in buckets])
+            return decide(frame, buckets, nums)
+
+        scheduler.decide = recorded
+        return scheduler
+
+    monkeypatch.setattr(engine_mod, "make_scheduler", recording)
+    services = (
+        ServiceSpec(service_id=1, arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
+        ServiceSpec(service_id=2, arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
+        ServiceSpec(service_id=3, arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
+    )
+    cfg = _config(
+        table1_traj, table1_radio, services, scheduler=policy, seed=8, num_frames=1500, capacity_override=100
+    )
+    trace = run(cfg)
+    assert trace.drops.sum() > 0 and trace.backlog.any(axis=0).all()
+    # when decide runs at frame k the buckets hold frame k - 1's backlog and frame k's arrivals
+    before = np.vstack([np.zeros((1, 3), dtype=np.int64), trace.backlog[:-1]])
+    assert (before + trace.arrivals == np.array(held)).all()
+    for field in ("served", "drops", "deficit_num", "backlog"):
+        values = getattr(trace, field)
+        assert values.dtype == np.int64 and values.shape == (1500, 3), field
+    assert trace.deficit_num.flags.writeable
 
 
 def test_summary_text_contains_key_fields(table1_traj, table1_radio, two_services):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 from operator import sub
 
 import pytest
@@ -103,6 +104,56 @@ def test_allocate_later_cohort_of_a_service_limited_by_its_earlier_one():
     assert allocate_cohorts([1, 2], rows, [3, 2]) == {1: [3, 2], 2: [0, 0]}
     # in the other order service 2 is whole and service 1 keeps offset 0
     assert allocate_cohorts([2, 1], rows, [3, 2]) == {2: [0, 2], 1: [3, 0]}
+
+
+def _parent_allocate_cohorts(order, rows, available):
+    """The greedy without its two shortcuts: a suffix minimum for every key
+    and a slack update after every grant.  ``allocate_cohorts`` must match
+    it exactly."""
+    horizon = max((len(rows[key]) for key in order), default=0)
+    slack = list(accumulate(available[:horizon]))
+    grants = {}
+    for key in order:
+        row = rows[key]
+        if not slack[-1] or not any(row):
+            grants[key] = [0] * len(row)
+            continue
+        floor = list(accumulate(reversed(slack), min))
+        floor.reverse()
+        granted = 0
+        out = []
+        for a, f in zip(row, floor):
+            x = f - granted
+            if a < x:
+                x = a
+            granted += x
+            out.append(x)
+        if granted:
+            m = len(row)
+            slack[:m] = map(sub, slack, accumulate(out))
+            slack[m:] = [v - granted for v in slack[m:]]
+        grants[key] = out
+    return grants
+
+
+@st.composite
+def _greedy_inputs(draw):
+    """1-4 keys in any order, rows of 1-10 cohorts with empty ones likely,
+    and a non-negative capacity over the longest row, at times all zero."""
+    keys = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
+    cell = st.one_of(st.just(0), st.integers(0, 12))
+    rows = {key: draw(st.lists(cell, min_size=1, max_size=10)) for key in keys}
+    # the capacity may run past the longest row
+    length = max(map(len, rows.values())) + draw(st.integers(0, 1))
+    capacity = st.one_of(st.just(0), st.integers(0, 15))
+    available = draw(st.one_of(st.just([0] * length), st.lists(capacity, min_size=length, max_size=length)))
+    return draw(st.permutations(keys)), rows, available
+
+
+@settings(max_examples=500, deadline=None)
+@given(_greedy_inputs())
+def test_allocate_matches_parent_greedy(inputs):
+    assert allocate_cohorts(*inputs) == _parent_allocate_cohorts(*inputs)
 
 
 @st.composite
