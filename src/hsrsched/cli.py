@@ -203,13 +203,17 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(blocks)
 
 
-def _write_deficit_csv(path: str, trace: TraceLog, frames: int) -> None:
-    deficit = trace.deficit[:frames].tolist()
+def _write_deficit_csv(path: str, trace: TraceLog) -> None:
+    """Deficits of every ceil(n / ``FIG2_PLOT_FRAMES``)-th frame and of the
+    last one, each row under its frame index."""
+    n = trace.num_frames
+    frames = [*range(0, n - 1, -(-n // FIG2_PLOT_FRAMES)), n - 1]
+    deficit = trace.deficit[frames].tolist()
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema={TRACE_SCHEMA}\n")
         cols = ["frame"] + [f"deficit_s{sid}" for sid in trace.service_ids]
         fh.write(",".join(cols) + "\n")
-        for k, row in enumerate(deficit):
+        for k, row in zip(frames, deficit):
             fh.write(",".join([str(k)] + [f"{y:.9g}" for y in row]) + "\n")
 
 
@@ -230,9 +234,7 @@ def cmd_fig2(cfg: ExperimentConfig) -> int:
     finals = {}
     for policy in SCHEDULER_POLICIES:
         trace = run(replace(cfg.sim, scheduler=policy))
-        _write_deficit_csv(
-            os.path.join(cfg.output_dir, f"fig2_{policy}.csv"), trace, FIG2_PLOT_FRAMES
-        )
+        _write_deficit_csv(os.path.join(cfg.output_dir, f"fig2_{policy}.csv"), trace)
         with open(os.path.join(cfg.output_dir, f"summary_{policy}.txt"), "w") as fh:
             fh.write(trace.summary().to_text())
         deficit = trace.deficit
@@ -257,7 +259,7 @@ def fig3_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float]]:
     numbers.  The rates mostly share seeds too: with seed 7 and five
     replicates, rate 0 uses seeds 7-11 and rate 1 uses 6-10, four in common.
 
-    All trips run in one lockstep loop, ``engine.single_service_ratios``,
+    All trips run in one loop, ``engine.single_service_ratios``,
     whose ratios equal ``run``'s under every policy, so the config's
     scheduler is ignored.  A trip without arrivals raises ``RuntimeError``.
     One INFO line is logged per grid point.

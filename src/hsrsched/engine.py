@@ -7,8 +7,8 @@ the scheduler's decision, check it, serve and age the buckets (unserved r = 1
 packets expire), update the deficit numerators and record the frame's
 served, dropped and deficit counts.  The backlog is derived after the loop,
 as the running sum of arrivals less served and dropped packets.  Runs are
-deterministic given the configuration.  ``single_service_ratios`` runs
-one-service trips side by side in one array loop, for their delivery ratios.
+deterministic given the configuration.  ``single_service_ratios`` gives the
+delivery ratios of one-service trips from a two-integer FIFO recursion each.
 """
 
 from __future__ import annotations
@@ -287,45 +287,45 @@ def run(config: SimConfig) -> TraceLog:
 def single_service_ratios(sims: list[SimConfig]) -> list[float | None]:
     """Delivery ratio of each one-service trip of ``sims`` (``None`` where it
     drew no arrivals), equal to ``run(sim).summary()``'s under any policy, as
-    each serves a lone service's oldest packets first up to the capacity.  The
-    trips share a capacity profile and frame count and advance as the rows of
-    one bucket array (column i: packets with i + 1 frames to go).  Arrivals
-    come ``CSV_CHUNK_ROWS`` frames at a time, one stream per rate, tail and
-    seed; at most ``PROGRESS_LINES`` INFO lines report the progress."""
+    each serves a lone service oldest first: with A(t) the arrivals of frames
+    0..t and x those gone (served or dropped), frame t serves up to
+    y = min(x + c_t, A(t)), then x = max(y, A(t - m + 1)) and x - y drop.
+    Arrivals come ``CSV_CHUNK_ROWS`` frames at a time, one stream per rate,
+    tail and seed; at most ``PROGRESS_LINES`` INFO lines report the progress."""
     profiles = {(sim.trajectory, sim.radio, sim.capacity_override, sim.frames) for sim in sims}
     if len(profiles) != 1 or any(len(sim.services) != 1 for sim in sims):
         raise ValueError("single_service_ratios needs one-service trips of one capacity profile and length")
     start = time.perf_counter()
-    n = sims[0].frames
-    caps = sims[0].capacities()
-    # the deadline does not change a trip's arrivals
-    keys = [(sim.services[0].arrival_rate, sim.services[0].tail_eps, sim.seed) for sim in sims]
-    gens = {key: ArrivalGenerator(sim.services, sim.seed) for key, sim in zip(keys, sims)}
-    tops = np.array([sim.services[0].deadline - 1 for sim in sims])
-    lanes = np.arange(len(sims))
-    buckets = np.zeros((len(sims), int(tops.max()) + 1), dtype=np.int64)
-    arrived, dropped = np.zeros((2, len(sims)), dtype=np.int64)
+    n, caps = sims[0].frames, sims[0].capacities()
+    # (arrival stream, deadline) per trip: the deadline does not change a trip's arrivals
+    trips = [((s.arrival_rate, s.tail_eps, sim.seed), s.deadline) for sim in sims for s in sim.services]
+    gens = {key: ArrivalGenerator(sim.services, sim.seed) for (key, _), sim in zip(trips, sims)}
+    # per stream: A(lo - pad - 1) .. A(hi - 1), zero before frame 0, so A(t - m + 1) is an offset
+    pad = max(m for _, m in trips) - 1
+    totals = {key: [0] * (pad + 1) for key in gens}
+    gone, dropped = [0] * len(sims), [0] * len(sims)
     # frames between progress lines, a whole number of chunks
     log_every = -(-n // (PROGRESS_LINES * CSV_CHUNK_ROWS)) * CSV_CHUNK_ROWS
     for lo in range(0, n, CSV_CHUNK_ROWS):
         hi = min(lo + CSV_CHUNK_ROWS, n)
-        drawn = {key: g.sample_run(hi - lo)[:, 0] for key, g in gens.items()}
-        draws = np.column_stack([drawn[key] for key in keys])
-        arrived += draws.sum(axis=0)
-        for cap, admitted in zip(caps[lo:hi], draws):
-            buckets[lanes, tops] = admitted
-            # unserved: the packets of each bucket and the older ones past the capacity
-            left = np.cumsum(buckets, axis=1)
-            left -= cap
-            np.maximum(left, 0, out=left)
-            np.minimum(left, buckets, out=left)
-            dropped += left[:, 0]
-            # the top column is overwritten by the next admission
-            buckets[:, :-1] = left[:, 1:]
+        for key, g in gens.items():
+            carried = totals[key][-pad - 1 :]
+            totals[key] = carried + (np.cumsum(g.sample_run(hi - lo)[:, 0]) + carried[-1]).tolist()
+        for b, (key, m) in enumerate(trips):
+            cum = totals[key]
+            x, d = gone[b], dropped[b]
+            for c, a, expired in zip(caps[lo:hi], cum[pad + 1 :], cum[pad + 2 - m :]):
+                x += c
+                if x > a:
+                    x = a
+                if expired > x:
+                    d += expired - x
+                    x = expired
+            gone[b], dropped[b] = x, d
         if hi % log_every == 0 or hi == n:
             elapsed = time.perf_counter() - start
             logging.getLogger(__name__).info(
                 "%d lockstep trips: frame %d/%d, %.1f s elapsed, ETA %.1f s",
                 len(sims), hi, n, elapsed, elapsed / hi * (n - hi),
             )
-    return [None if a == 0 else (a - d) / a for a, d in zip(arrived.tolist(), dropped.tolist())]
+    return [None if (a := totals[key][-1]) == 0 else (a - d) / a for (key, _), d in zip(trips, dropped)]

@@ -16,6 +16,7 @@ from hsrsched.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_VERIFY,
+    FIG2_PLOT_FRAMES,
     ConfigError,
     fig3_rows,
     main,
@@ -207,11 +208,32 @@ def test_cmd_fig2_emits_three_curves(tmp_path):
         lines = (tmp_path / "fig2" / f"fig2_{policy}.csv").read_text().splitlines()
         assert lines[0] == "# schema=1"
         assert lines[1] == "frame,deficit_s1,deficit_s2"
-        assert len(lines) == 2 + 1000
+        # every second frame of 1500, plus the last, frame 1499
+        assert len(lines) == 2 + 751
         assert (tmp_path / "fig2" / f"summary_{policy}.txt").exists()
     summary = json.loads((tmp_path / "fig2" / "fig2_summary.json").read_text())
     assert set(summary) == {"dcsa", "rr", "edf"}
     assert "max_deficit_gap" in summary["dcsa"]
+
+
+def test_fig2_shipped_config_plots_the_whole_trip(tmp_path):
+    # configs/table1_fig2.ini at its seed 42: no policy drops a packet in the
+    # trip's first second, so only the whole trip tells the policies apart
+    out = tmp_path / "fig2"
+    assert main(["fig2", DEFAULT_CONFIG, "--out", str(out)]) == EXIT_OK
+    finals = json.loads((out / "fig2_summary.json").read_text())
+    data = {policy: (out / f"fig2_{policy}.csv").read_bytes() for policy in ("dcsa", "rr", "edf")}
+    assert len(set(data.values())) == 3
+    for policy, text in data.items():
+        rows = text.decode().splitlines()[2:]
+        assert len(rows) <= FIG2_PLOT_FRAMES + 1
+        final = finals[policy]
+        assert rows[-1] == f"29999,{final['final_deficit_s1']:.9g},{final['final_deficit_s2']:.9g}"
+    assert {policy: hashlib.sha256(text).hexdigest() for policy, text in data.items()} == {
+        "dcsa": "d4248ec1466a53150963ea1cd7b7c08d6d087fc78073e9c1791691efc2586118",
+        "rr": "bc20cfe2e1586a016ac8368ec183814a28115bfdc3505e291fd2295a0470819a",
+        "edf": "0119f6a6cb5feea24dbf468cf74d910d0b782fe2b331f3897c8ec70126b433d4",
+    }
 
 
 def test_cmd_fig3_grid_rows(tmp_path):
@@ -284,6 +306,16 @@ def test_fig3_sweep_config_bytes_pinned(tmp_path):
     data = _fig3_bytes(SWEEP_CONFIG, tmp_path / "sweep", "--seed", "7")
     assert hashlib.sha256(data).hexdigest() == (
         "1fbc5a0e3fd9cb380e0d53337b6661f5a58e0dfde4f97b05b20b65ce705a2c8a"
+    )
+
+
+def test_fig3_full_grid_bytes_pinned(tmp_path):
+    # configs/fig3.ini at its seed 7: deadlines 1-10, both rates, 100 trips;
+    # the digest was taken from the bucket-array sweep that the departure
+    # recursion replaced
+    data = _fig3_bytes(FIG3_CONFIG, tmp_path / "grid")
+    assert hashlib.sha256(data).hexdigest() == (
+        "ff465ed26747aac9acc9a05fef833eb21d3963860f48d6b9814a004c3d26d4ad"
     )
 
 

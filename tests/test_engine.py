@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hsrsched import ContractViolation, ServiceSpec, SimConfig, run
 from hsrsched.engine import single_service_ratios
 from hsrsched.schedulers import SCHEDULER_POLICIES, Scheduler, make_scheduler
+from hsrsched.traffic import ArrivalGenerator
 
 
 def _config(table1_traj, table1_radio, services, **kw):
@@ -400,6 +401,69 @@ def test_lockstep_ratios_equal_run_under_every_policy(grid, table1_traj, table1_
     for sim, ratio in zip(sims, single_service_ratios(sims), strict=True):
         for policy in SCHEDULER_POLICIES:
             assert run(replace(sim, scheduler=policy)).summary().services[0].delivery_ratio == ratio
+
+
+def _one_service(table1_traj, table1_radio, m, rate=130.0, seed=4, **kw):
+    service = ServiceSpec(service_id=1, arrival_rate=rate, deadline=m, delivery_ratio=0.9)
+    return _config(table1_traj, table1_radio, (service,), seed=seed, **kw)
+
+
+def _arrivals(sim):
+    return ArrivalGenerator(sim.services, sim.seed).sample_run(sim.frames)[:, 0].tolist()
+
+
+def _fifo_drops(arrivals, capacity, m):
+    """Drops of one service served oldest first, batch by batch: each frame
+    admits its batch, serves ``capacity`` packets from the oldest batches and
+    drops the batch that has had its m frames."""
+    batches, drops = [], 0
+    for t, a in enumerate(arrivals):
+        batches.append([t, a])
+        left = capacity
+        for batch in batches:
+            taken = min(left, batch[1])
+            batch[1] -= taken
+            left -= taken
+        if batches[0][0] == t - m + 1:
+            drops += batches.pop(0)[1]
+    return drops
+
+
+def test_lockstep_deadline_one_drops_the_excess_of_each_frame(table1_traj, table1_radio):
+    sim = _one_service(table1_traj, table1_radio, 1, num_frames=700, capacity_override=120)
+    a = _arrivals(sim)
+    drops = sum(max(0, x - 120) for x in a)
+    assert drops > 0
+    assert single_service_ratios([sim]) == [(sum(a) - drops) / sum(a)]
+
+
+def test_lockstep_zero_capacity_drops_all_but_the_last_deadline(table1_traj, table1_radio):
+    # the arrivals of the last m - 1 frames are still queued at the end
+    m, n = 7, 600
+    sim = _one_service(table1_traj, table1_radio, m, num_frames=n, capacity_override=0)
+    total = np.cumsum(_arrivals(sim)).tolist()
+    assert single_service_ratios([sim]) == [(total[n - 1] - total[n - m]) / total[n - 1]]
+
+
+def test_lockstep_trip_shorter_than_its_deadline_drops_nothing(table1_traj, table1_radio):
+    sim = _one_service(table1_traj, table1_radio, 8, num_frames=5, capacity_override=0)
+    assert single_service_ratios([sim]) == [1.0]
+
+
+def test_lockstep_mixed_deadlines_across_chunk_boundaries(table1_traj, table1_radio):
+    # 1030 frames: the arrival totals carry over the chunks at 512 and 1024;
+    # the two rates share a seed, so deadlines 1 and 12 share each stream
+    sims = [
+        _one_service(table1_traj, table1_radio, m, rate, seed=seed, num_frames=1030, capacity_override=120)
+        for m in (1, 12)
+        for rate, seed in ((130.0, 4), (130.0, 5), (60.0, 4))
+    ]
+    expected = []
+    for sim in sims:
+        a = _arrivals(sim)
+        expected.append((sum(a) - _fifo_drops(a, 120, sim.services[0].deadline)) / sum(a))
+    assert len(set(expected[:2] + expected[3:5])) == 4
+    assert single_service_ratios(sims) == expected
 
 
 def test_lockstep_rejects_trips_that_cannot_share_a_loop(table1_traj, table1_radio, two_services):
