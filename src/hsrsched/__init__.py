@@ -19,7 +19,7 @@ from .channel import (
     rate_bps,
     snr_db,
 )
-from .engine import ContractViolation, RunSummary, SimConfig, TraceLog, run
+from .engine import ContractViolation, SimConfig, TraceLog, run
 from .schedulers import (
     DcsaScheduler,
     EdfScheduler,
@@ -46,7 +46,6 @@ __all__ = [
     "FeasibilityReport",
     "RadioConfig",
     "RoundRobinScheduler",
-    "RunSummary",
     "Scheduler",
     "ServiceSpec",
     "SimConfig",

@@ -222,7 +222,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     trace = run(cfg.sim)
     trace.to_csv(os.path.join(cfg.output_dir, "trace.csv"))
     with open(os.path.join(cfg.output_dir, "summary.txt"), "w") as fh:
-        fh.write(trace.summary().to_text())
+        fh.write(trace.summary_text())
     log.info("run complete: %d frames, outputs in %s", trace.num_frames, cfg.output_dir)
     return EXIT_OK
 
@@ -236,7 +236,7 @@ def cmd_fig2(cfg: ExperimentConfig) -> int:
         trace = run(replace(cfg.sim, scheduler=policy))
         _write_deficit_csv(os.path.join(cfg.output_dir, f"fig2_{policy}.csv"), trace)
         with open(os.path.join(cfg.output_dir, f"summary_{policy}.txt"), "w") as fh:
-            fh.write(trace.summary().to_text())
+            fh.write(trace.summary_text())
         deficit = trace.deficit
         finals[policy] = {
             f"final_deficit_s{sid}": float(deficit[-1, j]) for j, sid in enumerate(trace.service_ids)

@@ -84,45 +84,6 @@ class SimConfig:
         return build_capacity_profile(self.trajectory, self.radio)
 
 
-@dataclass(frozen=True)
-class ServiceSummary:
-    service_id: int
-    arrivals: int
-    served: int
-    drops: int
-    final_backlog: int
-    final_deficit: float
-    delivery_ratio: float | None
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    scheduler: str
-    seed: int
-    num_frames: int
-    services: tuple[ServiceSummary, ...]
-    feasibility: FeasibilityReport
-
-    def to_text(self) -> str:
-        lines = [
-            f"scheduler = {self.scheduler}",
-            f"seed = {self.seed}",
-            f"num_frames = {self.num_frames}",
-            f"feasible = {self.feasibility.feasible}",
-            f"feasibility_margin = {self.feasibility.margin:.9g}",
-            f"mean_capacity = {self.feasibility.mean_capacity:.9g}",
-            f"required_rate = {self.feasibility.required_rate:.9g}",
-        ]
-        for s in self.services:
-            ratio = "n/a" if s.delivery_ratio is None else f"{s.delivery_ratio:.9g}"
-            lines.append(
-                f"service {s.service_id}: arrivals = {s.arrivals}, served = {s.served}, "
-                f"drops = {s.drops}, final_backlog = {s.final_backlog}, "
-                f"final_deficit = {s.final_deficit:.9g}, delivery_ratio = {ratio}"
-            )
-        return "\n".join(lines) + "\n"
-
-
 @dataclass
 class TraceLog:
     """Per-frame record of one run plus enough metadata to audit it.
@@ -156,33 +117,50 @@ class TraceLog:
         out.flags.writeable = False
         return out
 
-    def summary(self) -> RunSummary:
-        services = []
-        deficit = self.deficit
-        for j, sid in enumerate(self.service_ids):
-            total_arr = int(self.arrivals[:, j].sum())
-            total_drops = int(self.drops[:, j].sum())
-            ratio = None if total_arr == 0 else (total_arr - total_drops) / total_arr
-            services.append(
-                ServiceSummary(
-                    service_id=sid,
-                    arrivals=total_arr,
-                    served=int(self.served[:, j].sum()),
-                    drops=total_drops,
-                    final_backlog=int(self.backlog[-1, j]),
-                    final_deficit=float(deficit[-1, j]),
-                    delivery_ratio=ratio,
-                )
-            )
-        return RunSummary(
-            scheduler=self.scheduler,
-            seed=self.seed,
-            num_frames=self.num_frames,
-            services=tuple(services),
-            feasibility=self.feasibility,
-        )
+    def delivery_ratios(self) -> list[float | None]:
+        """Per service, the share of its arrivals that were not dropped,
+        (arrivals - drops) / arrivals over exact integers, or ``None`` for a
+        service without arrivals.  Packets still queued when the run ends
+        count as not dropped."""
+        arrivals = self.arrivals.sum(axis=0).tolist()
+        drops = self.drops.sum(axis=0).tolist()
+        return [None if a == 0 else (a - d) / a for a, d in zip(arrivals, drops)]
 
-    def csv_header(self) -> list[str]:
+    def summary_text(self) -> str:
+        """The text of ``summary.txt``: the run's scheduler, seed and length,
+        its feasibility report, then one line of totals per service."""
+        lines = [
+            f"scheduler = {self.scheduler}",
+            f"seed = {self.seed}",
+            f"num_frames = {self.num_frames}",
+            f"feasible = {self.feasibility.feasible}",
+            f"feasibility_margin = {self.feasibility.margin:.9g}",
+            f"mean_capacity = {self.feasibility.mean_capacity:.9g}",
+            f"required_rate = {self.feasibility.required_rate:.9g}",
+        ]
+        services = zip(
+            self.service_ids,
+            self.arrivals.sum(axis=0).tolist(),
+            self.served.sum(axis=0).tolist(),
+            self.drops.sum(axis=0).tolist(),
+            self.backlog[-1].tolist(),
+            self.deficit[-1].tolist(),
+            self.delivery_ratios(),
+        )
+        for sid, arrivals, served, drops, backlog, deficit, ratio in services:
+            ratio = "n/a" if ratio is None else f"{ratio:.9g}"
+            lines.append(
+                f"service {sid}: arrivals = {arrivals}, served = {served}, "
+                f"drops = {drops}, final_backlog = {backlog}, "
+                f"final_deficit = {deficit:.9g}, delivery_ratio = {ratio}"
+            )
+        return "\n".join(lines) + "\n"
+
+    def to_csv(self, path) -> None:
+        """Write the trace as CSV, formatting ``CSV_CHUNK_ROWS`` rows at a time
+        so the text of the whole trace is never held in memory."""
+        n_svc = len(self.service_ids)
+        row_format = ",".join(["%d,%d"] + ["%d,%d,%d,%.9g,%d"] * n_svc) + "\n"
         cols = ["frame", "capacity"]
         for sid in self.service_ids:
             cols += [
@@ -192,17 +170,10 @@ class TraceLog:
                 f"deficit_s{sid}",
                 f"backlog_s{sid}",
             ]
-        return cols
-
-    def to_csv(self, path) -> None:
-        """Write the trace as CSV, formatting ``CSV_CHUNK_ROWS`` rows at a time
-        so the text of the whole trace is never held in memory."""
-        n_svc = len(self.service_ids)
-        row_format = ",".join(["%d,%d"] + ["%d,%d,%d,%.9g,%d"] * n_svc) + "\n"
         deficit = self.deficit
         with open(path, "w", newline="") as fh:
             fh.write(f"# schema={TRACE_SCHEMA}\n")
-            fh.write(",".join(self.csv_header()) + "\n")
+            fh.write(",".join(cols) + "\n")
             for lo in range(0, self.num_frames, CSV_CHUNK_ROWS):
                 hi = min(lo + CSV_CHUNK_ROWS, self.num_frames)
                 columns = [range(lo, hi), self.capacity[lo:hi].tolist()]
@@ -286,9 +257,9 @@ def run(config: SimConfig) -> TraceLog:
 
 def single_service_ratios(sims: list[SimConfig]) -> list[float | None]:
     """Delivery ratio of each one-service trip of ``sims`` (``None`` where it
-    drew no arrivals), equal to ``run(sim).summary()``'s under any policy, as
-    each serves a lone service oldest first: with A(t) the arrivals of frames
-    0..t and x those gone (served or dropped), frame t serves up to
+    drew no arrivals), equal to ``run(sim).delivery_ratios()[0]`` under any
+    policy, as each serves a lone service oldest first: with A(t) the arrivals
+    of frames 0..t and x those gone (served or dropped), frame t serves up to
     y = min(x + c_t, A(t)), then x = max(y, A(t - m + 1)) and x - y drop.
     Arrivals come ``CSV_CHUNK_ROWS`` frames at a time, one stream per rate,
     tail and seed; at most ``PROGRESS_LINES`` INFO lines report the progress."""

@@ -6,6 +6,7 @@ per criterion.
 """
 
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -166,11 +167,7 @@ def test_criterion_05_oracle_agreement(default_sim):
         f"weighted-objective optimal {report.weighted_agreed}/{report.total}"
     )
     if report.first_mismatch is not None:
-        inst = report.first_mismatch
-        detail += (
-            f"; first mismatch: order={inst.order} arrivals={inst.arrivals} "
-            f"deadlines={inst.deadlines} available={inst.available} weights={inst.weights}"
-        )
+        detail += f"; first mismatch: {asdict(report.first_mismatch)}"
     _report(5, report.passed, detail)
 
 
@@ -235,7 +232,7 @@ def test_criterion_08_saturation(saturated):
     ok = True
     details = []
     for policy, trace in saturated.items():
-        ratios = [s.delivery_ratio for s in trace.summary().services]
+        ratios = trace.delivery_ratios()
         zero_y = bool((trace.deficit == 0.0).all())
         ok = ok and all(r == 1.0 for r in ratios) and zero_y
         details.append(f"{policy}: ratios={ratios}, Y==0 {zero_y}")

@@ -234,6 +234,14 @@ def test_fig2_shipped_config_plots_the_whole_trip(tmp_path):
         "rr": "bc20cfe2e1586a016ac8368ec183814a28115bfdc3505e291fd2295a0470819a",
         "edf": "0119f6a6cb5feea24dbf468cf74d910d0b782fe2b331f3897c8ec70126b433d4",
     }
+    # the summaries' digests were taken before the summary text was read off
+    # the trace arrays directly
+    summaries = {policy: (out / f"summary_{policy}.txt").read_bytes() for policy in ("dcsa", "rr", "edf")}
+    assert {policy: hashlib.sha256(text).hexdigest() for policy, text in summaries.items()} == {
+        "dcsa": "4d704aba7121c07c2fec9121d9ca2b6ba316112873fa0edab3c027a428d080ec",
+        "rr": "5c01a3c17c134fa2a469b1791ba6a432fedf61dc8791ecb27d273e27c3ef2d1a",
+        "edf": "6aa387af6210e03645bf824dc1174080b61e23d94512851e9dae157bf6124f0d",
+    }
 
 
 def test_cmd_fig3_grid_rows(tmp_path):
@@ -272,7 +280,7 @@ def test_fig3_row_is_mean_of_standalone_runs(tmp_path):
             seed=(3 ^ 1) + rep,
             num_frames=1500,
         )
-        total += run(sim).summary().services[0].delivery_ratio
+        total += run(sim).delivery_ratios()[0]
     assert ratio == total / 2
 
 
