@@ -77,7 +77,7 @@ def check_sample_drift(trace: TraceLog) -> DriftCheckReport:
     """
     max_violation = Fraction(0)
     worst = (None, None)
-    for j, sid in enumerate(trace.service_ids):
+    for j in range(len(trace.loss_allowances)):
         cur, p, q = _exact_columns(trace, j)
         prev = np.concatenate(([0], cur[:-1]))
         dq = trace.drops[:, j].astype(object) * q
@@ -85,7 +85,7 @@ def check_sample_drift(trace: TraceLog) -> DriftCheckReport:
         top = Fraction(violation.max(initial=0), q * q)
         if top > max_violation:
             max_violation = top
-            worst = (int(np.argmax(violation)), sid)
+            worst = (int(np.argmax(violation)), j + 1)
     return DriftCheckReport(
         passed=not max_violation,
         max_violation=float(max_violation),
@@ -141,7 +141,7 @@ def check_lemma1(trace: TraceLog) -> Lemma1Report:
     n = trace.num_frames
     frames = np.arange(1, n + 1, dtype=object)
     reports = []
-    for j, sid in enumerate(trace.service_ids):
+    for j in range(len(trace.loss_allowances)):
         num, p, q = _exact_columns(trace, j)
         # Y[k] >= sum(D[0..k]) - (k + 1) * allowance, scaled by q
         running = np.cumsum(trace.drops[:, j].astype(object))
@@ -151,7 +151,7 @@ def check_lemma1(trace: TraceLog) -> Lemma1Report:
         final_rate = Fraction(num[-1], q * n)
         reports.append(
             ServiceLemma1Report(
-                service_id=sid,
+                service_id=j + 1,
                 prefix_ok=not max_violation,
                 max_prefix_violation=float(max_violation),
                 worst_prefix_frame=worst if max_violation else None,

@@ -166,11 +166,15 @@ def parse_config(
         for cls, values in overrides.items():
             kwargs[cls].update((field, v) for field, v in values.items() if v is not None)
         services = tuple(
-            ServiceSpec(service_id=sid, **_read(parser, name, SCHEMA["service"])[ServiceSpec])
-            for sid, name in sorted(service_sections)
+            ServiceSpec(**_read(parser, name, SCHEMA["service"])[ServiceSpec])
+            for _, name in sorted(service_sections)
         )
         trajectory = TrajectoryConfig(**kwargs[TrajectoryConfig])
         radio = RadioConfig(**kwargs[RadioConfig])
+        # a service's id is its section's rank, so the ids must be 1..n
+        ids = sorted(sid for sid, _ in service_sections)
+        if ids != list(range(1, len(ids) + 1)):
+            raise ConfigError(f"service ids must be 1..{len(ids)} (got {ids})")
         sim = SimConfig(trajectory, radio, services, **kwargs[SimConfig])
         return ExperimentConfig(sim, **kwargs[ExperimentConfig])
     except ValueError as exc:
@@ -197,7 +201,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     blocks = []
     for name, rows in SCHEMA.items():
         if name == "service":
-            blocks += [_block(f"service.{s.service_id}", rows, {ServiceSpec: s}) for s in sim.services]
+            blocks += [_block(f"service.{j}", rows, {ServiceSpec: s}) for j, s in enumerate(sim.services, 1)]
         else:
             blocks.append(_block(name, rows, owners))
     return "\n".join(blocks)
@@ -211,7 +215,7 @@ def _write_deficit_csv(path: str, trace: TraceLog) -> None:
     deficit = trace.deficit[frames].tolist()
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema={TRACE_SCHEMA}\n")
-        cols = ["frame"] + [f"deficit_s{sid}" for sid in trace.service_ids]
+        cols = ["frame"] + [f"deficit_s{sid}" for sid in range(1, len(trace.loss_allowances) + 1)]
         fh.write(",".join(cols) + "\n")
         for k, row in zip(frames, deficit):
             fh.write(",".join([str(k)] + [f"{y:.9g}" for y in row]) + "\n")
@@ -239,7 +243,7 @@ def cmd_fig2(cfg: ExperimentConfig) -> int:
             fh.write(trace.summary_text())
         deficit = trace.deficit
         finals[policy] = {
-            f"final_deficit_s{sid}": float(deficit[-1, j]) for j, sid in enumerate(trace.service_ids)
+            f"final_deficit_s{j + 1}": float(final) for j, final in enumerate(deficit[-1])
         }
         finals[policy]["max_deficit_gap"] = float(abs(deficit[:, 0] - deficit[:, 1]).max())
     with open(os.path.join(cfg.output_dir, "fig2_summary.json"), "w") as fh:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import RadioConfig, TrajectoryConfig, build_capacity_profile
 from .schedulers import SCHEDULER_POLICIES, make_scheduler
-from .traffic import ArrivalGenerator, FeasibilityReport, ServiceSpec, feasibility_check, validate_service_ids
+from .traffic import ArrivalGenerator, FeasibilityReport, ServiceSpec, feasibility_check
 
 TRACE_SCHEMA = 1
 # frames per chunk of trace text (to_csv) and of arrivals (run, single_service_ratios); bounds memory
@@ -39,6 +39,9 @@ class ContractViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One run: the link, the services (service j + 1 is ``services[j]``),
+    the policy, the seed and the frames to run."""
+
     trajectory: TrajectoryConfig
     radio: RadioConfig
     services: tuple[ServiceSpec, ...]
@@ -48,7 +51,8 @@ class SimConfig:
     capacity_override: int | None = None
 
     def __post_init__(self) -> None:
-        validate_service_ids(self.services)
+        if not self.services:
+            raise ValueError("at least one service required")
         if self.scheduler not in SCHEDULER_POLICIES:
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.seed < 0:
@@ -63,11 +67,11 @@ class SimConfig:
                 )
         if self.capacity_override is not None and not 0 <= self.capacity_override <= INT64_MAX:
             raise ValueError(f"capacity_override must be in 0..{INT64_MAX}")
-        for s in self.services:
+        for j, s in enumerate(self.services):
             # a deficit never exceeds the drops so far, at most max_arrivals a frame
             if s.loss_allowance.denominator * s.max_arrivals * self.frames > INT64_MAX:
                 raise ValueError(
-                    f"service {s.service_id}: the deficit over loss allowance "
+                    f"service {j + 1}: the deficit over loss allowance "
                     f"{s.loss_allowance} may not fit int64; write lambda and "
                     "delivery_ratio with fewer decimal digits"
                 )
@@ -88,14 +92,13 @@ class SimConfig:
 class TraceLog:
     """Per-frame record of one run plus enough metadata to audit it.
 
-    ``deficit_num[k, j]`` is service j's deficit after frame k times the
+    Column j of every per-service array belongs to service j + 1.
+    ``deficit_num[k, j]`` is its deficit after frame k times the
     denominator of its loss allowance: the counter exactly, as an integer.
     """
 
     scheduler: str
     seed: int
-    service_ids: tuple[int, ...]
-    deadlines: tuple[int, ...]
     loss_allowances: tuple[Fraction, ...]
     capacity: np.ndarray
     arrivals: np.ndarray
@@ -139,7 +142,6 @@ class TraceLog:
             f"required_rate = {self.feasibility.required_rate:.9g}",
         ]
         services = zip(
-            self.service_ids,
             self.arrivals.sum(axis=0).tolist(),
             self.served.sum(axis=0).tolist(),
             self.drops.sum(axis=0).tolist(),
@@ -147,7 +149,7 @@ class TraceLog:
             self.deficit[-1].tolist(),
             self.delivery_ratios(),
         )
-        for sid, arrivals, served, drops, backlog, deficit, ratio in services:
+        for sid, (arrivals, served, drops, backlog, deficit, ratio) in enumerate(services, 1):
             ratio = "n/a" if ratio is None else f"{ratio:.9g}"
             lines.append(
                 f"service {sid}: arrivals = {arrivals}, served = {served}, "
@@ -159,10 +161,10 @@ class TraceLog:
     def to_csv(self, path) -> None:
         """Write the trace as CSV, formatting ``CSV_CHUNK_ROWS`` rows at a time
         so the text of the whole trace is never held in memory."""
-        n_svc = len(self.service_ids)
+        n_svc = len(self.loss_allowances)
         row_format = ",".join(["%d,%d"] + ["%d,%d,%d,%.9g,%d"] * n_svc) + "\n"
         cols = ["frame", "capacity"]
-        for sid in self.service_ids:
+        for sid in range(1, n_svc + 1):
             cols += [
                 f"arrivals_s{sid}",
                 f"served_s{sid}",
@@ -190,7 +192,7 @@ class TraceLog:
 
 def run(config: SimConfig) -> TraceLog:
     """Execute one seeded run and return its trace."""
-    specs = tuple(sorted(config.services, key=lambda s: s.service_id))
+    specs = config.services
     caps = config.capacities()
     n = config.frames
     n_svc = len(specs)
@@ -242,8 +244,6 @@ def run(config: SimConfig) -> TraceLog:
     return TraceLog(
         scheduler=config.scheduler,
         seed=config.seed,
-        service_ids=tuple(s.service_id for s in specs),
-        deadlines=tuple(s.deadline for s in specs),
         loss_allowances=tuple(s.loss_allowance for s in specs),
         capacity=np.array(caps[:n], dtype=np.int64),
         arrivals=arrivals,

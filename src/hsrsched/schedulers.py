@@ -3,7 +3,7 @@
 All policies implement one contract, ``decide(frame, buckets, nums)``: given
 the frame index, each service's deadline buckets (``buckets[j][i]`` holds
 service j's packets with i + 1 frames to go, this frame's arrivals already
-admitted) and exact deficit numerators in service-id order, they return one
+admitted) and exact deficit numerators in spec order, they return one
 row of per-bucket transmission counts per service that never exceed any
 bucket content or the frame's capacity, which every policy reads from the
 trip's capacity tuple it was built with.
@@ -21,7 +21,7 @@ from itertools import accumulate, zip_longest
 from operator import le, sub
 from typing import Mapping, Sequence
 
-from .traffic import ServiceSpec, validate_service_ids
+from .traffic import ServiceSpec
 
 
 def allocate_cohorts(order: Sequence, rows: Mapping | Sequence, available: Sequence[int]) -> dict:
@@ -78,13 +78,12 @@ class Scheduler:
     name: str = "base"
 
     def __init__(self, specs: Sequence[ServiceSpec], capacities: Sequence[int]):
-        validate_service_ids(specs)
-        self.specs = tuple(sorted(specs, key=lambda s: s.service_id))
+        self.specs = tuple(specs)
         # the trip's per-frame capacities, the only source of a frame's capacity
         self.capacities = tuple(capacities)
         deadlines = [s.deadline for s in self.specs]
         self._horizon = max(deadlines)
-        # (position, bucket) by ascending frames to go, then ascending id
+        # (position, bucket) by ascending frames to go, then ascending position
         self._cells = [(j, i) for i in range(self._horizon) for j, m in enumerate(deadlines) if i < m]
 
     def decide(self, frame: int, buckets: Sequence[Sequence[int]], nums: Sequence[int]) -> list[list[int]]:
@@ -114,7 +113,7 @@ class DcsaScheduler(Scheduler):
     Nothing is carried between frames: the state is the trip's capacities,
     the planning horizon (the longest deadline), the scales that put every
     deficit numerator over one denominator and the serving order of the
-    bucket cells.  Services are indexed by position in id order (id - 1).
+    bucket cells.  Services are indexed by position in spec order.
     """
 
     name = "dcsa"
@@ -142,7 +141,7 @@ class DcsaScheduler(Scheduler):
         if sum(map(any, buckets)) > 1 and not all(
             map(le, accumulate(map(sum, zip_longest(*buckets, fillvalue=0))), accumulate(available))
         ):
-            # sorted is stable: equal deficits keep ascending id
+            # sorted is stable: equal deficits keep ascending position
             order = sorted(range(len(buckets)), key=lambda j: -nums[j] * self._scales[j])
             return self._serve(self._cells, allocate_cohorts(order, buckets, available), frame)
         return self._serve(self._cells, buckets, frame)
@@ -165,7 +164,7 @@ class RoundRobinScheduler(Scheduler):
 class EdfScheduler(Scheduler):
     """Serves the most urgent packets system-wide, ignoring QoS targets.
 
-    Ties at equal urgency go to the higher service id; the rule is arbitrary
+    Ties at equal urgency go to the later service; the rule is arbitrary
     but fixed so runs stay reproducible.
     """
 
@@ -173,7 +172,7 @@ class EdfScheduler(Scheduler):
 
     def __init__(self, specs: Sequence[ServiceSpec], capacities: Sequence[int]):
         super().__init__(specs, capacities)
-        # by ascending frames to go, then descending id
+        # by ascending frames to go, then descending position
         self._cells.sort(key=lambda cell: (cell[1], -cell[0]))
 
     def decide(self, frame: int, buckets: Sequence[Sequence[int]], nums: Sequence[int]) -> list[list[int]]:

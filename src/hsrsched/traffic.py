@@ -18,12 +18,11 @@ import numpy as np
 DEFAULT_TAIL_EPS = 1e-6
 
 
-def truncated_poisson_pmf(rate: float, tail_eps: float = DEFAULT_TAIL_EPS) -> tuple[int, np.ndarray]:
+def truncated_poisson_pmf(rate: float, tail_eps: float = DEFAULT_TAIL_EPS) -> np.ndarray:
     """Truncated, renormalized Poisson pmf.
 
-    Returns ``(a, pmf)`` where ``a`` is the smallest integer whose Poisson
-    upper-tail mass beyond it is below ``tail_eps`` and ``pmf`` has support
-    {0..a} and sums to 1.
+    Its support is {0..a}, where ``a`` is the smallest integer whose Poisson
+    upper-tail mass beyond it is below ``tail_eps``, and it sums to 1.
     """
     if rate <= 0:
         raise ValueError("rate must be strictly positive")
@@ -48,29 +47,25 @@ def truncated_poisson_pmf(rate: float, tail_eps: float = DEFAULT_TAIL_EPS) -> tu
             raise ValueError("tail_eps below float resolution for this rate")
     pmf = np.array(terms, dtype=float)
     pmf /= pmf.sum()
-    return i, pmf
+    return pmf
 
 
 @dataclass(frozen=True)
 class ServiceSpec:
     """Traffic and QoS parameters of one service.
 
-    service_id: small positive integer, unique per run
     arrival_rate: mean packets per frame (Poisson rate)
     deadline: packet lifetime in frames; unserved packets drop after it
     delivery_ratio: required long-run delivered fraction, in (0, 1)
     tail_eps: tail mass threshold for the arrival burst bound
     """
 
-    service_id: int
     arrival_rate: float
     deadline: int
     delivery_ratio: float
     tail_eps: float = DEFAULT_TAIL_EPS
 
     def __post_init__(self) -> None:
-        if self.service_id < 0:
-            raise ValueError("service_id must be non-negative")
         if not 0 < self.arrival_rate < math.inf:
             raise ValueError("arrival_rate must be strictly positive and finite")
         if self.deadline < 1:
@@ -92,7 +87,7 @@ class ServiceSpec:
 
     @cached_property
     def pmf(self) -> np.ndarray:
-        return truncated_poisson_pmf(self.arrival_rate, self.tail_eps)[1]
+        return truncated_poisson_pmf(self.arrival_rate, self.tail_eps)
 
     @cached_property
     def max_arrivals(self) -> int:
@@ -100,36 +95,25 @@ class ServiceSpec:
         return len(self.pmf) - 1
 
 
-def validate_service_ids(specs) -> None:
-    """Service ids must be unique and contiguous starting at 1."""
-    ids = sorted(s.service_id for s in specs)
-    if not specs:
-        raise ValueError("at least one service required")
-    if ids != list(range(1, len(ids) + 1)):
-        raise ValueError(f"service ids must be 1..{len(ids)} (got {ids})")
-
-
 class ArrivalGenerator:
     """Seeded arrival stream for a fixed list of services.
 
     Uses numpy's PCG64 generator (stable, versioned stream for a given seed).
     Draw order is frame-major, service-minor: one uniform per service per
-    frame, services in ascending id order, so equal seeds and equal spec
-    lists reproduce the exact same stream.
+    frame, services in list order, so equal seeds and equal spec lists
+    reproduce the exact same stream.
     """
 
     def __init__(self, specs, seed: int):
-        self.specs = tuple(sorted(specs, key=lambda s: s.service_id))
-        self.seed = seed
         self._rng = np.random.Generator(np.random.PCG64(seed))
         # the last cdf value is left out: it may round below 1, and a draw
         # above it must still land on the burst bound, not one past it
-        self._cdfs = [np.cumsum(s.pmf)[:-1] for s in self.specs]
+        self._cdfs = [np.cumsum(s.pmf)[:-1] for s in specs]
 
     def sample_run(self, num_frames: int) -> np.ndarray:
-        """All arrivals of a run at once: one row per frame, services in id order."""
-        u = self._rng.random((num_frames, len(self.specs)))
-        out = np.empty((num_frames, len(self.specs)), dtype=np.int64)
+        """All arrivals of a run at once: one row per frame, services in list order."""
+        u = self._rng.random((num_frames, len(self._cdfs)))
+        out = np.empty((num_frames, len(self._cdfs)), dtype=np.int64)
         for j, cdf in enumerate(self._cdfs):
             out[:, j] = np.searchsorted(cdf, u[:, j], side="right")
         return out

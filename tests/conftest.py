@@ -45,8 +45,8 @@ def table1_radio():
 @pytest.fixture(scope="session")
 def two_services():
     return (
-        ServiceSpec(service_id=1, arrival_rate=100.0, deadline=10, delivery_ratio=0.99),
-        ServiceSpec(service_id=2, arrival_rate=60.0, deadline=10, delivery_ratio=0.90),
+        ServiceSpec(arrival_rate=100.0, deadline=10, delivery_ratio=0.99),
+        ServiceSpec(arrival_rate=60.0, deadline=10, delivery_ratio=0.90),
     )
 
 

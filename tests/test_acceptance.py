@@ -114,7 +114,7 @@ def test_criterion_02_capacity_profile_shape(default_sim):
     )
 
 
-def test_criterion_03_constraint_invariants(recorded):
+def test_criterion_03_constraint_invariants(recorded, default_sim):
     violations = 0
     cohorts_checked = 0
     for (policy, seed), (trace, bucket_served) in recorded.items():
@@ -125,7 +125,7 @@ def test_criterion_03_constraint_invariants(recorded):
             violations += 1
         # per-cohort conservation: arrivals fully resolve into lifetime
         # service plus the drop recorded at expiry
-        for j, m in enumerate(trace.deadlines):
+        for j, m in enumerate(s.deadline for s in default_sim.services):
             lifetime = np.zeros(n - m + 1, dtype=np.int64)
             for i in range(m):
                 lifetime += bucket_served[i : n - m + 1 + i, j, m - 1 - i]

@@ -33,9 +33,9 @@ from hsrsched.traffic import FeasibilityReport
 
 # the shipped link with three services of deadlines 2, 5 and 10
 MIXED_SERVICES = (
-    ServiceSpec(service_id=1, arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
-    ServiceSpec(service_id=2, arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
-    ServiceSpec(service_id=3, arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
+    ServiceSpec(arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
+    ServiceSpec(arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
+    ServiceSpec(arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
 )
 
 
@@ -59,8 +59,6 @@ def _hand_trace(drops_per_frame, loss_allowance, deficits=None):
     return TraceLog(
         scheduler="dcsa",
         seed=0,
-        service_ids=(1,),
-        deadlines=(3,),
         loss_allowances=(allowance,),
         capacity=np.zeros(n, dtype=np.int64),
         arrivals=zeros.copy(),
@@ -78,7 +76,7 @@ def _reference_sample_drift(trace):
     max_violation = Fraction(0)
     worst = (None, None)
     checked = 0
-    for j in range(len(trace.service_ids)):
+    for j in range(len(trace.loss_allowances)):
         p, q = trace.loss_allowances[j].as_integer_ratio()
         prev = 0  # counter starts at zero
         for k in range(trace.num_frames):
@@ -89,7 +87,7 @@ def _reference_sample_drift(trace):
             violation = Fraction(lhs - rhs, q * q)
             if violation > max_violation:
                 max_violation = violation
-                worst = (k, trace.service_ids[j])
+                worst = (k, j + 1)
             checked += 1
             prev = cur
     return DriftCheckReport(
@@ -106,7 +104,7 @@ def _reference_lemma1(trace):
     in ``check_lemma1`` must agree with it field for field."""
     reports = []
     n = trace.num_frames
-    for j, sid in enumerate(trace.service_ids):
+    for j in range(len(trace.loss_allowances)):
         p, q = trace.loss_allowances[j].as_integer_ratio()
         running = 0  # sum of drops over frames 0..k-1
         max_violation = Fraction(0)
@@ -121,7 +119,7 @@ def _reference_lemma1(trace):
         final_rate = Fraction(int(trace.deficit_num[-1, j]), q * n)
         reports.append(
             ServiceLemma1Report(
-                service_id=sid,
+                service_id=j + 1,
                 prefix_ok=max_violation == 0,
                 max_prefix_violation=float(max_violation),
                 worst_prefix_frame=worst,
@@ -454,7 +452,7 @@ def test_array_checks_match_reference_beyond_int64_squares():
 def test_sample_drift_flags_a_one_unit_fault_worth_under_1e9(table1_traj, table1_radio):
     # allowance 1234567899/8000000000: one unit on a numerator is a violation
     # of 4.6e-10 packets squared, below any float tolerance of 1e-9
-    spec = ServiceSpec(service_id=1, arrival_rate=12.5, deadline=1, delivery_ratio=0.98765432101)
+    spec = ServiceSpec(arrival_rate=12.5, deadline=1, delivery_ratio=0.98765432101)
     assert spec.loss_allowance == Fraction(1234567899, 8000000000)
     cfg = SimConfig(
         trajectory=table1_traj,
@@ -478,11 +476,10 @@ def _exact_check_runs(draw):
     """Small runs whose loss allowances have up to 14 decimal places, so the
     numerators' squares overflow int64 while the run passes the int64 guard."""
     services = []
-    for sid in range(1, draw(st.integers(1, 3)) + 1):
+    for _ in range(draw(st.integers(1, 3))):
         places = draw(st.integers(1, 14))
         services.append(
             ServiceSpec(
-                service_id=sid,
                 arrival_rate=draw(st.integers(1, 400)) / 8,
                 deadline=draw(st.integers(1, 4)),
                 delivery_ratio=draw(st.integers(1, 10**places - 1)) / 10**places,
@@ -514,7 +511,7 @@ def test_exact_checks_flag_a_one_unit_fault_either_way(params, data, table1_traj
     drift, lemma1 = _assert_checks_match_reference(trace)
     assert drift.passed and lemma1.passed
     j = data.draw(st.integers(0, len(services) - 1))
-    sid = trace.service_ids[j]
+    sid = j + 1
     p, q = trace.loss_allowances[j].as_integer_ratio()
     num, drops = trace.deficit_num[:, j].tolist(), trace.drops[:, j].tolist()
     # where a frame drops nothing and the counter covers the allowance, the

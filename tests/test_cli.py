@@ -272,7 +272,7 @@ def test_fig3_row_is_mean_of_standalone_runs(tmp_path):
     m, rate, ratio = rows[3]
     total = 0.0
     for rep in range(2):
-        spec = ServiceSpec(service_id=1, arrival_rate=rate, deadline=m, delivery_ratio=0.9)
+        spec = ServiceSpec(arrival_rate=rate, deadline=m, delivery_ratio=0.9)
         sim = SimConfig(
             trajectory=cfg.sim.trajectory,
             radio=cfg.sim.radio,
@@ -621,3 +621,41 @@ def test_capacity_override_beyond_int64_is_a_config_error(tmp_path, capsys):
     assert main(["run", str(path), "--frames", "10", "--out", str(out)]) == EXIT_CONFIG
     assert "capacity_override must be in 0..9223372036854775807" in capsys.readouterr().err
     assert not out.exists()
+
+
+MIXED_CONFIG = os.path.join(REPO, "perfbench", "configs", "mixed.ini")
+SERVICE_BODY = "lambda = 20.0\ndeadline = 2\ndelivery_ratio = 0.95\n"
+
+
+@pytest.mark.parametrize(
+    "sections, message",
+    [
+        (["service.1", "service.3"], "service ids must be 1..2 (got [1, 3])"),
+        (["service.0", "service.1"], "service ids must be 1..2 (got [0, 1])"),
+        (["service.1", "service.01"], "service ids must be 1..2 (got [1, 1])"),
+        (["service.x"], "bad service section name [service.x]"),
+        ([], "at least one service required"),
+    ],
+)
+def test_service_section_ids_are_checked_by_the_parser(sections, message, tmp_path, capsys):
+    text = re.sub(r"^\[service\.\d+\]\n(?:.+\n)*", "", serialize_config(parse_config(MIXED_CONFIG)), flags=re.M)
+    path = tmp_path / "ids.ini"
+    path.write_text(text + "".join(f"\n[{name}]\n{SERVICE_BODY}" for name in sections))
+    out = tmp_path / "x"
+    assert main(["run", str(path), "--frames", "10", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_service_sections_are_taken_in_id_order(tmp_path):
+    with open(MIXED_CONFIG) as fh:
+        text = fh.read()
+    block = re.search(r"^\[service\.3\]\n(?:.+\n)*\n", text, flags=re.M).group(0)
+    path = tmp_path / "reordered.ini"
+    path.write_text(text.replace(block, "").replace("[service.1]\n", block + "[service.1]\n"))
+    assert path.read_text().index("[service.3]") < path.read_text().index("[service.1]")
+    assert parse_config(str(path)) == parse_config(MIXED_CONFIG)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for config, out in zip((MIXED_CONFIG, str(path)), outs):
+        assert main(["run", config, "--frames", "200", "--out", str(out)]) == EXIT_OK
+    assert (outs[0] / "trace.csv").read_bytes() == (outs[1] / "trace.csv").read_bytes()

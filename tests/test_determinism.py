@@ -21,9 +21,9 @@ DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "
 
 # the shipped link with three services of deadlines 2, 5 and 10
 MIXED_SERVICES = (
-    ServiceSpec(service_id=1, arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
-    ServiceSpec(service_id=2, arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
-    ServiceSpec(service_id=3, arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
+    ServiceSpec(arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
+    ServiceSpec(arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
+    ServiceSpec(arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
 )
 
 EXPECTED_SHA256 = {

@@ -71,9 +71,9 @@ def test_cohort_drop_equivalence(table1_traj, table1_radio, two_services, run_re
     # the dcsa planner and different bucket counts in the queues; both links
     # carry less than the offered load, so batches do drop
     mixed = (
-        ServiceSpec(service_id=1, arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
-        ServiceSpec(service_id=2, arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
-        ServiceSpec(service_id=3, arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
+        ServiceSpec(arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
+        ServiceSpec(arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
+        ServiceSpec(arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
     )
     for services, link in ((two_services, 150), (mixed, 100)):
         for policy in SCHEDULER_POLICIES:
@@ -88,7 +88,7 @@ def test_cohort_drop_equivalence(table1_traj, table1_radio, two_services, run_re
             )
             trace, bucket_served = run_recording_decisions(cfg)
             assert trace.drops.sum() > 0
-            for j, m in enumerate(trace.deadlines):
+            for j, m in enumerate(s.deadline for s in services):
                 assert not bucket_served[:, j, m:].any()
                 for k in range(trace.num_frames - m + 1):
                     lifetime = [int(bucket_served[k + i, j, m - 1 - i]) for i in range(m)]
@@ -200,9 +200,9 @@ def test_dcsa_serves_the_tight_service_at_least_as_well_as_edf(table1_traj, tabl
     # re-planning every cohort by current deficit lets the deadline-2
     # service reclaim capacity that EDF hands to whoever is most urgent
     services = (
-        ServiceSpec(service_id=1, arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
-        ServiceSpec(service_id=2, arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
-        ServiceSpec(service_id=3, arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
+        ServiceSpec(arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
+        ServiceSpec(arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
+        ServiceSpec(arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
     )
     dcsa, edf = (
         run(_config(table1_traj, table1_radio, services, scheduler=policy, seed=42))
@@ -215,8 +215,8 @@ def test_dcsa_serves_the_tight_service_at_least_as_well_as_edf(table1_traj, tabl
 def test_delivery_ratio_zero_with_dead_link(table1_traj, table1_radio):
     # single-frame lifetimes so nothing lingers in the backlog at run end
     services = (
-        ServiceSpec(service_id=1, arrival_rate=20.0, deadline=1, delivery_ratio=0.9),
-        ServiceSpec(service_id=2, arrival_rate=5.0, deadline=1, delivery_ratio=0.8),
+        ServiceSpec(arrival_rate=20.0, deadline=1, delivery_ratio=0.9),
+        ServiceSpec(arrival_rate=5.0, deadline=1, delivery_ratio=0.8),
     )
     cfg = _config(table1_traj, table1_radio, services, seed=3, num_frames=500, capacity_override=0)
     assert run(cfg).delivery_ratios() == [0.0, 0.0]
@@ -229,12 +229,6 @@ def test_config_validation(table1_traj, table1_radio, two_services):
         _config(table1_traj, table1_radio, two_services, num_frames=30001)
     with pytest.raises(ValueError):
         _config(table1_traj, table1_radio, (), seed=0)
-    gap = (
-        ServiceSpec(service_id=1, arrival_rate=5.0, deadline=2, delivery_ratio=0.9),
-        ServiceSpec(service_id=3, arrival_rate=5.0, deadline=2, delivery_ratio=0.9),
-    )
-    with pytest.raises(ValueError):
-        _config(table1_traj, table1_radio, gap)
     with pytest.raises(ValueError):
         _config(table1_traj, table1_radio, two_services, capacity_override=-1)
 
@@ -251,7 +245,7 @@ def test_capacity_override_beyond_int64_rejected(table1_traj, table1_radio, two_
 
 def test_allowance_beyond_int64_numerators_rejected(table1_traj, table1_radio):
     # 16 decimal places: the allowance is 1831252068573033 / (5 * 10**14)
-    spec = ServiceSpec(service_id=1, arrival_rate=10.0, deadline=2, delivery_ratio=0.6337495862853934)
+    spec = ServiceSpec(arrival_rate=10.0, deadline=2, delivery_ratio=0.6337495862853934)
     assert spec.loss_allowance.denominator > 10**14
     with pytest.raises(ValueError, match="may not fit int64"):
         _config(table1_traj, table1_radio, (spec,))
@@ -287,9 +281,9 @@ def test_backlog_is_what_the_buckets_hold_frame_by_frame(policy, table1_traj, ta
 
     monkeypatch.setattr(engine_mod, "make_scheduler", recording)
     services = (
-        ServiceSpec(service_id=1, arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
-        ServiceSpec(service_id=2, arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
-        ServiceSpec(service_id=3, arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
+        ServiceSpec(arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
+        ServiceSpec(arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
+        ServiceSpec(arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
     )
     cfg = _config(
         table1_traj, table1_radio, services, scheduler=policy, seed=8, num_frames=1500, capacity_override=100
@@ -317,13 +311,12 @@ def test_summary_text_contains_key_fields(table1_traj, table1_radio, two_service
 def _small_runs(draw):
     services = tuple(
         ServiceSpec(
-            service_id=sid,
             # decimal values of up to 3 and 4 places, as a config file holds them
             arrival_rate=draw(st.integers(500, 100_000)) / 1000,
             deadline=draw(st.integers(1, 10)),
             delivery_ratio=draw(st.integers(5000, 9900)) / 10000,
         )
-        for sid in range(1, draw(st.integers(1, 3)) + 1)
+        for _ in range(draw(st.integers(1, 3)))
     )
     return (
         services,
@@ -351,7 +344,7 @@ def test_engine_conservation_laws(policy, params, table1_traj, table1_radio, run
     assert (trace.served == bucket_served.sum(axis=2)).all()
     assert (trace.served.sum(axis=1) <= trace.capacity).all()
     assert (trace.deficit >= 0.0).all()
-    for j, m in enumerate(trace.deadlines):
+    for j, m in enumerate(s.deadline for s in services):
         arrivals, served, drops = trace.arrivals[:, j], trace.served[:, j], trace.drops[:, j]
         assert arrivals.sum() == served.sum() + drops.sum() + trace.backlog[-1, j]
         # the batch of frame k is served from bucket r = m - i at frame k + i
@@ -387,7 +380,7 @@ def test_lockstep_ratios_equal_run_under_every_policy(grid, table1_traj, table1_
         _config(
             table1_traj,
             table1_radio,
-            (ServiceSpec(service_id=1, arrival_rate=rate, deadline=m, delivery_ratio=0.9),),
+            (ServiceSpec(arrival_rate=rate, deadline=m, delivery_ratio=0.9),),
             seed=seed,
             num_frames=frames,
             capacity_override=override,
@@ -400,7 +393,7 @@ def test_lockstep_ratios_equal_run_under_every_policy(grid, table1_traj, table1_
 
 
 def _one_service(table1_traj, table1_radio, m, rate=130.0, seed=4, **kw):
-    service = ServiceSpec(service_id=1, arrival_rate=rate, deadline=m, delivery_ratio=0.9)
+    service = ServiceSpec(arrival_rate=rate, deadline=m, delivery_ratio=0.9)
     return _config(table1_traj, table1_radio, (service,), seed=seed, **kw)
 
 

@@ -16,7 +16,7 @@ from hsrsched import ContractViolation, ServiceSpec, SimConfig, run
 
 
 def _spec(deadline=1, rate=10.0, ratio=0.9):
-    return ServiceSpec(1, arrival_rate=rate, deadline=deadline, delivery_ratio=ratio)
+    return ServiceSpec(arrival_rate=rate, deadline=deadline, delivery_ratio=ratio)
 
 
 def _drive(traj, radio, spec, arrivals, decide=None):
@@ -195,7 +195,7 @@ def test_deficit_queue_matches_fraction_recurrence(
 ):
     rate_text = f"{rate_milli // 1000}.{rate_milli % 1000:03d}"
     ratio_text = f"0.{ratio_digits:04d}"
-    spec = ServiceSpec(1, arrival_rate=float(rate_text), deadline=1, delivery_ratio=float(ratio_text))
+    spec = ServiceSpec(arrival_rate=float(rate_text), deadline=1, delivery_ratio=float(ratio_text))
     allowance = (1 - Fraction(ratio_text)) * Fraction(rate_text)
     assert spec.loss_allowance == allowance
     y = Fraction(0)

@@ -28,8 +28,8 @@ from hsrsched.analysis import (
 from hsrsched.schedulers import EdfScheduler, RoundRobinScheduler
 
 
-def _spec(sid, rate=10.0, deadline=2, q=0.9):
-    return ServiceSpec(service_id=sid, arrival_rate=rate, deadline=deadline, delivery_ratio=q)
+def _spec(rate=10.0, deadline=2, q=0.9):
+    return ServiceSpec(arrival_rate=rate, deadline=deadline, delivery_ratio=q)
 
 
 def _buckets(specs):
@@ -194,7 +194,7 @@ def test_allocate_matches_lexicographic_oracle(instance):
 
 class TestDcsa:
     def test_plan_and_decide_single_cohort(self):
-        spec = _spec(1, deadline=2)
+        spec = _spec(deadline=2)
         sched = DcsaScheduler([spec], (3, 3))
         buckets, nums = _buckets([spec]), [0]
         # r=2 bucket holds the fresh cohort
@@ -204,7 +204,7 @@ class TestDcsa:
     def test_capacity_past_the_trip_end_is_zero(self):
         # service 1 outranks service 2; its r=2 cohort has only frame 0 left
         # on a one-frame trip, so it takes that frame whole
-        specs = [_spec(1, deadline=2), _spec(2, deadline=1)]
+        specs = [_spec(deadline=2), _spec(deadline=1)]
         sched = DcsaScheduler(specs, (2,))
         assert sched.decide(0, [[0, 2], [2]], [10, 0]) == [[0, 2], [0]]
         # with a second frame of capacity the r=2 cohort would wait for it
@@ -212,8 +212,8 @@ class TestDcsa:
         assert sched.decide(0, [[0, 2], [2]], [10, 0]) == [[0, 0], [2]]
 
     def test_earlier_batches_hold_later_capacity(self):
-        s1 = _spec(1, deadline=3)
-        s2 = _spec(2, deadline=2)
+        s1 = _spec(deadline=3)
+        s2 = _spec(deadline=2)
         caps = (10, 2, 5)
         sched = DcsaScheduler([s1, s2], caps)
         buckets, nums = _buckets([s1, s2]), [0, 0]
@@ -225,7 +225,7 @@ class TestDcsa:
         assert _step(sched, 2, buckets, nums, [0, 0])[0] == [[0, 0, 0], [3, 0]]
 
     def test_priority_ties_break_by_ascending_id(self):
-        specs = [_spec(1, deadline=1), _spec(2, deadline=1)]
+        specs = [_spec(deadline=1), _spec(deadline=1)]
         sched = DcsaScheduler(specs, (1,))
         assert sched.decide(0, [[1], [1]], [0, 0]) == [[1], [0]]
 
@@ -233,7 +233,7 @@ class TestDcsa:
         # service 2 (lambda 60, ratio 0.9) drops 6 and drains back to exactly
         # 0; with the float allowance 5.999999999999998 it kept about 1.8e-15
         # and outranked service 1, whose deficit is also 0
-        specs = [_spec(1, rate=100.0, deadline=1, q=0.99), _spec(2, rate=60.0, deadline=1, q=0.9)]
+        specs = [_spec(rate=100.0, deadline=1, q=0.99), _spec(rate=60.0, deadline=1, q=0.9)]
         sched = DcsaScheduler(specs, (0, 0, 1))
         buckets, nums = _buckets(specs), [0, 0]
         _step(sched, 0, buckets, nums, [0, 6])
@@ -243,7 +243,7 @@ class TestDcsa:
 
     def test_priority_compares_fractional_deficits_exactly(self):
         # allowances 1/2, 1 and 5/4: numerators over denominators 2, 1 and 4
-        specs = [_spec(1, deadline=1, q=0.95), _spec(2, deadline=1, q=0.9), _spec(3, deadline=1, q=0.875)]
+        specs = [_spec(deadline=1, q=0.95), _spec(deadline=1, q=0.9), _spec(deadline=1, q=0.875)]
         sched = DcsaScheduler(specs, (2,))
 
         # deficits 1.5, 1 and 1.5: the two 1.5s tie and keep id order
@@ -256,7 +256,7 @@ class TestDcsa:
         # service's counter never lowers what it is served this frame
         rng = random.Random(17)
         for _ in range(500):
-            specs = [_spec(sid, deadline=rng.randint(1, 3)) for sid in (1, 2, 3)]
+            specs = [_spec(deadline=rng.randint(1, 3)) for _ in range(3)]
             caps = tuple(rng.randint(0, 8) for _ in range(3))
             buckets = [[rng.randint(0, 5) for _ in range(s.deadline)] for s in specs]
             nums = [rng.randint(0, 20) for _ in specs]
@@ -272,7 +272,7 @@ class TestDcsa:
             assert served(nums) >= before
 
     def test_higher_deficit_wins_contested_capacity(self):
-        specs = [_spec(1, deadline=2), _spec(2, deadline=2)]
+        specs = [_spec(deadline=2), _spec(deadline=2)]
         sched = DcsaScheduler(specs, (4, 0))
         # both cohorts fit the trip only at frame 0, which holds one of them
         for nums, expected in (([0, 1], [[0, 0], [0, 4]]), ([1, 0], [[0, 4], [0, 0]])):
@@ -309,7 +309,7 @@ def _dcsa_states(draw):
     horizon may run past the trip end."""
     n = draw(st.integers(1, 3))
     ratios = st.sampled_from([0.9, 0.95, 0.875])
-    specs = [_spec(sid, deadline=draw(st.integers(1, 5)), q=draw(ratios)) for sid in range(1, n + 1)]
+    specs = [_spec(deadline=draw(st.integers(1, 5)), q=draw(ratios)) for _ in range(n)]
     cell = st.one_of(st.just(0), st.integers(0, 8))
     buckets = [draw(st.lists(cell, min_size=s.deadline, max_size=s.deadline)) for s in specs]
     nums = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
@@ -349,7 +349,7 @@ def _counting_allocate(monkeypatch):
     ],
 )
 def test_contention_guard_branches(deadlines, caps, buckets, nums, served, greedy_calls, monkeypatch):
-    specs = [_spec(sid, deadline=m) for sid, m in enumerate(deadlines, 1)]
+    specs = [_spec(deadline=m) for m in deadlines]
     calls = _counting_allocate(monkeypatch)
     assert _dcsa_frame(specs, caps, 0, buckets, nums) == served
     assert len(calls) == greedy_calls
@@ -366,18 +366,18 @@ def test_greedy_runs_only_when_services_contend(table1_traj, table1_radio, monke
         return len(calls)
 
     # one service never contends, however overloaded
-    assert trip(ServiceSpec(1, arrival_rate=130.0, deadline=3, delivery_ratio=0.99)) == 0
+    assert trip(ServiceSpec(arrival_rate=130.0, deadline=3, delivery_ratio=0.99)) == 0
     mix = (
-        ServiceSpec(1, arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
-        ServiceSpec(2, arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
-        ServiceSpec(3, arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
+        ServiceSpec(arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
+        ServiceSpec(arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
+        ServiceSpec(arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
     )
     assert trip(*mix) > 0
 
 
 class TestRoundRobin:
     def test_rotation_over_frames(self):
-        specs = [_spec(1, deadline=2), _spec(2, deadline=2)]
+        specs = [_spec(deadline=2), _spec(deadline=2)]
         sched = RoundRobinScheduler(specs, (10, 10))
         buckets = [[1, 1], [1, 1]]
         even = sched.decide(0, buckets, [0, 0])
@@ -386,34 +386,34 @@ class TestRoundRobin:
         assert sum(odd[0]) == 0 and sum(odd[1]) == 2
 
     def test_empty_selected_service_wastes_capacity(self):
-        specs = [_spec(1, deadline=2), _spec(2, deadline=2)]
+        specs = [_spec(deadline=2), _spec(deadline=2)]
         sched = RoundRobinScheduler(specs, (10,))
         assert sched.decide(0, [[0, 0], [4, 0]], [0, 0]) == [[0, 0], [0, 0]]
 
     def test_fills_earliest_buckets_first(self):
-        specs = [_spec(1, deadline=2)]
+        specs = [_spec(deadline=2)]
         sched = RoundRobinScheduler(specs, (7,))
         assert sched.decide(0, [[4, 6]], [0]) == [[4, 3]]
 
 
 class TestEdf:
     def test_single_packet_served(self):
-        specs = [_spec(1, deadline=3)]
+        specs = [_spec(deadline=3)]
         sched = EdfScheduler(specs, (5,))
         assert sched.decide(0, [[0, 1, 0]], [0]) == [[0, 1, 0]]
 
-    def test_urgency_tie_goes_to_higher_service_id(self):
-        specs = [_spec(1, deadline=2), _spec(2, deadline=2)]
+    def test_urgency_tie_goes_to_the_later_service(self):
+        specs = [_spec(deadline=2), _spec(deadline=2)]
         sched = EdfScheduler(specs, (4,))
         assert sched.decide(0, [[2, 0], [3, 0]], [0, 0]) == [[1, 0], [3, 0]]
 
     def test_zero_capacity_serves_nothing(self):
-        specs = [_spec(1, deadline=2), _spec(2, deadline=2)]
+        specs = [_spec(deadline=2), _spec(deadline=2)]
         sched = EdfScheduler(specs, (0,))
         assert sched.decide(0, [[5, 5], [5, 5]], [0, 0]) == [[0, 0], [0, 0]]
 
     def test_mixed_deadlines(self):
-        specs = [_spec(1, deadline=1), _spec(2, deadline=3)]
+        specs = [_spec(deadline=1), _spec(deadline=3)]
         sched = EdfScheduler(specs, (4,))
         # r=1 first (s2 then s1), leftover goes to s2's r=3 bucket
         assert sched.decide(0, [[2], [1, 0, 4]], [0, 0]) == [[2], [1, 0, 1]]
@@ -422,7 +422,7 @@ class TestEdf:
 @pytest.mark.parametrize("policy", schedulers.SCHEDULER_POLICIES)
 def test_frame_capacity_is_read_from_the_trip_capacities(policy):
     # a bucket of 10 on a trip whose one frame holds 3
-    spec = _spec(1, deadline=1)
+    spec = _spec(deadline=1)
     assert make_scheduler(policy, [spec], (3,)).decide(0, [[10]], [0]) == [[3]]
 
 

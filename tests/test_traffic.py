@@ -28,37 +28,37 @@ def _poisson_tail_bound(rate, eps):
 
 @pytest.mark.parametrize("rate", [0.3, 1.0, 5.0, 20.0, 100.0])
 def test_pmf_sums_to_one(rate):
-    _, pmf = truncated_poisson_pmf(rate)
+    pmf = truncated_poisson_pmf(rate)
     assert abs(pmf.sum() - 1.0) <= 1e-12
 
 
 def test_truncation_bound_rate_one():
-    a, pmf = truncated_poisson_pmf(1.0, tail_eps=1e-6)
-    assert a == 9
-    assert a == _poisson_tail_bound(1.0, 1e-6)
-    assert len(pmf) == a + 1
+    pmf = truncated_poisson_pmf(1.0, tail_eps=1e-6)
+    # support 0..9
+    assert len(pmf) == 10
+    assert len(pmf) - 1 == _poisson_tail_bound(1.0, 1e-6)
     assert pmf[-1] > 0.0
 
 
 @pytest.mark.parametrize("rate", [1.0, 5.0, 20.0])
 def test_pmf_mean_close_to_rate(rate):
-    a, pmf = truncated_poisson_pmf(rate, tail_eps=1e-9)
-    mean = float(np.arange(a + 1) @ pmf)
+    pmf = truncated_poisson_pmf(rate, tail_eps=1e-9)
+    mean = float(np.arange(len(pmf)) @ pmf)
     assert abs(mean - rate) < 1e-3
 
 
 def test_near_zero_rate_concentrates_at_zero():
-    a, pmf = truncated_poisson_pmf(1e-9, tail_eps=1e-6)
-    assert a == 0
+    pmf = truncated_poisson_pmf(1e-9, tail_eps=1e-6)
+    assert len(pmf) == 1
     assert pmf[0] == 1.0
 
 
 def test_large_rate_does_not_underflow():
     # exp(-rate) alone is below float range here
-    a, pmf = truncated_poisson_pmf(1000.0)
-    assert a > 1000
+    pmf = truncated_poisson_pmf(1000.0)
+    assert len(pmf) - 1 > 1000
     assert abs(pmf.sum() - 1.0) <= 1e-12
-    assert abs(float(np.arange(a + 1) @ pmf) - 1000.0) < 1e-2
+    assert abs(float(np.arange(len(pmf)) @ pmf) - 1000.0) < 1e-2
     with pytest.raises(ValueError):
         truncated_poisson_pmf(1000.0, tail_eps=1e-320)
 
@@ -74,17 +74,17 @@ def test_pmf_argument_validation():
 
 def test_service_spec_validation():
     with pytest.raises(ValueError):
-        ServiceSpec(service_id=1, arrival_rate=0.0, deadline=5, delivery_ratio=0.9)
+        ServiceSpec(arrival_rate=0.0, deadline=5, delivery_ratio=0.9)
     with pytest.raises(ValueError):
-        ServiceSpec(service_id=1, arrival_rate=10.0, deadline=0, delivery_ratio=0.9)
+        ServiceSpec(arrival_rate=10.0, deadline=0, delivery_ratio=0.9)
     with pytest.raises(ValueError):
-        ServiceSpec(service_id=1, arrival_rate=10.0, deadline=5, delivery_ratio=1.0)
+        ServiceSpec(arrival_rate=10.0, deadline=5, delivery_ratio=1.0)
     with pytest.raises(ValueError):
-        ServiceSpec(service_id=1, arrival_rate=10.0, deadline=5, delivery_ratio=0.0)
+        ServiceSpec(arrival_rate=10.0, deadline=5, delivery_ratio=0.0)
 
 
 def test_spec_derived_quantities():
-    spec = ServiceSpec(service_id=1, arrival_rate=60.0, deadline=10, delivery_ratio=0.90)
+    spec = ServiceSpec(arrival_rate=60.0, deadline=10, delivery_ratio=0.90)
     assert spec.loss_allowance == 6
     assert spec.max_arrivals >= math.ceil(spec.arrival_rate)
     assert len(spec.pmf) == spec.max_arrivals + 1
@@ -105,7 +105,7 @@ def test_spec_derived_quantities():
     ],
 )
 def test_shipped_loss_allowances_are_exact(rate, ratio, allowance):
-    spec = ServiceSpec(service_id=1, arrival_rate=rate, deadline=5, delivery_ratio=ratio)
+    spec = ServiceSpec(arrival_rate=rate, deadline=5, delivery_ratio=ratio)
     assert spec.loss_allowance == allowance
     assert isinstance(spec.loss_allowance, Fraction)
 
@@ -140,7 +140,7 @@ def test_per_frame_and_bulk_sampling_agree(two_services):
 
 def test_draw_above_the_last_cdf_value_stays_on_the_support():
     # at rate 130 the summed pmf rounds to 1 - 4.4e-16, below the largest draw
-    spec = ServiceSpec(service_id=1, arrival_rate=130.0, deadline=1, delivery_ratio=0.9)
+    spec = ServiceSpec(arrival_rate=130.0, deadline=1, delivery_ratio=0.9)
     top = np.nextafter(1.0, 0.0)
     assert np.cumsum(spec.pmf)[-1] < top
     gen = ArrivalGenerator((spec,), seed=0)
@@ -149,7 +149,7 @@ def test_draw_above_the_last_cdf_value_stays_on_the_support():
 
 
 def test_empirical_mean_within_three_standard_errors():
-    spec = ServiceSpec(service_id=1, arrival_rate=5.0, deadline=3, delivery_ratio=0.9)
+    spec = ServiceSpec(arrival_rate=5.0, deadline=3, delivery_ratio=0.9)
     n = 100_000
     arr = ArrivalGenerator([spec], seed=1234).sample_run(n)
     se = math.sqrt(spec.arrival_rate / n)
@@ -157,7 +157,7 @@ def test_empirical_mean_within_three_standard_errors():
 
 
 def test_feasibility_single_service_slack():
-    spec = ServiceSpec(service_id=1, arrival_rate=1.0, deadline=2, delivery_ratio=0.5)
+    spec = ServiceSpec(arrival_rate=1.0, deadline=2, delivery_ratio=0.5)
     report = feasibility_check([spec], (1,) * 10)
     assert report.feasible
     assert report.margin == pytest.approx(0.5)
@@ -165,7 +165,7 @@ def test_feasibility_single_service_slack():
 
 def test_feasibility_boundary_is_feasible():
     # requirement exactly equals mean capacity: non-strict inequality
-    spec = ServiceSpec(service_id=1, arrival_rate=2.0, deadline=2, delivery_ratio=0.5)
+    spec = ServiceSpec(arrival_rate=2.0, deadline=2, delivery_ratio=0.5)
     report = feasibility_check([spec], (1,) * 5)
     assert report.required_rate == pytest.approx(1.0)
     assert report.feasible
