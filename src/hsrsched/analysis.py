@@ -40,29 +40,7 @@ def _exact_columns(trace: TraceLog, j: int) -> tuple[np.ndarray, int, int]:
     return trace.deficit_num[:, j].astype(object), p, q
 
 
-@dataclass(frozen=True)
-class DriftCheckReport:
-    passed: bool
-    max_violation: float
-    worst_frame: int | None
-    worst_service: int | None
-    transitions_checked: int
-
-    def to_dict(self) -> dict:
-        return {"check": "sample_drift", **asdict(self)}
-
-    def to_text(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        lines = [
-            f"{status} sample_drift: {self.transitions_checked} transitions, "
-            f"max violation {self.max_violation:.3g}"
-        ]
-        if not self.passed:
-            lines.append(f"  worst at frame {self.worst_frame}, service {self.worst_service}")
-        return "\n".join(lines) + "\n"
-
-
-def check_sample_drift(trace: TraceLog) -> DriftCheckReport:
+def check_sample_drift(trace: TraceLog) -> dict:
     """Squared one-step deficit inequality, checked on every transition.
 
     For every service and frame, with Y the counter before the frame's update,
@@ -73,7 +51,8 @@ def check_sample_drift(trace: TraceLog) -> DriftCheckReport:
     Evaluated on each service's deficit numerators N = Y * q (allowance p/q),
     where it reads N_next^2 <= N^2 + p^2 + (D*q)^2 + 2*N*(D*q - p), as whole
     columns of Python integers, so no product can overflow.  It passes iff
-    no transition's violation is positive.
+    no transition's violation is positive.  Returns the verdict as its
+    ``verify_report.json`` row, with the worst transition as the witness.
     """
     max_violation = Fraction(0)
     worst = (None, None)
@@ -86,61 +65,29 @@ def check_sample_drift(trace: TraceLog) -> DriftCheckReport:
         if top > max_violation:
             max_violation = top
             worst = (int(np.argmax(violation)), j + 1)
-    return DriftCheckReport(
-        passed=not max_violation,
-        max_violation=float(max_violation),
-        worst_frame=worst[0],
-        worst_service=worst[1],
-        transitions_checked=trace.drops.size,
-    )
+    return {
+        "check": "sample_drift",
+        "passed": not max_violation,
+        "max_violation": float(max_violation),
+        "worst_frame": worst[0],
+        "worst_service": worst[1],
+        "transitions_checked": trace.drops.size,
+    }
 
 
-@dataclass(frozen=True)
-class ServiceLemma1Report:
-    service_id: int
-    prefix_ok: bool
-    max_prefix_violation: float
-    worst_prefix_frame: int | None
-    rate_stable: bool
-    final_deficit_per_frame: float
-    mean_drops: float
-    loss_allowance: float
-
-
-@dataclass(frozen=True)
-class Lemma1Report:
-    passed: bool
-    services: tuple[ServiceLemma1Report, ...]
-
-    def to_dict(self) -> dict:
-        return {"check": "lemma1", **asdict(self)}
-
-    def to_text(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        lines = [f"{status} lemma1"]
-        for s in self.services:
-            lines.append(
-                f"  service {s.service_id}: prefix_ok={s.prefix_ok}, "
-                f"rate_stable={s.rate_stable} (final Y/K = {s.final_deficit_per_frame:.3g}), "
-                f"mean drops {s.mean_drops:.6g} vs allowance {s.loss_allowance:.6g}"
-            )
-            if not s.prefix_ok:
-                lines.append(f"    worst prefix at frame {s.worst_prefix_frame}")
-        return "\n".join(lines) + "\n"
-
-
-def check_lemma1(trace: TraceLog) -> Lemma1Report:
+def check_lemma1(trace: TraceLog) -> dict:
     """Telescoped deficit inequality over every prefix: the counter is at
     least the drops so far less the allowance so far.  It passes iff no
     prefix's violation is positive.  At the last frame the bound reads
     mean drops <= allowance + final counter per frame, the finite-horizon
-    form of the delivery target.
+    form of the delivery target.  Returns the verdict as its
+    ``verify_report.json`` row, one entry per service under ``services``.
     """
     if trace.num_frames < 1:
         raise ValueError("trace too short")
     n = trace.num_frames
     frames = np.arange(1, n + 1, dtype=object)
-    reports = []
+    services = []
     for j in range(len(trace.loss_allowances)):
         num, p, q = _exact_columns(trace, j)
         # Y[k] >= sum(D[0..k]) - (k + 1) * allowance, scaled by q
@@ -149,19 +96,19 @@ def check_lemma1(trace: TraceLog) -> Lemma1Report:
         worst = int(np.argmax(violation))
         max_violation = Fraction(max(0, violation[worst]), q)
         final_rate = Fraction(num[-1], q * n)
-        reports.append(
-            ServiceLemma1Report(
-                service_id=j + 1,
-                prefix_ok=not max_violation,
-                max_prefix_violation=float(max_violation),
-                worst_prefix_frame=worst if max_violation else None,
-                rate_stable=float(final_rate) < RATE_STABLE_THRESHOLD,
-                final_deficit_per_frame=float(final_rate),
-                mean_drops=float(Fraction(running[-1], n)),
-                loss_allowance=float(Fraction(p, q)),
-            )
+        services.append(
+            {
+                "service_id": j + 1,
+                "prefix_ok": not max_violation,
+                "max_prefix_violation": float(max_violation),
+                "worst_prefix_frame": worst if max_violation else None,
+                "rate_stable": float(final_rate) < RATE_STABLE_THRESHOLD,
+                "final_deficit_per_frame": float(final_rate),
+                "mean_drops": float(Fraction(running[-1], n)),
+                "loss_allowance": float(Fraction(p, q)),
+            }
         )
-    return Lemma1Report(passed=all(r.prefix_ok for r in reports), services=tuple(reports))
+    return {"check": "lemma1", "passed": all(s["prefix_ok"] for s in services), "services": services}
 
 
 def _check_oracle_guard(weights, arrivals, deadlines, available) -> None:
@@ -284,22 +231,7 @@ def random_oracle_instances(seed: int, count: int) -> list[OracleInstance]:
     return out
 
 
-@dataclass(frozen=True)
-class OracleAgreementReport:
-    total: int
-    lex_agreed: int
-    weighted_agreed: int
-    first_mismatch: OracleInstance | None
-
-    @property
-    def passed(self) -> bool:
-        return self.lex_agreed == self.weighted_agreed == self.total
-
-    def to_dict(self) -> dict:
-        return {"check": "oracle_agreement", "passed": self.passed, **asdict(self)}
-
-
-def oracle_agreement(seed: int, count: int) -> OracleAgreementReport:
+def oracle_agreement(seed: int, count: int) -> dict:
     """Compare the deficit-driven policy's planning step against the
     brute-force oracle on randomized guarded instances.
 
@@ -309,7 +241,8 @@ def oracle_agreement(seed: int, count: int) -> OracleAgreementReport:
     lexicographic minimum for the cohort order; ``weighted_agreed`` counts
     instances where its weighted drop sum, each cohort weighted as its
     service, equals the minimum, compared as integers.  ``first_mismatch`` is
-    the first instance that fails either count.
+    the first instance that fails either count, as a dict.  Returns the
+    verdict as its ``verify_report.json`` row.
     """
     from .schedulers import allocate_cohorts
 
@@ -327,5 +260,12 @@ def oracle_agreement(seed: int, count: int) -> OracleAgreementReport:
         lex_agreed += lex_ok
         weighted_agreed += weighted_ok
         if not (lex_ok and weighted_ok) and first_mismatch is None:
-            first_mismatch = inst
-    return OracleAgreementReport(len(instances), lex_agreed, weighted_agreed, first_mismatch)
+            first_mismatch = asdict(inst)
+    return {
+        "check": "oracle_agreement",
+        "passed": lex_agreed == weighted_agreed == len(instances),
+        "total": len(instances),
+        "lex_agreed": lex_agreed,
+        "weighted_agreed": weighted_agreed,
+        "first_mismatch": first_mismatch,
+    }

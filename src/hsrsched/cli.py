@@ -18,7 +18,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from . import analysis
 from .channel import RadioConfig, TrajectoryConfig
@@ -309,10 +309,22 @@ def cmd_fig3(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _print_verdict(record: dict) -> None:
+    """verify's PASS or FAIL line for one check's record and, under a FAIL,
+    the record as the JSON row verify_report.json holds."""
+    if "scheduler" in record:
+        where = f"[{record['scheduler']}]"
+    else:
+        n = record["total"]
+        where = f"({record['lex_agreed']}/{n} lexicographic, {record['weighted_agreed']}/{n} weighted-optimal)"
+    print(f"{'PASS' if record['passed'] else 'FAIL'} {record['check']} {where}")
+    if not record["passed"]:
+        print(json.dumps(record, sort_keys=True))
+
+
 def cmd_verify(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
-    reports = []
-    ok = True
+    records = []
     for policy in SCHEDULER_POLICIES:
         trace = run(replace(cfg.sim, scheduler=policy))
         if cfg.inject_fault == "deficit":
@@ -322,28 +334,14 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
             p, q = trace.loss_allowances[0].as_integer_ratio()
             before = int(trace.deficit_num[k - 1, 0]) if k else 0
             trace.deficit_num[k, 0] = -(before + (int(trace.drops[k, 0]) + 1) * q + (k + 1) * p)
-        drift = analysis.check_sample_drift(trace)
-        lemma1 = analysis.check_lemma1(trace)
-        for rep in (drift, lemma1):
-            d = rep.to_dict()
-            d["scheduler"] = policy
-            reports.append(d)
-            ok = ok and rep.passed
-            print(f"{'PASS' if rep.passed else 'FAIL'} {d['check']} [{policy}]")
-            if not rep.passed:
-                print(rep.to_text(), end="")
-    oracle = analysis.oracle_agreement(cfg.sim.seed, cfg.oracle_instances)
-    reports.append(oracle.to_dict())
-    ok = ok and oracle.passed
-    print(
-        f"{'PASS' if oracle.passed else 'FAIL'} oracle_agreement "
-        f"({oracle.lex_agreed}/{oracle.total} lexicographic, "
-        f"{oracle.weighted_agreed}/{oracle.total} weighted-optimal)"
-    )
-    if (m := oracle.first_mismatch) is not None:
-        print(f"  first mismatch: {asdict(m)}")
+        for check in (analysis.check_sample_drift, analysis.check_lemma1):
+            records.append({**check(trace), "scheduler": policy})
+            _print_verdict(records[-1])
+    records.append(analysis.oracle_agreement(cfg.sim.seed, cfg.oracle_instances))
+    _print_verdict(records[-1])
+    ok = all(r["passed"] for r in records)
     with open(os.path.join(cfg.output_dir, "verify_report.json"), "w") as fh:
-        json.dump({"passed": ok, "checks": reports}, fh, indent=2, sort_keys=True)
+        json.dump({"passed": ok, "checks": records}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return EXIT_OK if ok else EXIT_VERIFY
 

@@ -11,21 +11,19 @@ from hsrsched import (
     SimConfig,
     TraceLog,
     allocate_cohorts,
+    analysis,
     brute_force_lex_min_drops,
     brute_force_min_weighted_drops,
     check_lemma1,
     check_sample_drift,
     oracle_agreement,
     run,
+    schedulers,
 )
 from hsrsched.analysis import (
     ORACLE_MAX_DEADLINE,
     ORACLE_MAX_SERVICES,
     RATE_STABLE_THRESHOLD,
-    DriftCheckReport,
-    Lemma1Report,
-    OracleAgreementReport,
-    ServiceLemma1Report,
     random_oracle_instances,
 )
 from hsrsched.schedulers import SCHEDULER_POLICIES
@@ -72,7 +70,7 @@ def _hand_trace(drops_per_frame, loss_allowance, deficits=None):
 
 def _reference_sample_drift(trace):
     """Per-transition Fraction loop of the one-step inequality; the array
-    form in ``check_sample_drift`` must agree with it field for field."""
+    form in ``check_sample_drift`` must agree with it key for key."""
     max_violation = Fraction(0)
     worst = (None, None)
     checked = 0
@@ -90,19 +88,20 @@ def _reference_sample_drift(trace):
                 worst = (k, j + 1)
             checked += 1
             prev = cur
-    return DriftCheckReport(
-        passed=max_violation == 0,
-        max_violation=float(max_violation),
-        worst_frame=worst[0],
-        worst_service=worst[1],
-        transitions_checked=checked,
-    )
+    return {
+        "check": "sample_drift",
+        "passed": max_violation == 0,
+        "max_violation": float(max_violation),
+        "worst_frame": worst[0],
+        "worst_service": worst[1],
+        "transitions_checked": checked,
+    }
 
 
 def _reference_lemma1(trace):
     """Per-prefix Fraction loop of the telescoped inequality; the array form
-    in ``check_lemma1`` must agree with it field for field."""
-    reports = []
+    in ``check_lemma1`` must agree with it key for key."""
+    services = []
     n = trace.num_frames
     for j in range(len(trace.loss_allowances)):
         p, q = trace.loss_allowances[j].as_integer_ratio()
@@ -117,19 +116,19 @@ def _reference_lemma1(trace):
                 max_violation = violation
                 worst = k - 1
         final_rate = Fraction(int(trace.deficit_num[-1, j]), q * n)
-        reports.append(
-            ServiceLemma1Report(
-                service_id=j + 1,
-                prefix_ok=max_violation == 0,
-                max_prefix_violation=float(max_violation),
-                worst_prefix_frame=worst,
-                rate_stable=float(final_rate) < RATE_STABLE_THRESHOLD,
-                final_deficit_per_frame=float(final_rate),
-                mean_drops=float(Fraction(running, n)),
-                loss_allowance=float(Fraction(p, q)),
-            )
+        services.append(
+            {
+                "service_id": j + 1,
+                "prefix_ok": max_violation == 0,
+                "max_prefix_violation": float(max_violation),
+                "worst_prefix_frame": worst,
+                "rate_stable": float(final_rate) < RATE_STABLE_THRESHOLD,
+                "final_deficit_per_frame": float(final_rate),
+                "mean_drops": float(Fraction(running, n)),
+                "loss_allowance": float(Fraction(p, q)),
+            }
         )
-    return Lemma1Report(passed=all(r.prefix_ok for r in reports), services=tuple(reports))
+    return {"check": "lemma1", "passed": all(s["prefix_ok"] for s in services), "services": services}
 
 
 def _assert_checks_match_reference(trace):
@@ -141,11 +140,11 @@ def _assert_checks_match_reference(trace):
 
 def test_sample_drift_all_zero_trace():
     report = check_sample_drift(_hand_trace([0] * 50, 2))
-    assert report.passed
-    assert report.max_violation == 0.0
-    assert report.transitions_checked == 50
-    assert report.to_text().startswith("PASS sample_drift")
-    assert report.to_dict()["check"] == "sample_drift"
+    assert report["passed"]
+    assert report["max_violation"] == 0.0
+    assert report["transitions_checked"] == 50
+    assert report["check"] == "sample_drift"
+    assert (report["worst_frame"], report["worst_service"]) == (None, None)
 
 
 def test_sample_drift_on_seeded_runs(table1_traj, table1_radio, two_services):
@@ -159,8 +158,8 @@ def test_sample_drift_on_seeded_runs(table1_traj, table1_radio, two_services):
             num_frames=4000,
         )
         report = check_sample_drift(run(cfg))
-        assert report.passed
-        assert report.max_violation == 0.0
+        assert report["passed"]
+        assert report["max_violation"] == 0.0
 
 
 def test_sample_drift_detects_corrupted_counter():
@@ -169,29 +168,29 @@ def test_sample_drift_detects_corrupted_counter():
     trace = _hand_trace(drops, Fraction(1, 2))
     trace.deficit_num[3, 0] += 10  # +5 packets over the denominator 2
     report = check_sample_drift(trace)
-    assert not report.passed
-    assert report.worst_frame == 3
-    assert report.max_violation > 1e-9
+    assert not report["passed"]
+    assert report["worst_frame"] == 3
+    assert report["max_violation"] > 1e-9
 
 
 def test_lemma1_zero_drop_trace_is_rate_stable():
     report = check_lemma1(_hand_trace([0] * 100, Fraction(3, 2)))
-    assert report.passed
-    svc = report.services[0]
-    assert svc.prefix_ok and svc.rate_stable
-    assert svc.mean_drops == 0.0
-    assert "rate_stable=True" in report.to_text()
+    assert report["passed"]
+    svc = report["services"][0]
+    assert svc["prefix_ok"] and svc["rate_stable"]
+    assert svc["mean_drops"] == 0.0
+    assert report["check"] == "lemma1" and svc["service_id"] == 1
 
 
 def test_lemma1_constant_excess_drops_grow_linearly():
     allowance = 2
     n = 400
     report = check_lemma1(_hand_trace([3] * n, allowance))
-    svc = report.services[0]
-    assert svc.prefix_ok  # the update itself is valid
-    assert not svc.rate_stable  # deficit grows one packet per frame
-    assert svc.final_deficit_per_frame == pytest.approx(1.0, rel=0.02)
-    assert svc.mean_drops == pytest.approx(3.0)
+    svc = report["services"][0]
+    assert svc["prefix_ok"]  # the update itself is valid
+    assert not svc["rate_stable"]  # deficit grows one packet per frame
+    assert svc["final_deficit_per_frame"] == pytest.approx(1.0, rel=0.02)
+    assert svc["mean_drops"] == pytest.approx(3.0)
 
 
 def test_lemma1_prefix_violation_detected():
@@ -199,8 +198,8 @@ def test_lemma1_prefix_violation_detected():
     drops = [5, 5, 5, 5]
     trace = _hand_trace(drops, 1, deficits=[4, 8, 2, 16])
     report = check_lemma1(trace)
-    assert not report.passed
-    assert not report.services[0].prefix_ok
+    assert not report["passed"]
+    assert not report["services"][0]["prefix_ok"]
 
 
 def test_lemma1_on_seeded_run(table1_traj, table1_radio, two_services):
@@ -213,9 +212,9 @@ def test_lemma1_on_seeded_run(table1_traj, table1_radio, two_services):
         num_frames=5000,
     )
     report = check_lemma1(run(cfg))
-    assert report.passed
-    for svc in report.services:
-        assert svc.max_prefix_violation == 0.0
+    assert report["passed"]
+    for svc in report["services"]:
+        assert svc["max_prefix_violation"] == 0.0
 
 
 def test_lemma1_names_the_worst_prefix_frame(table1_traj, table1_radio, two_services):
@@ -228,20 +227,20 @@ def test_lemma1_names_the_worst_prefix_frame(table1_traj, table1_radio, two_serv
     k = trace.num_frames // 2
     step = 1060 * trace.loss_allowances[0].denominator
     clean = check_lemma1(trace)
-    assert [s.worst_prefix_frame for s in clean.services] == [None, None]
-    assert clean.to_dict()["services"][0]["worst_prefix_frame"] is None
+    assert [s["worst_prefix_frame"] for s in clean["services"]] == [None, None]
+    assert clean["passed"]
     for sign in (1, -1):
         bad = replace(trace, deficit_num=trace.deficit_num.copy())
         bad.deficit_num[k, 0] += sign * step
         drift, lemma1 = _assert_checks_match_reference(bad)
         if sign > 0:
-            assert not drift.passed and drift.worst_frame == k and lemma1.passed
-            assert lemma1.services[0].worst_prefix_frame is None
+            assert not drift["passed"] and drift["worst_frame"] == k and lemma1["passed"]
+            assert lemma1["services"][0]["worst_prefix_frame"] is None
         else:
-            assert not lemma1.passed and not lemma1.services[0].prefix_ok
-            assert lemma1.to_dict()["services"][0]["worst_prefix_frame"] == k
-            assert f"worst prefix at frame {k}" in lemma1.to_text()
-            assert lemma1.services[1].worst_prefix_frame is None
+            assert not lemma1["passed"] and not lemma1["services"][0]["prefix_ok"]
+            assert lemma1["services"][0]["worst_prefix_frame"] == k
+            assert lemma1["services"][0]["max_prefix_violation"] > 0
+            assert lemma1["services"][1]["worst_prefix_frame"] is None
 
 
 def test_lemma1_rejects_empty_trace():
@@ -351,16 +350,28 @@ def test_random_instances_hold_several_cohorts_per_service_within_the_guard():
     assert several > 50
 
 
-def test_oracle_report_fails_on_weighted_disagreement():
-    report = OracleAgreementReport(total=2, lex_agreed=2, weighted_agreed=1, first_mismatch=None)
-    assert not report.passed
-    assert report.to_dict()["passed"] is False
+def test_oracle_report_fails_on_weighted_disagreement(monkeypatch):
+    # lexicographic agreement alone does not pass: an oracle that calls every
+    # drop avoidable disagrees on weight wherever the planner drops
+    monkeypatch.setattr(analysis, "brute_force_lex_min_drops", _reference_lex_min_drops)
+    monkeypatch.setattr(analysis, "brute_force_min_weighted_drops", lambda weights, *_: dict.fromkeys(weights, 0))
+    report = oracle_agreement(3, 50)
+    assert report["lex_agreed"] == report["total"] == 50
+    assert report["weighted_agreed"] < 50
+    assert report["passed"] is False
 
 
-def test_oracle_report_dict_carries_first_mismatch():
-    inst = random_oracle_instances(3, 1)[0]
-    assert OracleAgreementReport(1, 1, 1, None).to_dict()["first_mismatch"] is None
-    witness = OracleAgreementReport(1, 0, 1, inst).to_dict()["first_mismatch"]
+def test_oracle_report_dict_carries_first_mismatch(monkeypatch):
+    assert oracle_agreement(3, 20)["first_mismatch"] is None
+    # a planner that grants nothing first disagrees where the real one grants
+    instances = random_oracle_instances(3, 20)
+    inst = next(i for i in instances if any(map(any, allocate_cohorts(i.order, i.rows, i.available).values())))
+
+    def grant_nothing(order, rows, available):
+        return {sid: [0] * len(rows[sid]) for sid in order}
+
+    monkeypatch.setattr(schedulers, "allocate_cohorts", grant_nothing)
+    witness = oracle_agreement(3, 20)["first_mismatch"]
     assert witness == {
         "order": inst.order,
         "rows": inst.rows,
@@ -372,9 +383,9 @@ def test_oracle_report_dict_carries_first_mismatch():
 def test_oracle_agreement_deterministic():
     a = oracle_agreement(123, 40)
     b = oracle_agreement(123, 40)
-    assert (a.total, a.lex_agreed, a.weighted_agreed) == (b.total, b.lex_agreed, b.weighted_agreed)
-    assert a.total == 40
-    assert a.passed and a.first_mismatch is None
+    assert (a["total"], a["lex_agreed"], a["weighted_agreed"]) == (b["total"], b["lex_agreed"], b["weighted_agreed"])
+    assert a["total"] == 40
+    assert a["passed"] and a["first_mismatch"] is None
 
 
 def test_oracle_agreement_on_equal_deadline_instances():
@@ -417,7 +428,7 @@ def test_array_checks_match_reference_loops_on_engine_traces(policy, table1_traj
     trace = run(cfg)
     assert trace.drops.sum() > 0
     drift, lemma1 = _assert_checks_match_reference(trace)
-    assert drift.passed and lemma1.passed
+    assert drift["passed"] and lemma1["passed"]
     # a numerator bumped up, or lowered, at service 1's largest deficit
     k = int(np.argmax(trace.deficit_num[:, 0]))
     assert trace.deficit_num[k, 0] > 1000
@@ -426,7 +437,7 @@ def test_array_checks_match_reference_loops_on_engine_traces(policy, table1_traj
         bad.deficit_num[k, 0] += delta
         drift, lemma1 = _assert_checks_match_reference(bad)
         if abs(delta) == 1000:
-            assert not (drift.passed and lemma1.passed)
+            assert not (drift["passed"] and lemma1["passed"])
 
 
 def test_array_checks_match_reference_beyond_int64_squares():
@@ -438,15 +449,15 @@ def test_array_checks_match_reference_beyond_int64_squares():
     assert int(trace.deficit_num.max()) > 2**32
     assert int(trace.deficit_num.max()) ** 2 > np.iinfo(np.int64).max
     drift, lemma1 = _assert_checks_match_reference(trace)
-    assert drift.passed and lemma1.passed
-    assert drift.max_violation == 0.0
+    assert drift["passed"] and lemma1["passed"]
+    assert drift["max_violation"] == 0.0
     trace.deficit_num[8, 0] += 1
     drift, lemma1 = _assert_checks_match_reference(trace)
-    assert not drift.passed and drift.worst_frame == 8
+    assert not drift["passed"] and drift["worst_frame"] == 8
     # the first frame clamps, so the prefix bound has a slack of p = 3
     trace.deficit_num[8, 0] -= 5
     drift, lemma1 = _assert_checks_match_reference(trace)
-    assert not lemma1.passed
+    assert not lemma1["passed"]
 
 
 def test_sample_drift_flags_a_one_unit_fault_worth_under_1e9(table1_traj, table1_radio):
@@ -463,12 +474,12 @@ def test_sample_drift_flags_a_one_unit_fault_worth_under_1e9(table1_traj, table1
         capacity_override=13,
     )
     trace = run(cfg)
-    assert check_sample_drift(trace).passed
+    assert check_sample_drift(trace)["passed"]
     trace.deficit_num[1, 0] += 1
     drift, lemma1 = _assert_checks_match_reference(trace)
-    assert not drift.passed and drift.worst_frame == 1
-    assert 0 < drift.max_violation < 1e-9
-    assert lemma1.passed
+    assert not drift["passed"] and drift["worst_frame"] == 1
+    assert 0 < drift["max_violation"] < 1e-9
+    assert lemma1["passed"]
 
 
 @st.composite
@@ -509,7 +520,7 @@ def test_exact_checks_flag_a_one_unit_fault_either_way(params, data, table1_traj
     )
     trace = run(cfg)
     drift, lemma1 = _assert_checks_match_reference(trace)
-    assert drift.passed and lemma1.passed
+    assert drift["passed"] and lemma1["passed"]
     j = data.draw(st.integers(0, len(services) - 1))
     sid = j + 1
     p, q = trace.loss_allowances[j].as_integer_ratio()
@@ -522,8 +533,8 @@ def test_exact_checks_flag_a_one_unit_fault_either_way(params, data, table1_traj
         bad = replace(trace, deficit_num=trace.deficit_num.copy())
         bad.deficit_num[k, j] += 1
         drift, lemma1 = _assert_checks_match_reference(bad)
-        assert not drift.passed and (drift.worst_frame, drift.worst_service) == (k, sid)
-        assert lemma1.passed
+        assert not drift["passed"] and (drift["worst_frame"], drift["worst_service"]) == (k, sid)
+        assert lemma1["passed"]
     # one unit below the prefix bound at frame k breaks it there and only there
     k = data.draw(st.integers(0, frames - 1))
     slack = num[k] - (sum(drops[: k + 1]) * q - (k + 1) * p)
@@ -531,8 +542,8 @@ def test_exact_checks_flag_a_one_unit_fault_either_way(params, data, table1_traj
     bad = replace(trace, deficit_num=trace.deficit_num.copy())
     bad.deficit_num[k, j] -= slack + 1
     drift, lemma1 = _assert_checks_match_reference(bad)
-    assert not lemma1.passed
-    assert [s.worst_prefix_frame for s in lemma1.services] == [
+    assert not lemma1["passed"]
+    assert [s["worst_prefix_frame"] for s in lemma1["services"]] == [
         k if i == j else None for i in range(len(services))
     ]
-    assert lemma1.services[j].max_prefix_violation == 1 / q
+    assert lemma1["services"][j]["max_prefix_violation"] == 1 / q

@@ -527,13 +527,16 @@ def test_cmd_verify_fault_trips_both_checks_and_prints_witnesses(tmp_path, capsy
     assert len(drift) == len(lemma1) == 3
     assert all(not c["passed"] and (c["worst_frame"], c["worst_service"]) == (k, 1) for c in drift)
     assert all(not c["passed"] and c["services"][0]["worst_prefix_frame"] == k for c in lemma1)
-    out = capsys.readouterr().out
-    for policy in ("dcsa", "rr", "edf"):
-        assert f"FAIL sample_drift [{policy}]\nFAIL sample_drift: " in out
-        assert f"FAIL lemma1 [{policy}]\nFAIL lemma1\n" in out
-    assert out.count(f"  worst at frame {k}, service 1\n") == 3
-    assert out.count(f"    worst prefix at frame {k}\n") == 3
-    assert "first mismatch" not in out
+    lines = capsys.readouterr().out.splitlines()
+    # under each FAIL line, that check's row of the report as one JSON line
+    fails = [i for i, line in enumerate(lines) if line.startswith("FAIL ")]
+    assert [lines[i] for i in fails] == [
+        f"FAIL {check} [{policy}]" for policy in ("dcsa", "rr", "edf") for check in ("sample_drift", "lemma1")
+    ]
+    assert [json.loads(lines[i + 1]) for i in fails] == report["checks"][:-1]
+    assert all(lines[i + 1] == json.dumps(json.loads(lines[i + 1]), sort_keys=True) for i in fails)
+    assert lines[-1] == "PASS oracle_agreement (0/0 lexicographic, 0/0 weighted-optimal)"
+    assert len(lines) == 13
 
 
 def test_cmd_verify_prints_the_first_oracle_mismatch(tmp_path, capsys, monkeypatch):
@@ -545,14 +548,14 @@ def test_cmd_verify_prints_the_first_oracle_mismatch(tmp_path, capsys, monkeypat
     monkeypatch.setattr(schedulers, "allocate_cohorts", grant_nothing)
     rc, report = _verify_with_fault(tmp_path, "1", verify="oracle_instances = 20")
     assert rc == EXIT_VERIFY
-    first = report["checks"][-1]["first_mismatch"]
-    out = capsys.readouterr().out
-    assert "PASS sample_drift [dcsa]\nPASS lemma1 [dcsa]\n" in out
-    line = out.splitlines()[-1]
-    assert line.startswith("  first mismatch: {'order': ")
-    for key in ("order", "rows", "available", "weights"):
-        assert f"'{key}': " in line
-    assert f"'available': {tuple(first['available'])}" in line
+    oracle = report["checks"][-1]
+    assert set(oracle["first_mismatch"]) == {"order", "rows", "available", "weights"}
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["PASS sample_drift [dcsa]", "PASS lemma1 [dcsa]"]
+    n, lex, weighted = oracle["total"], oracle["lex_agreed"], oracle["weighted_agreed"]
+    assert lex < n == 20
+    assert lines[-2] == f"FAIL oracle_agreement ({lex}/{n} lexicographic, {weighted}/{n} weighted-optimal)"
+    assert json.loads(lines[-1]) == oracle
 
 
 def test_unknown_log_level_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -576,6 +579,21 @@ def test_cmd_verify_default_config_passes(tmp_path):
     (oracle,) = [c for c in report["checks"] if c["check"] == "oracle_agreement"]
     assert oracle["lex_agreed"] == oracle["weighted_agreed"] == oracle["total"] == 200
     assert oracle["first_mismatch"] is None
+
+
+def test_cmd_verify_passing_stdout_is_pinned(tmp_path, capsys):
+    # one PASS line per record, the oracle's with its agreement counts
+    rc = main(["verify", DEFAULT_CONFIG, "--frames", "3000", "--out", str(tmp_path / "v")])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out == (
+        "PASS sample_drift [dcsa]\n"
+        "PASS lemma1 [dcsa]\n"
+        "PASS sample_drift [rr]\n"
+        "PASS lemma1 [rr]\n"
+        "PASS sample_drift [edf]\n"
+        "PASS lemma1 [edf]\n"
+        "PASS oracle_agreement (200/200 lexicographic, 200/200 weighted-optimal)\n"
+    )
 
 
 def test_runtime_error_exit_code(tmp_path):
