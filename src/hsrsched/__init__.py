@@ -20,14 +20,7 @@ from .channel import (
     snr_db,
 )
 from .engine import ContractViolation, SimConfig, TraceLog, run
-from .schedulers import (
-    DcsaScheduler,
-    EdfScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-    allocate_cohorts,
-    make_scheduler,
-)
+from .schedulers import allocate_cohorts, make_scheduler
 from .traffic import (
     ArrivalGenerator,
     FeasibilityReport,
@@ -41,12 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ArrivalGenerator",
     "ContractViolation",
-    "DcsaScheduler",
-    "EdfScheduler",
     "FeasibilityReport",
     "RadioConfig",
-    "RoundRobinScheduler",
-    "Scheduler",
     "ServiceSpec",
     "SimConfig",
     "TraceLog",

@@ -55,6 +55,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        if not self.output_dir:
+            raise ConfigError("output_dir must not be empty")
         if self.seeds_per_point < 1:
             raise ConfigError("seeds_per_point must be at least 1")
         if self.oracle_instances < 0:

@@ -197,7 +197,7 @@ def run(config: SimConfig) -> TraceLog:
     n = config.frames
     n_svc = len(specs)
     arrivals = ArrivalGenerator(specs, config.seed).sample_run(n)
-    decide = make_scheduler(config.scheduler, specs, caps).decide
+    decide = make_scheduler(config.scheduler, specs, caps)
 
     # buckets[j][i]: service j's packets with i + 1 frames to go
     buckets = [[0] * s.deadline for s in specs]

@@ -1,15 +1,16 @@
 """Scheduling policies: deficit-driven re-planning (dcsa), round robin and EDF.
 
-All policies implement one contract, ``decide(frame, buckets, nums)``: given
-the frame index, each service's deadline buckets (``buckets[j][i]`` holds
-service j's packets with i + 1 frames to go, this frame's arrivals already
-admitted) and exact deficit numerators in spec order, they return one
-row of per-bucket transmission counts per service that never exceed any
-bucket content or the frame's capacity, which every policy reads from the
-trip's capacity tuple it was built with.
+A policy is its ``decide(frame, buckets, nums)``, a closure ``make_scheduler``
+builds once per run.  Given the frame index, each service's deadline buckets
+(``buckets[j][i]`` holds service j's packets with i + 1 frames to go, this
+frame's arrivals already admitted) and exact deficit numerators in spec order,
+it returns one row of per-bucket transmission counts per service that never
+exceed any bucket content or the frame's capacity, read from the trip's
+capacities alone.
 
-The deficit-driven policy keeps no plan between frames.  When services contend
-it ranks them by current deficit and grants every queued cohort (a service's
+Round robin and EDF serve the buckets in a fixed cell order.  The
+deficit-driven policy keeps no plan between frames: when services contend it
+ranks them by current deficit and grants every queued cohort (a service's
 packets with r frames to go) an amount over the next r frames through one
 greedy; it serves those grants, else the buckets, earliest deadline first.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate, zip_longest
 from operator import le, sub
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .traffic import ServiceSpec
 
@@ -72,31 +73,28 @@ def allocate_cohorts(order: Sequence, rows: Mapping | Sequence, available: Seque
     return grants
 
 
-class Scheduler:
-    """Behavioral contract shared by all policies."""
+SCHEDULER_POLICIES = ("dcsa", "rr", "edf")
 
-    name: str = "base"
 
-    def __init__(self, specs: Sequence[ServiceSpec], capacities: Sequence[int]):
-        self.specs = tuple(specs)
-        # the trip's per-frame capacities, the only source of a frame's capacity
-        self.capacities = tuple(capacities)
-        deadlines = [s.deadline for s in self.specs]
-        self._horizon = max(deadlines)
-        # (position, bucket) by ascending frames to go, then ascending position
-        self._cells = [(j, i) for i in range(self._horizon) for j, m in enumerate(deadlines) if i < m]
+def make_scheduler(policy: str, specs: Sequence[ServiceSpec], capacities: Sequence[int]) -> Callable:
+    """The named policy's ``decide(frame, buckets, nums)`` over the trip's
+    ``capacities``: row j serves ``buckets[j]``, ``row[i]`` packets from bucket
+    r = i + 1; ``nums[j]`` is service j's deficit times its allowance's denominator."""
+    if policy not in SCHEDULER_POLICIES:
+        raise ValueError(f"unknown scheduler policy {policy!r}; expected one of {SCHEDULER_POLICIES}")
+    deadlines = [s.deadline for s in specs]
+    horizon = max(deadlines)
+    # the only source of a frame's capacity, zero past the trip end
+    caps = tuple(capacities) + (0,) * horizon
+    # (position, bucket) by ascending frames to go, then ascending position
+    cells = [(j, i) for i in range(horizon) for j, m in enumerate(deadlines) if i < m]
 
-    def decide(self, frame: int, buckets: Sequence[Sequence[int]], nums: Sequence[int]) -> list[list[int]]:
-        """Row j serves ``buckets[j]``: ``row[i]`` packets from bucket r = i + 1.
-        ``nums[j]`` is service j's deficit times its allowance's denominator."""
-        raise NotImplementedError
-
-    def _serve(self, cells, rows, frame: int) -> list[list[int]]:
-        """Serve ``rows[j][i]`` packets cell by cell in the order of ``cells``,
+    def serve(order, rows, frame):
+        """Serve ``rows[j][i]`` packets cell by cell in the order of ``order``,
         (position j, bucket i) pairs, until the frame's capacity runs out."""
-        served = [[0] * s.deadline for s in self.specs]
-        left = self.capacities[frame]
-        for j, i in cells:
+        served = [[0] * m for m in deadlines]
+        left = caps[frame]
+        for j, i in order:
             x = rows[j][i]
             if x:
                 if x >= left:
@@ -106,32 +104,35 @@ class Scheduler:
                 left -= x
         return served
 
+    if policy == "rr":
+        # one service per frame in fixed rotation; turn j: service j's cells, oldest first
+        turns = [[(j, i) for i in range(m)] for j, m in enumerate(deadlines)]
 
-class DcsaScheduler(Scheduler):
-    """Deficit-driven policy re-planning every queued cohort each frame.
+        def rr(frame, buckets, nums):
+            return serve(turns[frame % len(turns)], buckets, frame)
 
-    Nothing is carried between frames: the state is the trip's capacities,
-    the planning horizon (the longest deadline), the scales that put every
-    deficit numerator over one denominator and the serving order of the
-    bucket cells.  Services are indexed by position in spec order.
-    """
+        return rr
 
-    name = "dcsa"
+    if policy == "edf":
+        # the most urgent packets system-wide, ignoring QoS targets; ties at
+        # equal urgency go to the later service, an arbitrary but fixed rule
+        cells.sort(key=lambda cell: (cell[1], -cell[0]))
 
-    def __init__(self, specs: Sequence[ServiceSpec], capacities: Sequence[int]):
-        super().__init__(specs, capacities)
-        # zero past the trip end
-        self.capacities += (0,) * self._horizon
-        denominators = [s.loss_allowance.denominator for s in self.specs]
-        # deficit numerators times these share one denominator, the lcm
-        lcm = math.lcm(*denominators)
-        self._scales = [lcm // q for q in denominators]
+        def edf(frame, buckets, nums):
+            return serve(cells, buckets, frame)
 
-    def decide(self, frame: int, buckets: Sequence[Sequence[int]], nums: Sequence[int]) -> list[list[int]]:
+        return edf
+
+    denominators = [s.loss_allowance.denominator for s in specs]
+    # deficit numerators times these share one denominator, the lcm
+    lcm = math.lcm(*denominators)
+    scales = [lcm // q for q in denominators]
+
+    def dcsa(frame, buckets, nums):
         """Serve the queued cells earliest deadline first up to the frame
-        capacity, ``capacities[frame]``; when services contend, serve instead
+        capacity, ``caps[frame]``; when services contend, serve instead
         the grants of every queued cohort by descending deficit (exact)."""
-        available = self.capacities[frame : frame + self._horizon]
+        available = caps[frame : frame + horizon]
         # Services contend when two or more hold packets and, for some d, the
         # packets with at most d + 1 frames to go exceed the capacity of
         # offsets 0..d.  Otherwise the grants fill as the buckets do: packets
@@ -142,49 +143,8 @@ class DcsaScheduler(Scheduler):
             map(le, accumulate(map(sum, zip_longest(*buckets, fillvalue=0))), accumulate(available))
         ):
             # sorted is stable: equal deficits keep ascending position
-            order = sorted(range(len(buckets)), key=lambda j: -nums[j] * self._scales[j])
-            return self._serve(self._cells, allocate_cohorts(order, buckets, available), frame)
-        return self._serve(self._cells, buckets, frame)
+            order = sorted(range(len(buckets)), key=lambda j: -nums[j] * scales[j])
+            return serve(cells, allocate_cohorts(order, buckets, available), frame)
+        return serve(cells, buckets, frame)
 
-
-class RoundRobinScheduler(Scheduler):
-    """Serves one service per frame in fixed rotation, oldest packets first."""
-
-    name = "rr"
-
-    def __init__(self, specs: Sequence[ServiceSpec], capacities: Sequence[int]):
-        super().__init__(specs, capacities)
-        # turn j: service j's cells, oldest first
-        self._turns = [[(j, i) for i in range(s.deadline)] for j, s in enumerate(self.specs)]
-
-    def decide(self, frame: int, buckets: Sequence[Sequence[int]], nums: Sequence[int]) -> list[list[int]]:
-        return self._serve(self._turns[frame % len(self._turns)], buckets, frame)
-
-
-class EdfScheduler(Scheduler):
-    """Serves the most urgent packets system-wide, ignoring QoS targets.
-
-    Ties at equal urgency go to the later service; the rule is arbitrary
-    but fixed so runs stay reproducible.
-    """
-
-    name = "edf"
-
-    def __init__(self, specs: Sequence[ServiceSpec], capacities: Sequence[int]):
-        super().__init__(specs, capacities)
-        # by ascending frames to go, then descending position
-        self._cells.sort(key=lambda cell: (cell[1], -cell[0]))
-
-    def decide(self, frame: int, buckets: Sequence[Sequence[int]], nums: Sequence[int]) -> list[list[int]]:
-        return self._serve(self._cells, buckets, frame)
-
-
-_POLICIES = {cls.name: cls for cls in (DcsaScheduler, RoundRobinScheduler, EdfScheduler)}
-SCHEDULER_POLICIES = tuple(_POLICIES)
-
-
-def make_scheduler(policy: str, specs: Sequence[ServiceSpec], capacities: Sequence[int]) -> Scheduler:
-    """The named policy over the trip's per-frame ``capacities``."""
-    if policy not in _POLICIES:
-        raise ValueError(f"unknown scheduler policy {policy!r}; expected one of {SCHEDULER_POLICIES}")
-    return _POLICIES[policy](specs, capacities)
+    return dcsa

@@ -53,16 +53,15 @@ def two_services():
 @pytest.fixture(scope="session")
 def run_recording_decisions():
     """``run(config)`` that also returns every frame's decision, recorded by a
-    wrapper around the scheduler ``engine.make_scheduler`` builds, as an array
-    ``[frame, service position, bucket]`` (zero past a service's deadline)."""
+    wrapper around the ``decide`` that ``engine.make_scheduler`` returns, as an
+    array ``[frame, service position, bucket]`` (zero past a service's deadline)."""
 
     def go(config):
         shape = (config.frames, len(config.services), max(s.deadline for s in config.services))
         served = np.zeros(shape, dtype=np.int64)
 
         def recording(policy, specs, capacities):
-            scheduler = make_scheduler(policy, specs, capacities)
-            decide = scheduler.decide
+            decide = make_scheduler(policy, specs, capacities)
 
             def recorded(frame, buckets, nums):
                 rows = decide(frame, buckets, nums)
@@ -70,8 +69,7 @@ def run_recording_decisions():
                     served[frame, j, : len(row)] = row
                 return rows
 
-            scheduler.decide = recorded
-            return scheduler
+            return recorded
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine_mod, "make_scheduler", recording)

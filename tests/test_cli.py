@@ -402,6 +402,28 @@ def test_negative_seed_key_is_a_config_error(tmp_path, capsys):
     assert "seed must be non-negative" in capsys.readouterr().err
 
 
+def test_empty_out_flag_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # rejected before the sweep runs, not by os.makedirs("") after it
+    monkeypatch.chdir(tmp_path)
+    rc = main(["fig3", FIG3_CONFIG, "--frames", "10", "--out", ""])
+    assert rc == EXIT_CONFIG
+    assert "output_dir must not be empty" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_empty_output_dir_key_is_a_config_error(tmp_path, monkeypatch, capsys):
+    text, count = re.subn(
+        r"^output_dir = .*$", "output_dir =", serialize_config(parse_config(DEFAULT_CONFIG)), flags=re.M
+    )
+    assert count == 1
+    (tmp_path / "empty.ini").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    rc = main(["run", "empty.ini", "--frames", "10"])
+    assert rc == EXIT_CONFIG
+    assert "output_dir must not be empty" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["empty.ini"]
+
+
 def test_cmd_fig3_rejects_two_service_config():
     rc = main(["fig3", DEFAULT_CONFIG, "--out", "unused"])
     assert rc == EXIT_CONFIG

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hsrsched import ContractViolation, ServiceSpec, SimConfig, run
 from hsrsched.engine import single_service_ratios
-from hsrsched.schedulers import SCHEDULER_POLICIES, Scheduler, make_scheduler
+from hsrsched.schedulers import SCHEDULER_POLICIES, make_scheduler
 from hsrsched.traffic import ArrivalGenerator
 
 
@@ -96,85 +96,70 @@ def test_cohort_drop_equivalence(table1_traj, table1_radio, two_services, run_re
                     assert expected == int(trace.drops[k + m - 1, j]), (policy, j, k)
 
 
-def _run_with(scheduler_cls, table1_traj, table1_radio, services, monkeypatch):
+def _run_with(decide, table1_traj, table1_radio, services, monkeypatch):
+    """Ten frames of ``services`` with ``decide`` in place of the policy."""
     import hsrsched.engine as engine_mod
 
-    monkeypatch.setattr(engine_mod, "make_scheduler", lambda policy, specs, caps: scheduler_cls(specs, caps))
+    monkeypatch.setattr(engine_mod, "make_scheduler", lambda policy, specs, caps: decide)
     return run(_config(table1_traj, table1_radio, services, num_frames=10))
 
 
 def test_engine_rejects_overserving_scheduler(table1_traj, table1_radio, two_services, monkeypatch):
-    class Greedy(Scheduler):
-        name = "dcsa"
-
-        def decide(self, frame, buckets, nums):
-            return [[0] * (s.deadline - 1) + [10**6] for s in self.specs]
+    def greedy(frame, buckets, nums):
+        return [[0] * (s.deadline - 1) + [10**6] for s in two_services]
 
     with pytest.raises(ContractViolation, match=r"frame 0: served total 2000000 exceeds frame capacity \d+$"):
-        _run_with(Greedy, table1_traj, table1_radio, two_services, monkeypatch)
+        _run_with(greedy, table1_traj, table1_radio, two_services, monkeypatch)
 
 
 def test_engine_rejects_bucket_overserve_within_capacity(
     table1_traj, table1_radio, two_services, monkeypatch
 ):
-    class OneTooMany(Scheduler):
+    caps = _config(table1_traj, table1_radio, two_services, num_frames=10).capacities()
+
+    def one_too_many(frame, buckets, nums):
         """Serves the whole top bucket of service 1 plus one packet: within
         the frame capacity, above the bucket."""
-
-        name = "dcsa"
-
-        def decide(self, frame, buckets, nums):
-            counts = [[0] * s.deadline for s in self.specs]
-            counts[0][-1] = buckets[0][-1] + 1
-            assert sum(map(sum, counts)) <= self.capacities[frame]
-            return counts
+        counts = [[0] * s.deadline for s in two_services]
+        counts[0][-1] = buckets[0][-1] + 1
+        assert sum(map(sum, counts)) <= caps[frame]
+        return counts
 
     with pytest.raises(ContractViolation, match="from bucket r=10"):
-        _run_with(OneTooMany, table1_traj, table1_radio, two_services, monkeypatch)
+        _run_with(one_too_many, table1_traj, table1_radio, two_services, monkeypatch)
 
 
 def test_engine_rejects_negative_served_count(table1_traj, table1_radio, two_services, monkeypatch):
-    class Negative(Scheduler):
-        name = "dcsa"
-
-        def decide(self, frame, buckets, nums):
-            counts = [[0] * s.deadline for s in self.specs]
-            counts[1][0] = -1
-            return counts
+    def negative(frame, buckets, nums):
+        counts = [[0] * s.deadline for s in two_services]
+        counts[1][0] = -1
+        return counts
 
     with pytest.raises(ContractViolation, match="served -1"):
-        _run_with(Negative, table1_traj, table1_radio, two_services, monkeypatch)
+        _run_with(negative, table1_traj, table1_radio, two_services, monkeypatch)
 
 
 @pytest.mark.parametrize("rows", [1, 3])
 def test_engine_rejects_wrong_row_count(rows, table1_traj, table1_radio, two_services, monkeypatch):
-    class WrongRows(Scheduler):
+    def wrong_rows(frame, buckets, nums):
         """Decides nothing but with one row too few or too many, on the last
         frame only."""
-
-        name = "dcsa"
-
-        def decide(self, frame, buckets, nums):
-            n = rows if frame == 9 else len(self.specs)
-            return [[0] * 10 for _ in range(n)]
+        n = rows if frame == 9 else len(two_services)
+        return [[0] * 10 for _ in range(n)]
 
     with pytest.raises(ContractViolation, match=f"frame 9: {rows} rows decided for 2 services"):
-        _run_with(WrongRows, table1_traj, table1_radio, two_services, monkeypatch)
+        _run_with(wrong_rows, table1_traj, table1_radio, two_services, monkeypatch)
 
 
 @pytest.mark.parametrize("length", [9, 11])
 def test_engine_rejects_wrong_row_length(length, table1_traj, table1_radio, two_services, monkeypatch):
-    class WrongLength(Scheduler):
+    def wrong_length(frame, buckets, nums):
         """Serves nothing, but gives service 2 one count too few or too many
         on frame 4."""
-
-        name = "dcsa"
-
-        def decide(self, frame, buckets, nums):
-            return [[0] * 10, [0] * (length if frame == 4 else 10)]
+        return [[0] * 10, [0] * (length if frame == 4 else 10)]
 
     with pytest.raises(ContractViolation, match=f"frame 4: service 2: {length} counts, 10 buckets"):
-        _run_with(WrongLength, table1_traj, table1_radio, two_services, monkeypatch)
+        _run_with(wrong_length, table1_traj, table1_radio, two_services, monkeypatch)
 
 
 @pytest.mark.parametrize("policy", SCHEDULER_POLICIES)
@@ -269,15 +254,13 @@ def test_backlog_is_what_the_buckets_hold_frame_by_frame(policy, table1_traj, ta
     held = []
 
     def recording(policy, specs, capacities):
-        scheduler = make_scheduler(policy, specs, capacities)
-        decide = scheduler.decide
+        decide = make_scheduler(policy, specs, capacities)
 
         def recorded(frame, buckets, nums):
             held.append([sum(row) for row in buckets])
             return decide(frame, buckets, nums)
 
-        scheduler.decide = recorded
-        return scheduler
+        return recorded
 
     monkeypatch.setattr(engine_mod, "make_scheduler", recording)
     services = (

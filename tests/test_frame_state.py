@@ -25,10 +25,9 @@ def _drive(traj, radio, spec, arrivals, decide=None):
     the trace and the bucket row each decision saw."""
     seen = []
 
-    class Scripted:
-        def decide(self, frame, buckets, nums):
-            seen.append(list(buckets[0]))
-            return [decide(frame, list(buckets[0])) if decide else [0] * spec.deadline]
+    def scripted(frame, buckets, nums):
+        seen.append(list(buckets[0]))
+        return [decide(frame, list(buckets[0])) if decide else [0] * spec.deadline]
 
     class Arrivals:
         def __init__(self, specs, seed):
@@ -40,7 +39,7 @@ def _drive(traj, radio, spec, arrivals, decide=None):
     cfg = SimConfig(traj, radio, (spec,), num_frames=len(arrivals), capacity_override=10**6)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine_mod, "ArrivalGenerator", Arrivals)
-        mp.setattr(engine_mod, "make_scheduler", lambda policy, specs, caps: Scripted())
+        mp.setattr(engine_mod, "make_scheduler", lambda policy, specs, caps: scripted)
         return run(cfg), seen
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsrsched import (
-    DcsaScheduler,
     ServiceSpec,
     SimConfig,
     allocate_cohorts,
@@ -25,7 +24,6 @@ from hsrsched.analysis import (
     brute_force_lex_min_drops,
     brute_force_min_weighted_drops,
 )
-from hsrsched.schedulers import EdfScheduler, RoundRobinScheduler
 
 
 def _spec(rate=10.0, deadline=2, q=0.9):
@@ -36,14 +34,14 @@ def _buckets(specs):
     return [[0] * s.deadline for s in specs]
 
 
-def _step(sched, frame, buckets, nums, arrivals):
+def _step(decide, specs, frame, buckets, nums, arrivals):
     """One engine frame: admit, decide, serve and age, update the deficit
     numerators; returns the decision and each service's drops."""
     for row, a in zip(buckets, arrivals):
         row[-1] = a
-    rows = sched.decide(frame, buckets, nums)
+    rows = decide(frame, buckets, nums)
     drops = []
-    for j, (row, served, spec) in enumerate(zip(buckets, rows, sched.specs)):
+    for j, (row, served, spec) in enumerate(zip(buckets, rows, specs)):
         p, q = spec.loss_allowance.as_integer_ratio()
         drops.append(row[0] - served[0])
         row[:-1] = map(sub, row[1:], served[1:])
@@ -195,61 +193,61 @@ def test_allocate_matches_lexicographic_oracle(instance):
 class TestDcsa:
     def test_plan_and_decide_single_cohort(self):
         spec = _spec(deadline=2)
-        sched = DcsaScheduler([spec], (3, 3))
+        decide = make_scheduler("dcsa", [spec], (3, 3))
         buckets, nums = _buckets([spec]), [0]
         # r=2 bucket holds the fresh cohort
-        assert _step(sched, 0, buckets, nums, [5]) == ([[0, 3]], [0])
-        assert _step(sched, 1, buckets, nums, [0]) == ([[2, 0]], [0])
+        assert _step(decide, [spec], 0, buckets, nums, [5]) == ([[0, 3]], [0])
+        assert _step(decide, [spec], 1, buckets, nums, [0]) == ([[2, 0]], [0])
 
     def test_capacity_past_the_trip_end_is_zero(self):
         # service 1 outranks service 2; its r=2 cohort has only frame 0 left
         # on a one-frame trip, so it takes that frame whole
         specs = [_spec(deadline=2), _spec(deadline=1)]
-        sched = DcsaScheduler(specs, (2,))
-        assert sched.decide(0, [[0, 2], [2]], [10, 0]) == [[0, 2], [0]]
+        decide = make_scheduler("dcsa", specs, (2,))
+        assert decide(0, [[0, 2], [2]], [10, 0]) == [[0, 2], [0]]
         # with a second frame of capacity the r=2 cohort would wait for it
-        sched = DcsaScheduler(specs, (2, 2))
-        assert sched.decide(0, [[0, 2], [2]], [10, 0]) == [[0, 0], [2]]
+        decide = make_scheduler("dcsa", specs, (2, 2))
+        assert decide(0, [[0, 2], [2]], [10, 0]) == [[0, 0], [2]]
 
     def test_earlier_batches_hold_later_capacity(self):
         s1 = _spec(deadline=3)
         s2 = _spec(deadline=2)
-        caps = (10, 2, 5)
-        sched = DcsaScheduler([s1, s2], caps)
-        buckets, nums = _buckets([s1, s2]), [0, 0]
+        specs = [s1, s2]
+        decide = make_scheduler("dcsa", specs, (10, 2, 5))
+        buckets, nums = _buckets(specs), [0, 0]
         # service 1 gets 10 at frame 0 and keeps 2 packets with 2 frames to go
-        assert _step(sched, 0, buckets, nums, [12, 0])[0] == [[0, 0, 10], [0, 0]]
+        assert _step(decide, specs, 0, buckets, nums, [12, 0])[0] == [[0, 0, 10], [0, 0]]
         # deficits tie at 0, so service 1's cohort ranks first and takes all
         # of frame 1; service 2's batch still fits at frame 2
-        assert _step(sched, 1, buckets, nums, [0, 3])[0] == [[0, 2, 0], [0, 0]]
-        assert _step(sched, 2, buckets, nums, [0, 0])[0] == [[0, 0, 0], [3, 0]]
+        assert _step(decide, specs, 1, buckets, nums, [0, 3])[0] == [[0, 2, 0], [0, 0]]
+        assert _step(decide, specs, 2, buckets, nums, [0, 0])[0] == [[0, 0, 0], [3, 0]]
 
     def test_priority_ties_break_by_ascending_id(self):
         specs = [_spec(deadline=1), _spec(deadline=1)]
-        sched = DcsaScheduler(specs, (1,))
-        assert sched.decide(0, [[1], [1]], [0, 0]) == [[1], [0]]
+        decide = make_scheduler("dcsa", specs, (1,))
+        assert decide(0, [[1], [1]], [0, 0]) == [[1], [0]]
 
     def test_exact_zero_deficits_tie_by_ascending_id(self):
         # service 2 (lambda 60, ratio 0.9) drops 6 and drains back to exactly
         # 0; with the float allowance 5.999999999999998 it kept about 1.8e-15
         # and outranked service 1, whose deficit is also 0
         specs = [_spec(rate=100.0, deadline=1, q=0.99), _spec(rate=60.0, deadline=1, q=0.9)]
-        sched = DcsaScheduler(specs, (0, 0, 1))
+        decide = make_scheduler("dcsa", specs, (0, 0, 1))
         buckets, nums = _buckets(specs), [0, 0]
-        _step(sched, 0, buckets, nums, [0, 6])
-        _step(sched, 1, buckets, nums, [0, 0])
+        _step(decide, specs, 0, buckets, nums, [0, 6])
+        _step(decide, specs, 1, buckets, nums, [0, 0])
         assert nums == [0, 0]
-        assert _step(sched, 2, buckets, nums, [1, 1])[0] == [[1], [0]]
+        assert _step(decide, specs, 2, buckets, nums, [1, 1])[0] == [[1], [0]]
 
     def test_priority_compares_fractional_deficits_exactly(self):
         # allowances 1/2, 1 and 5/4: numerators over denominators 2, 1 and 4
         specs = [_spec(deadline=1, q=0.95), _spec(deadline=1, q=0.9), _spec(deadline=1, q=0.875)]
-        sched = DcsaScheduler(specs, (2,))
+        decide = make_scheduler("dcsa", specs, (2,))
 
         # deficits 1.5, 1 and 1.5: the two 1.5s tie and keep id order
-        assert sched.decide(0, [[1], [1], [1]], [3, 1, 6]) == [[1], [0], [1]]
+        assert decide(0, [[1], [1], [1]], [3, 1, 6]) == [[1], [0], [1]]
         # deficits 1.5, 2 and 1.75
-        assert sched.decide(0, [[1], [1], [1]], [3, 2, 7]) == [[0], [1], [1]]
+        assert decide(0, [[1], [1], [1]], [3, 2, 7]) == [[0], [1], [1]]
 
     def test_priority_responsiveness(self):
         # a higher deficit never loses contested capacity: raising one
@@ -263,7 +261,7 @@ class TestDcsa:
             bumped = rng.randrange(len(specs))
 
             def served(nums):
-                rows = DcsaScheduler(specs, caps).decide(0, buckets, nums)
+                rows = make_scheduler("dcsa", specs, caps)(0, buckets, nums)
                 assert sum(map(sum, rows)) <= caps[0]
                 return sum(rows[bumped])
 
@@ -273,10 +271,10 @@ class TestDcsa:
 
     def test_higher_deficit_wins_contested_capacity(self):
         specs = [_spec(deadline=2), _spec(deadline=2)]
-        sched = DcsaScheduler(specs, (4, 0))
+        decide = make_scheduler("dcsa", specs, (4, 0))
         # both cohorts fit the trip only at frame 0, which holds one of them
         for nums, expected in (([0, 1], [[0, 0], [0, 4]]), ([1, 0], [[0, 4], [0, 0]])):
-            assert sched.decide(0, [[0, 4], [0, 4]], nums) == expected
+            assert decide(0, [[0, 4], [0, 4]], nums) == expected
 
 
 def _always_ranked(specs, caps, frame, buckets, nums):
@@ -299,7 +297,7 @@ def _always_ranked(specs, caps, frame, buckets, nums):
 
 
 def _dcsa_frame(specs, caps, frame, buckets, nums):
-    return DcsaScheduler(specs, caps).decide(frame, buckets, nums)
+    return make_scheduler("dcsa", specs, caps)(frame, buckets, nums)
 
 
 @st.composite
@@ -378,57 +376,61 @@ def test_greedy_runs_only_when_services_contend(table1_traj, table1_radio, monke
 class TestRoundRobin:
     def test_rotation_over_frames(self):
         specs = [_spec(deadline=2), _spec(deadline=2)]
-        sched = RoundRobinScheduler(specs, (10, 10))
+        decide = make_scheduler("rr", specs, (10, 10))
         buckets = [[1, 1], [1, 1]]
-        even = sched.decide(0, buckets, [0, 0])
+        even = decide(0, buckets, [0, 0])
         assert sum(even[0]) == 2 and sum(even[1]) == 0
-        odd = sched.decide(1, buckets, [0, 0])
+        odd = decide(1, buckets, [0, 0])
         assert sum(odd[0]) == 0 and sum(odd[1]) == 2
 
     def test_empty_selected_service_wastes_capacity(self):
         specs = [_spec(deadline=2), _spec(deadline=2)]
-        sched = RoundRobinScheduler(specs, (10,))
-        assert sched.decide(0, [[0, 0], [4, 0]], [0, 0]) == [[0, 0], [0, 0]]
+        decide = make_scheduler("rr", specs, (10,))
+        assert decide(0, [[0, 0], [4, 0]], [0, 0]) == [[0, 0], [0, 0]]
 
     def test_fills_earliest_buckets_first(self):
         specs = [_spec(deadline=2)]
-        sched = RoundRobinScheduler(specs, (7,))
-        assert sched.decide(0, [[4, 6]], [0]) == [[4, 3]]
+        decide = make_scheduler("rr", specs, (7,))
+        assert decide(0, [[4, 6]], [0]) == [[4, 3]]
 
 
 class TestEdf:
     def test_single_packet_served(self):
         specs = [_spec(deadline=3)]
-        sched = EdfScheduler(specs, (5,))
-        assert sched.decide(0, [[0, 1, 0]], [0]) == [[0, 1, 0]]
+        decide = make_scheduler("edf", specs, (5,))
+        assert decide(0, [[0, 1, 0]], [0]) == [[0, 1, 0]]
 
     def test_urgency_tie_goes_to_the_later_service(self):
         specs = [_spec(deadline=2), _spec(deadline=2)]
-        sched = EdfScheduler(specs, (4,))
-        assert sched.decide(0, [[2, 0], [3, 0]], [0, 0]) == [[1, 0], [3, 0]]
+        decide = make_scheduler("edf", specs, (4,))
+        assert decide(0, [[2, 0], [3, 0]], [0, 0]) == [[1, 0], [3, 0]]
 
     def test_zero_capacity_serves_nothing(self):
         specs = [_spec(deadline=2), _spec(deadline=2)]
-        sched = EdfScheduler(specs, (0,))
-        assert sched.decide(0, [[5, 5], [5, 5]], [0, 0]) == [[0, 0], [0, 0]]
+        decide = make_scheduler("edf", specs, (0,))
+        assert decide(0, [[5, 5], [5, 5]], [0, 0]) == [[0, 0], [0, 0]]
 
     def test_mixed_deadlines(self):
         specs = [_spec(deadline=1), _spec(deadline=3)]
-        sched = EdfScheduler(specs, (4,))
+        decide = make_scheduler("edf", specs, (4,))
         # r=1 first (s2 then s1), leftover goes to s2's r=3 bucket
-        assert sched.decide(0, [[2], [1, 0, 4]], [0, 0]) == [[2], [1, 0, 1]]
+        assert decide(0, [[2], [1, 0, 4]], [0, 0]) == [[2], [1, 0, 1]]
 
 
 @pytest.mark.parametrize("policy", schedulers.SCHEDULER_POLICIES)
 def test_frame_capacity_is_read_from_the_trip_capacities(policy):
     # a bucket of 10 on a trip whose one frame holds 3
     spec = _spec(deadline=1)
-    assert make_scheduler(policy, [spec], (3,)).decide(0, [[10]], [0]) == [[3]]
+    assert make_scheduler(policy, [spec], (3,))(0, [[10]], [0]) == [[3]]
 
 
 def test_make_scheduler_factory(two_services):
-    assert make_scheduler("dcsa", two_services, ()).name == "dcsa"
-    assert make_scheduler("rr", two_services, ()).name == "rr"
-    assert make_scheduler("edf", two_services, ()).name == "edf"
+    # one packet per deadline-1 service and one to serve: dcsa takes the
+    # highest deficit, rr service 1's turn at frame 0 and edf the later
+    # service on the urgency tie, so each name picks a different policy
+    specs = [_spec(deadline=1)] * 3
+    expected = {"dcsa": [[0], [1], [0]], "rr": [[1], [0], [0]], "edf": [[0], [0], [1]]}
+    for policy, served in expected.items():
+        assert make_scheduler(policy, specs, (1, 1))(0, [[1], [1], [1]], [0, 10, 0]) == served
     with pytest.raises(ValueError):
         make_scheduler("fifo", two_services, ())
