@@ -3,7 +3,8 @@
 The train follows a known trajectory at constant speed along a line of equally
 spaced cells, so the BS-to-RS distance (and everything derived from it) is a
 deterministic, periodic function of trip time.  Capacity is expressed in whole
-packets per scheduling frame.
+packets per scheduling frame.  The link functions take a scalar (giving a numpy
+scalar) or an array, so a whole trip is evaluated as one array chain.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
@@ -89,54 +92,55 @@ class RadioConfig:
         return 21.5 * math.log10(self.breakpoint_distance)
 
 
-def distance_at(t: float, traj: TrajectoryConfig) -> float:
+def distance_at(t: float | np.ndarray, traj: TrajectoryConfig) -> float | np.ndarray:
     """BS-to-RS distance (m) at trip time t, periodic with the cell period."""
-    if t < 0 or t > traj.trip_duration:
-        raise ValueError(f"t={t} outside trip [0, {traj.trip_duration}]")
+    t = np.asarray(t, dtype=float)
+    outside = (t < 0) | (t > traj.trip_duration)
+    if outside.any():
+        raise ValueError(f"t={t[outside][0]} outside trip [0, {traj.trip_duration}]")
     r = traj.cell_radius
-    s1 = (traj.speed * t) % (2.0 * r)
-    if s1 < r:
-        return math.hypot(s1, traj.track_offset)
-    return math.hypot(2.0 * r - s1, traj.track_offset)
+    # fmod is Python's % for t >= 0; past mid-cell the train nears the next BS
+    s1 = np.fmod(traj.speed * t, 2.0 * r)
+    return np.hypot(np.minimum(s1, 2.0 * r - s1), traj.track_offset)
 
 
-def path_loss_db(d: float, radio: RadioConfig) -> float:
+def path_loss_db(d: float | np.ndarray, radio: RadioConfig) -> float | np.ndarray:
     """Two-slope path loss in dB at distance d meters."""
-    if d <= 0:
-        raise ValueError("distance must be strictly positive")
-    if d < radio.breakpoint_distance:
-        return 44.2 + 21.5 * math.log10(d) + radio.freq_offset_db
-    return (
-        44.2
-        + 40.0 * math.log10(d / radio.breakpoint_distance)
-        + radio.breakpoint_loss_db
-        + radio.freq_offset_db
-    )
+    d = np.asarray(d, dtype=float)
+    if (d <= 0).any():
+        raise ValueError(f"distance must be strictly positive, got {d[d <= 0][0]}")
+    near = 44.2 + 21.5 * np.log10(d) + radio.freq_offset_db
+    far = 44.2 + 40.0 * np.log10(d / radio.breakpoint_distance) + radio.breakpoint_loss_db + radio.freq_offset_db
+    return np.where(d < radio.breakpoint_distance, near, far)[()]  # a 0-d result as a numpy scalar
 
 
-def snr_db(t: float, traj: TrajectoryConfig, radio: RadioConfig) -> float:
+def snr_db(t: float | np.ndarray, traj: TrajectoryConfig, radio: RadioConfig) -> float | np.ndarray:
     """Average received SNR in dB at trip time t (may be negative)."""
     return radio.tx_power_over_noise - path_loss_db(distance_at(t, traj), radio)
 
 
-def rate_bps(t: float, traj: TrajectoryConfig, radio: RadioConfig) -> float:
+def rate_bps(t: float | np.ndarray, traj: TrajectoryConfig, radio: RadioConfig) -> float | np.ndarray:
     """Shannon rate in bit/s at trip time t.
 
     The SNR is converted from dB to linear before entering the capacity
     formula; feeding the dB value in directly would be dimensionally wrong.
     """
     gamma = 10.0 ** (snr_db(t, traj, radio) / 10.0)
-    return radio.bandwidth * math.log2(1.0 + gamma)
+    return radio.bandwidth * np.log2(1.0 + gamma)
 
 
-def frame_capacity(k: int, traj: TrajectoryConfig, radio: RadioConfig) -> int:
+def frame_capacity(k: int | np.ndarray, traj: TrajectoryConfig, radio: RadioConfig) -> int | np.ndarray:
     """Packets transmittable in frame k, sampled at the frame start instant."""
-    t = k * traj.frame_length
-    return math.floor(rate_bps(t, traj, radio) * traj.frame_length / radio.packet_size)
+    k = np.asarray(k)
+    with np.errstate(over="ignore"):  # an overflow is inf, rejected below
+        packets = rate_bps(k * traj.frame_length, traj, radio) * traj.frame_length / radio.packet_size
+    bad = ~(packets < 2.0**63)
+    if bad.any():
+        raise ValueError(f"frame {k[bad][0]}: link capacity must be in 0..{2**63 - 1} packets")
+    return np.floor(packets).astype(np.int64)
 
 
 @lru_cache(maxsize=16)
 def build_capacity_profile(traj: TrajectoryConfig, radio: RadioConfig) -> tuple[int, ...]:
     """Capacity of every frame of the trip (length = traj.num_frames)."""
-    return tuple(frame_capacity(k, traj, radio) for k in range(traj.num_frames))
-
+    return tuple(frame_capacity(np.arange(traj.num_frames), traj, radio).tolist())

@@ -1,7 +1,12 @@
+import hashlib
 import math
+import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsrsched import (
     RadioConfig,
@@ -13,6 +18,9 @@ from hsrsched import (
     rate_bps,
     snr_db,
 )
+from hsrsched.cli import parse_config
+
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 def test_distance_at_origin(table1_traj):
@@ -221,3 +229,75 @@ def test_radio_validation():
             bandwidth=1e7,
             packet_size=500.0,
         )
+
+
+def reference_capacity(k: int, traj: TrajectoryConfig, radio: RadioConfig) -> int:
+    """Capacity of frame k from the link formulas in scalar ``math``, one frame
+    at a time, each sum in channel.py's association order: the reference the
+    array chain is held to."""
+    t = k * traj.frame_length
+    r = traj.cell_radius
+    s1 = (traj.speed * t) % (2.0 * r)
+    d = math.hypot(s1 if s1 < r else 2.0 * r - s1, traj.track_offset)
+    if d < radio.breakpoint_distance:
+        loss = 44.2 + 21.5 * math.log10(d) + radio.freq_offset_db
+    else:
+        loss = (
+            44.2
+            + 40.0 * math.log10(d / radio.breakpoint_distance)
+            + radio.breakpoint_loss_db
+            + radio.freq_offset_db
+        )
+    gamma = 10.0 ** ((radio.tx_power_over_noise - loss) / 10.0)
+    return math.floor(radio.bandwidth * math.log2(1.0 + gamma) * traj.frame_length / radio.packet_size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    speed=st.floats(10.0, 150.0),
+    cell_radius=st.floats(200.0, 3000.0),
+    track_offset=st.floats(1.0, 100.0),
+    power=st.floats(90.0, 140.0),
+    carrier=st.floats(0.8e9, 6.0e9),
+    frame_length=st.sampled_from([1e-3, 2e-3, 5e-3, 1e-2]),
+    packet_size=st.sampled_from([100.0, 500.0, 1500.0, 12000.0]),
+    frames=st.integers(1, 2000),
+)
+def test_profile_matches_scalar_reference(
+    table1_radio, speed, cell_radius, track_offset, power, carrier, frame_length, packet_size, frames
+):
+    traj = TrajectoryConfig(speed, cell_radius, track_offset, frames * frame_length, frame_length)
+    radio = replace(table1_radio, carrier_freq=carrier, tx_power_over_noise=power, packet_size=packet_size)
+    expected = tuple(reference_capacity(k, traj, radio) for k in range(traj.num_frames))
+    assert build_capacity_profile(traj, radio) == expected
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        ("configs/table1_fig2.ini", "0781147f6f52fc9925625b494ce868c1069588b78371899d9eb8999f38234944"),
+        ("configs/fig3.ini", "0781147f6f52fc9925625b494ce868c1069588b78371899d9eb8999f38234944"),
+        ("perfbench/configs/sweep.ini", "0781147f6f52fc9925625b494ce868c1069588b78371899d9eb8999f38234944"),
+        ("perfbench/configs/mixed.ini", "fac8815c2c60d2264430671906248881c0e2f0a16e1be22ba90bf14f91d74b0d"),
+    ],
+)
+def test_shipped_profiles_are_pinned(config, digest):
+    # a rounding change in numpy or libm shows here, not as a silent trace change
+    sim = parse_config(os.path.join(REPO, config)).sim
+    caps = build_capacity_profile(sim.trajectory, sim.radio)
+    assert hashlib.sha256(",".join(map(str, caps)).encode()).hexdigest() == digest
+
+
+def test_functions_take_arrays_and_return_numpy_scalars(table1_traj, table1_radio):
+    ks = np.array([0, 15000])
+    assert frame_capacity(ks, table1_traj, table1_radio).tolist() == [301, 62]
+    assert type(frame_capacity(0, table1_traj, table1_radio)) is np.int64
+    assert type(path_loss_db(30.0, table1_radio)) is np.float64
+    assert rate_bps(ks * 1e-3, table1_traj, table1_radio)[1] == rate_bps(15.0, table1_traj, table1_radio)
+
+
+def test_array_domain_errors_name_the_first_offending_value(table1_traj, table1_radio):
+    with pytest.raises(ValueError, match=r"t=-2\.5 outside trip"):
+        distance_at(np.array([0.0, 1.0, -2.5, 40.0]), table1_traj)
+    with pytest.raises(ValueError, match="strictly positive, got -3.0"):
+        path_loss_db(np.array([30.0, -3.0, 0.0]), table1_radio)

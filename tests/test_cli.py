@@ -663,6 +663,19 @@ def test_capacity_override_beyond_int64_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [("bandwidth", 1.0e300), ("tx_power_over_noise", 3300.0)])
+def test_link_capacity_beyond_int64_is_rejected_before_any_frame(tmp_path, capsys, field, value):
+    # 1e300 Hz floors to ~3e295 packets a frame; 3300 dB overflows the linear SNR to inf
+    cfg = parse_config(DEFAULT_CONFIG)
+    sim = replace(cfg.sim, radio=replace(cfg.sim.radio, **{field: value}))
+    path = tmp_path / "link.ini"
+    path.write_text(serialize_config(replace(cfg, sim=sim)))
+    out = tmp_path / "x"
+    assert main(["run", str(path), "--frames", "10", "--out", str(out)]) == EXIT_RUNTIME
+    assert "frame 0: link capacity must be in 0..9223372036854775807" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
 MIXED_CONFIG = os.path.join(REPO, "perfbench", "configs", "mixed.ini")
 SERVICE_BODY = "lambda = 20.0\ndeadline = 2\ndelivery_ratio = 0.95\n"
 
