@@ -4,11 +4,13 @@ The train follows a known trajectory at constant speed along a line of equally
 spaced cells, so the BS-to-RS distance (and everything derived from it) is a
 deterministic, periodic function of trip time.  Capacity is expressed in whole
 packets per scheduling frame.  The link functions take a scalar (giving a numpy
-scalar) or an array, so a whole trip is evaluated as one array chain.
+scalar) or an array, so a trip is evaluated as a few array chains over blocks
+of frames.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -17,6 +19,11 @@ from functools import lru_cache
 import numpy as np
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
+# frames per block of the profile's array chain: on a 30,000-frame trip a
+# fresh process's peak RSS grows 0.5-0.6 MiB over the build (1.6 MiB as one
+# whole-trip chain) at the whole chain's speed; smaller blocks save little
+# more and make the build slower
+PROFILE_BLOCK_FRAMES = 4096
 
 
 def _require_positive(config) -> None:
@@ -142,5 +149,10 @@ def frame_capacity(k: int | np.ndarray, traj: TrajectoryConfig, radio: RadioConf
 
 @lru_cache(maxsize=16)
 def build_capacity_profile(traj: TrajectoryConfig, radio: RadioConfig) -> tuple[int, ...]:
-    """Capacity of every frame of the trip (length = traj.num_frames)."""
-    return tuple(frame_capacity(np.arange(traj.num_frames), traj, radio).tolist())
+    """Capacity of every frame of the trip (length = traj.num_frames), the
+    array chain evaluated ``PROFILE_BLOCK_FRAMES`` frames at a time, so its
+    float temporaries stay small."""
+    n = traj.num_frames
+    starts = range(0, n, PROFILE_BLOCK_FRAMES)
+    blocks = (frame_capacity(np.arange(s, min(s + PROFILE_BLOCK_FRAMES, n)), traj, radio).tolist() for s in starts)
+    return tuple(itertools.chain.from_iterable(blocks))

@@ -233,21 +233,25 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _fig2_policy(cfg: ExperimentConfig, policy: str) -> dict:
+    """Run ``policy``, write its ``fig2_<policy>.csv`` and summary, and return
+    its entry of ``fig2_summary.json``.  The trace dies on return, so the
+    next policy runs without it."""
+    trace = run(replace(cfg.sim, scheduler=policy))
+    _write_deficit_csv(os.path.join(cfg.output_dir, f"fig2_{policy}.csv"), trace)
+    with open(os.path.join(cfg.output_dir, f"summary_{policy}.txt"), "w") as fh:
+        fh.write(trace.summary_text())
+    deficit = trace.deficit
+    final = {f"final_deficit_s{j + 1}": float(y) for j, y in enumerate(deficit[-1])}
+    final["max_deficit_gap"] = float(abs(deficit[:, 0] - deficit[:, 1]).max())
+    return final
+
+
 def cmd_fig2(cfg: ExperimentConfig) -> int:
     if len(cfg.sim.services) != 2:
         raise ConfigError("fig2 needs exactly two services")
     os.makedirs(cfg.output_dir, exist_ok=True)
-    finals = {}
-    for policy in SCHEDULER_POLICIES:
-        trace = run(replace(cfg.sim, scheduler=policy))
-        _write_deficit_csv(os.path.join(cfg.output_dir, f"fig2_{policy}.csv"), trace)
-        with open(os.path.join(cfg.output_dir, f"summary_{policy}.txt"), "w") as fh:
-            fh.write(trace.summary_text())
-        deficit = trace.deficit
-        finals[policy] = {
-            f"final_deficit_s{j + 1}": float(final) for j, final in enumerate(deficit[-1])
-        }
-        finals[policy]["max_deficit_gap"] = float(abs(deficit[:, 0] - deficit[:, 1]).max())
+    finals = {policy: _fig2_policy(cfg, policy) for policy in SCHEDULER_POLICIES}
     with open(os.path.join(cfg.output_dir, "fig2_summary.json"), "w") as fh:
         json.dump(finals, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -324,21 +328,29 @@ def _print_verdict(record: dict) -> None:
         print(json.dumps(record, sort_keys=True))
 
 
+def _verify_policy(cfg: ExperimentConfig, policy: str) -> list[dict]:
+    """Run ``policy``, inject the configured fault, and return the records of
+    the two trace checks.  The trace dies on return, so the next policy runs
+    without it."""
+    trace = run(replace(cfg.sim, scheduler=policy))
+    if cfg.inject_fault == "deficit":
+        # test hook: drive service 1's counter at frame k negative, squared
+        # past the one-step bound from frame k - 1 and below the prefix bound
+        k = trace.num_frames // 2
+        p, q = trace.loss_allowances[0].as_integer_ratio()
+        before = int(trace.deficit_num[k - 1, 0]) if k else 0
+        trace.deficit_num[k, 0] = -(before + (int(trace.drops[k, 0]) + 1) * q + (k + 1) * p)
+    checks = (analysis.check_sample_drift, analysis.check_lemma1)
+    return [{**check(trace), "scheduler": policy} for check in checks]
+
+
 def cmd_verify(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     records = []
     for policy in SCHEDULER_POLICIES:
-        trace = run(replace(cfg.sim, scheduler=policy))
-        if cfg.inject_fault == "deficit":
-            # test hook: drive service 1's counter at frame k negative, squared
-            # past the one-step bound from frame k - 1 and below the prefix bound
-            k = trace.num_frames // 2
-            p, q = trace.loss_allowances[0].as_integer_ratio()
-            before = int(trace.deficit_num[k - 1, 0]) if k else 0
-            trace.deficit_num[k, 0] = -(before + (int(trace.drops[k, 0]) + 1) * q + (k + 1) * p)
-        for check in (analysis.check_sample_drift, analysis.check_lemma1):
-            records.append({**check(trace), "scheduler": policy})
-            _print_verdict(records[-1])
+        for record in _verify_policy(cfg, policy):
+            records.append(record)
+            _print_verdict(record)
     records.append(analysis.oracle_agreement(cfg.sim.seed, cfg.oracle_instances))
     _print_verdict(records[-1])
     ok = all(r["passed"] for r in records)

@@ -1,3 +1,5 @@
+import os
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from hsrsched.analysis import (
     RATE_STABLE_THRESHOLD,
     random_oracle_instances,
 )
+from hsrsched.cli import parse_config
 from hsrsched.schedulers import SCHEDULER_POLICIES
 from hsrsched.traffic import FeasibilityReport
 
@@ -547,3 +550,113 @@ def test_exact_checks_flag_a_one_unit_fault_either_way(params, data, table1_traj
         k if i == j else None for i in range(len(services))
     ]
     assert lemma1["services"][j]["max_prefix_violation"] == 1 / q
+
+
+BLOCK = analysis.CHECK_BLOCK_FRAMES
+
+
+def _growing_trace(n, seed=0):
+    """Single-service hand trace of ``n`` frames whose counter never clamps
+    after frame 0: one or two drops a frame against an allowance of 1/2."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return _hand_trace(rng.integers(1, 3, n).tolist(), Fraction(1, 2))
+
+
+def _two_service_trace(first, second):
+    """The two single-service hand traces side by side as services 1 and 2."""
+    cols = {
+        name: np.hstack([getattr(first, name), getattr(second, name)])
+        for name in ("arrivals", "served", "drops", "deficit_num", "backlog")
+    }
+    return replace(first, loss_allowances=first.loss_allowances + second.loss_allowances, **cols)
+
+
+@pytest.mark.parametrize("k", [BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK])
+def test_block_checks_find_a_violation_at_either_end_of_a_block(k):
+    trace = _growing_trace(2 * BLOCK + 100)
+    assert (trace.deficit_num[1:, 0] >= 1).all()
+    raised = replace(trace, deficit_num=trace.deficit_num.copy())
+    raised.deficit_num[k, 0] += 1
+    drift, lemma1 = _assert_checks_match_reference(raised)
+    assert not drift["passed"] and (drift["worst_frame"], drift["worst_service"]) == (k, 1)
+    assert lemma1["passed"]
+    # after frame 0 the prefix bound's slack is p = 1; one unit more breaks it
+    lowered = replace(trace, deficit_num=trace.deficit_num.copy())
+    lowered.deficit_num[k, 0] -= 2
+    drift, lemma1 = _assert_checks_match_reference(lowered)
+    assert not lemma1["passed"] and lemma1["services"][0]["worst_prefix_frame"] == k
+    assert lemma1["services"][0]["max_prefix_violation"] == 0.5
+
+
+@pytest.mark.parametrize("first, second", [(5, BLOCK + 5), (BLOCK - 1, BLOCK), (3, 2 * BLOCK + 3)])
+def test_block_checks_report_the_first_of_equal_worst_violations(first, second):
+    # on an all-zero trace, a numerator of 2 at frame k is a one-step violation
+    # of 3/4 there, and a numerator of -(k + 1) - 5 a prefix violation of 5/2
+    trace = _hand_trace([0] * (2 * BLOCK + 10), Fraction(1, 2))
+    for k in (first, second):
+        trace.deficit_num[k, 0] = 2
+    drift, _ = _assert_checks_match_reference(trace)
+    assert (drift["worst_frame"], drift["max_violation"]) == (first, 0.75)
+    trace.deficit_num[second, 0] = 3  # a larger violation later wins
+    drift, _ = _assert_checks_match_reference(trace)
+    assert drift["worst_frame"] == second
+    trace.deficit_num[:, 0] = 0
+    for k in (first, second):
+        trace.deficit_num[k, 0] = -(k + 1) - 5
+    _, lemma1 = _assert_checks_match_reference(trace)
+    assert lemma1["services"][0]["worst_prefix_frame"] == first
+    assert lemma1["services"][0]["max_prefix_violation"] == 2.5
+    trace.deficit_num[second, 0] -= 1
+    _, lemma1 = _assert_checks_match_reference(trace)
+    assert lemma1["services"][0]["worst_prefix_frame"] == second
+
+
+def test_block_checks_report_the_first_service_of_equal_worst_violations():
+    # service 2's equal violation sits in an earlier block than service 1's
+    one, two = (_hand_trace([0] * (BLOCK + 10), Fraction(1, 2)) for _ in range(2))
+    one.deficit_num[BLOCK + 3, 0] = 2
+    two.deficit_num[4, 0] = 2
+    drift, lemma1 = _assert_checks_match_reference(_two_service_trace(one, two))
+    assert (drift["worst_frame"], drift["worst_service"]) == (BLOCK + 3, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK])
+def test_block_checks_match_reference_at_block_lengths(n):
+    trace = _two_service_trace(_growing_trace(n, seed=n), _hand_trace([n % 3] * n, Fraction(7, 3)))
+    drift, lemma1 = _assert_checks_match_reference(trace)
+    assert drift["passed"] and lemma1["passed"]
+    assert drift["transitions_checked"] == 2 * n
+    for delta in (1, -3):
+        bad = replace(trace, deficit_num=trace.deficit_num.copy())
+        bad.deficit_num[-1, 0] += delta
+        drift, lemma1 = _assert_checks_match_reference(bad)
+        assert not (drift["passed"] and lemma1["passed"])
+
+
+def test_block_checks_flag_a_counter_driven_negative_past_the_first_block(table1_traj, table1_radio, two_services):
+    # verify's inject_fault = deficit at frame n // 2 of a trip of three blocks
+    cfg = SimConfig(
+        trajectory=table1_traj, radio=table1_radio, services=two_services, seed=5, num_frames=3 * BLOCK
+    )
+    trace = run(cfg)
+    k = trace.num_frames // 2
+    assert BLOCK < k < 2 * BLOCK
+    p, q = trace.loss_allowances[0].as_integer_ratio()
+    before = int(trace.deficit_num[k - 1, 0])
+    trace.deficit_num[k, 0] = -(before + (int(trace.drops[k, 0]) + 1) * q + (k + 1) * p)
+    drift, lemma1 = _assert_checks_match_reference(trace)
+    assert not drift["passed"] and (drift["worst_frame"], drift["worst_service"]) == (k, 1)
+    assert not lemma1["passed"] and [s["worst_prefix_frame"] for s in lemma1["services"]] == [k, None]
+
+
+def test_checks_trace_under_1_mib_on_a_whole_trip():
+    trace = run(parse_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "table1_fig2.ini")).sim)
+    assert trace.num_frames == 30000
+    for check in (check_sample_drift, check_lemma1):
+        tracemalloc.start()
+        try:
+            check(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"{check.__name__} traced {peak} bytes"

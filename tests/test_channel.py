@@ -12,6 +12,7 @@ from hsrsched import (
     RadioConfig,
     TrajectoryConfig,
     build_capacity_profile,
+    channel,
     distance_at,
     frame_capacity,
     path_loss_db,
@@ -294,6 +295,22 @@ def test_functions_take_arrays_and_return_numpy_scalars(table1_traj, table1_radi
     assert type(frame_capacity(0, table1_traj, table1_radio)) is np.int64
     assert type(path_loss_db(30.0, table1_radio)) is np.float64
     assert rate_bps(ks * 1e-3, table1_traj, table1_radio)[1] == rate_bps(15.0, table1_traj, table1_radio)
+
+
+def test_profile_error_names_the_first_bad_frame_past_the_first_block(table1_traj, table1_radio, monkeypatch):
+    # every real link peaks at frame 0, so an infinite rate is planted at two
+    # frames of later blocks; the error names the first by its trip index
+    block = channel.PROFILE_BLOCK_FRAMES
+    bad = [block + 5, 2 * block + 1]
+    assert bad[-1] < table1_traj.num_frames
+    real_rate = channel.rate_bps
+
+    def rate(t, traj, radio):
+        return np.where(np.isin(np.rint(t / traj.frame_length), bad), np.inf, real_rate(t, traj, radio))
+
+    monkeypatch.setattr(channel, "rate_bps", rate)
+    with pytest.raises(ValueError, match=rf"^frame {bad[0]}: link capacity must be in 0\.\.{2**63 - 1} packets$"):
+        build_capacity_profile.__wrapped__(table1_traj, table1_radio)
 
 
 def test_array_domain_errors_name_the_first_offending_value(table1_traj, table1_radio):

@@ -6,11 +6,12 @@ import re
 import subprocess
 import sys
 import threading
+import weakref
 from dataclasses import fields, replace
 
 import pytest
 
-from hsrsched import RadioConfig, ServiceSpec, SimConfig, TrajectoryConfig, run, schedulers, traffic
+from hsrsched import RadioConfig, ServiceSpec, SimConfig, TrajectoryConfig, cli, run, schedulers, traffic
 from hsrsched.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -616,6 +617,22 @@ def test_cmd_verify_passing_stdout_is_pinned(tmp_path, capsys):
         "PASS lemma1 [edf]\n"
         "PASS oracle_agreement (200/200 lexicographic, 200/200 weighted-optimal)\n"
     )
+
+
+@pytest.mark.parametrize("command", ["fig2", "verify"])
+def test_fig2_and_verify_free_each_trace_before_the_next_run(tmp_path, monkeypatch, command):
+    # per policy run, how many earlier policies' traces are still alive
+    refs, alive = [], []
+
+    def tracked(sim):
+        alive.append(sum(ref() is not None for ref in refs))
+        trace = run(sim)
+        refs.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(cli, "run", tracked)
+    assert main([command, DEFAULT_CONFIG, "--frames", "300", "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert alive == [0, 0, 0]
 
 
 def test_runtime_error_exit_code(tmp_path):
