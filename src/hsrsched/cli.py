@@ -214,7 +214,7 @@ def _write_deficit_csv(path: str, trace: TraceLog) -> None:
     last one, each row under its frame index."""
     n = trace.num_frames
     frames = [*range(0, n - 1, -(-n // FIG2_PLOT_FRAMES)), n - 1]
-    deficit = trace.deficit[frames].tolist()
+    deficit = trace.deficits(frames).tolist()
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema={TRACE_SCHEMA}\n")
         cols = ["frame"] + [f"deficit_s{sid}" for sid in range(1, len(trace.loss_allowances) + 1)]
@@ -241,7 +241,7 @@ def _fig2_policy(cfg: ExperimentConfig, policy: str) -> dict:
     _write_deficit_csv(os.path.join(cfg.output_dir, f"fig2_{policy}.csv"), trace)
     with open(os.path.join(cfg.output_dir, f"summary_{policy}.txt"), "w") as fh:
         fh.write(trace.summary_text())
-    deficit = trace.deficit
+    deficit = trace.deficits(slice(None))
     final = {f"final_deficit_s{j + 1}": float(y) for j, y in enumerate(deficit[-1])}
     final["max_deficit_gap"] = float(abs(deficit[:, 0] - deficit[:, 1]).max())
     return final

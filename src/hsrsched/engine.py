@@ -5,10 +5,11 @@ the packets with i + 1 frames to go) and the exact deficit numerator.  Each
 frame executes, in order: admit sampled arrivals into the top buckets, take
 the scheduler's decision, check it, serve and age the buckets (unserved r = 1
 packets expire), update the deficit numerators and record the frame's
-served, dropped and deficit counts.  The backlog is derived after the loop,
-as the running sum of arrivals less served and dropped packets.  Runs are
-deterministic given the configuration.  ``single_service_ratios`` gives the
-delivery ratios of one-service trips from a two-integer FIFO recursion each.
+served, dropped and deficit counts.  The trace keeps only what the run
+measured; the backlog and the float deficits are derived where they are
+written.  Runs are deterministic given the configuration.
+``single_service_ratios`` gives the delivery ratios of one-service trips
+from a two-integer FIFO recursion each.
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ class TraceLog:
     Column j of every per-service array belongs to service j + 1.
     ``deficit_num[k, j]`` is its deficit after frame k times the
     denominator of its loss allowance: the counter exactly, as an integer.
+    The backlog after frame k is the running sum of arrivals less served
+    and dropped packets through frame k; it is not stored.
     """
 
     scheduler: str
@@ -105,20 +108,17 @@ class TraceLog:
     served: np.ndarray
     drops: np.ndarray
     deficit_num: np.ndarray
-    backlog: np.ndarray
     feasibility: FeasibilityReport
 
     @property
     def num_frames(self) -> int:
         return len(self.capacity)
 
-    @property
-    def deficit(self) -> np.ndarray:
-        """Deficits as floats, for output only; read-only, derived from
-        ``deficit_num`` on every access."""
-        out = self.deficit_num / np.array([c.denominator for c in self.loss_allowances])
-        out.flags.writeable = False
-        return out
+    def deficits(self, rows) -> np.ndarray:
+        """Deficits as floats of the frames ``rows`` (an index, a slice or a
+        list), for output: a new array, ``deficit_num[rows]`` over each loss
+        allowance's denominator."""
+        return self.deficit_num[rows] / np.array([c.denominator for c in self.loss_allowances])
 
     def delivery_ratios(self) -> list[float | None]:
         """Per service, the share of its arrivals that were not dropped,
@@ -145,22 +145,23 @@ class TraceLog:
             self.arrivals.sum(axis=0).tolist(),
             self.served.sum(axis=0).tolist(),
             self.drops.sum(axis=0).tolist(),
-            self.backlog[-1].tolist(),
-            self.deficit[-1].tolist(),
+            self.deficits(-1).tolist(),
             self.delivery_ratios(),
         )
-        for sid, (arrivals, served, drops, backlog, deficit, ratio) in enumerate(services, 1):
+        for sid, (arrivals, served, drops, deficit, ratio) in enumerate(services, 1):
             ratio = "n/a" if ratio is None else f"{ratio:.9g}"
             lines.append(
                 f"service {sid}: arrivals = {arrivals}, served = {served}, "
-                f"drops = {drops}, final_backlog = {backlog}, "
+                f"drops = {drops}, final_backlog = {arrivals - served - drops}, "
                 f"final_deficit = {deficit:.9g}, delivery_ratio = {ratio}"
             )
         return "\n".join(lines) + "\n"
 
     def to_csv(self, path) -> None:
         """Write the trace as CSV, formatting ``CSV_CHUNK_ROWS`` rows at a time
-        so the text of the whole trace is never held in memory."""
+        so the text of the whole trace is never held in memory.  Each chunk's
+        backlog is its running sum of arrivals - served - drops, carried on
+        from the last row of the chunk before."""
         n_svc = len(self.loss_allowances)
         row_format = ",".join(["%d,%d"] + ["%d,%d,%d,%.9g,%d"] * n_svc) + "\n"
         cols = ["frame", "capacity"]
@@ -172,20 +173,23 @@ class TraceLog:
                 f"deficit_s{sid}",
                 f"backlog_s{sid}",
             ]
-        deficit = self.deficit
+        backlog = np.zeros((1, n_svc), dtype=np.int64)
         with open(path, "w", newline="") as fh:
             fh.write(f"# schema={TRACE_SCHEMA}\n")
             fh.write(",".join(cols) + "\n")
             for lo in range(0, self.num_frames, CSV_CHUNK_ROWS):
                 hi = min(lo + CSV_CHUNK_ROWS, self.num_frames)
+                deficit = self.deficits(slice(lo, hi))
+                flow = self.arrivals[lo:hi] - self.served[lo:hi] - self.drops[lo:hi]
+                backlog = backlog[-1] + np.cumsum(flow, axis=0)
                 columns = [range(lo, hi), self.capacity[lo:hi].tolist()]
                 for j in range(n_svc):
                     columns += [
                         self.arrivals[lo:hi, j].tolist(),
                         self.served[lo:hi, j].tolist(),
                         self.drops[lo:hi, j].tolist(),
-                        deficit[lo:hi, j].tolist(),
-                        self.backlog[lo:hi, j].tolist(),
+                        deficit[:, j].tolist(),
+                        backlog[:, j].tolist(),
                     ]
                 fh.write("".join([row_format % row for row in zip(*columns)]))
 
@@ -236,11 +240,6 @@ def run(config: SimConfig) -> TraceLog:
                 record.extend((total, dropped, num))
 
     served, drops, deficit_num = np.frombuffer(record, dtype=np.int64).reshape(n, n_svc, 3).transpose(2, 0, 1)
-    # what the buckets hold after each frame: every arrival not yet served or dropped
-    backlog = arrivals - served
-    backlog -= drops
-    np.cumsum(backlog, axis=0, out=backlog)
-
     return TraceLog(
         scheduler=config.scheduler,
         seed=config.seed,
@@ -250,7 +249,6 @@ def run(config: SimConfig) -> TraceLog:
         served=served,
         drops=drops,
         deficit_num=deficit_num,
-        backlog=backlog,
         feasibility=feasibility_check(specs, caps[:n]),
     )
 

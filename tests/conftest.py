@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import hsrsched.engine as engine_mod
 from hsrsched import RadioConfig, ServiceSpec, TrajectoryConfig, make_scheduler, run
+from hsrsched.cli import parse_config
 
 # hypothesis's pytest plugin imports this module when a property test fails,
 # and the import chain (libcst, mypy_extensions) raises a DeprecationWarning.
@@ -17,6 +19,11 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # without libcst the plugin skips the module too
         pass
+
+
+def backlog(trace):
+    """What the buckets hold after each frame of ``trace``: every arrival not yet served or dropped."""
+    return np.cumsum(trace.arrivals - trace.served - trace.drops, axis=0)
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +55,12 @@ def two_services():
         ServiceSpec(arrival_rate=100.0, deadline=10, delivery_ratio=0.99),
         ServiceSpec(arrival_rate=60.0, deadline=10, delivery_ratio=0.90),
     )
+
+
+@pytest.fixture(scope="session")
+def table1_trace():
+    """The whole 30,000-frame trip of ``configs/table1_fig2.ini`` (dcsa, seed 42); read it, do not write to it."""
+    return run(parse_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "table1_fig2.ini")).sim)
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import backlog
 
 from hsrsched import (
     SimConfig,
@@ -121,7 +122,7 @@ def test_criterion_03_constraint_invariants(recorded, default_sim):
         n = trace.num_frames
         if not (trace.served.sum(axis=1) <= trace.capacity).all():
             violations += 1
-        if (trace.backlog < 0).any() or (trace.drops < 0).any() or (trace.served < 0).any():
+        if (backlog(trace) < 0).any() or (trace.drops < 0).any() or (trace.served < 0).any():
             violations += 1
         # per-cohort conservation: arrivals fully resolve into lifetime
         # service plus the drop recorded at expiry
@@ -181,17 +182,20 @@ def test_criterion_06_deficit_balancing(matrix):
     envelope_ok = True
     for trace in (dcsa, rr, edf):
         for j in range(2):
-            window_max = [float(trace.deficit[w : w + 100, j].max()) for w in range(0, 1000, 100)]
+            window_max = [float(trace.deficits(slice(w, w + 100))[:, j].max()) for w in range(0, 1000, 100)]
             if any(b < a for a, b in zip(window_max, window_max[1:])):
                 envelope_ok = False
 
     # (b) ignoring QoS starves the high-requirement service
-    y1_edf = float(edf.deficit[-1, 0])
-    y1_dcsa = float(dcsa.deficit[-1, 0])
+    y1_edf = float(edf.deficits(-1)[0])
+    y1_dcsa = float(dcsa.deficits(-1)[0])
     starvation_ok = y1_edf >= 1.5 * y1_dcsa
 
     # (c) the lookahead policy balances the two counters
-    gap = lambda t: float(np.abs(t.deficit[:, 0] - t.deficit[:, 1]).max())
+    def gap(t):
+        deficit = t.deficits(slice(None))
+        return float(np.abs(deficit[:, 0] - deficit[:, 1]).max())
+
     balance_ok = gap(dcsa) < gap(edf) and gap(dcsa) < gap(rr)
 
     _report(
@@ -234,7 +238,7 @@ def test_criterion_08_saturation(saturated):
     details = []
     for policy, trace in saturated.items():
         ratios = trace.delivery_ratios()
-        zero_y = bool((trace.deficit == 0.0).all())
+        zero_y = bool((trace.deficits(slice(None)) == 0.0).all())
         ok = ok and all(r == 1.0 for r in ratios) and zero_y
         details.append(f"{policy}: ratios={ratios}, Y==0 {zero_y}")
     _report(8, ok, "; ".join(details))

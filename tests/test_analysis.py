@@ -1,4 +1,3 @@
-import os
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -28,7 +27,6 @@ from hsrsched.analysis import (
     RATE_STABLE_THRESHOLD,
     random_oracle_instances,
 )
-from hsrsched.cli import parse_config
 from hsrsched.schedulers import SCHEDULER_POLICIES
 from hsrsched.traffic import FeasibilityReport
 
@@ -66,7 +64,6 @@ def _hand_trace(drops_per_frame, loss_allowance, deficits=None):
         served=zeros.copy(),
         drops=drops,
         deficit_num=np.array([int(v) for v in nums], dtype=np.int64).reshape(n, 1),
-        backlog=zeros.copy(),
         feasibility=FeasibilityReport(True, 0.0, 0.0, 0.0),
     )
 
@@ -408,13 +405,24 @@ def test_oracle_agreement_on_equal_deadline_instances():
     assert agreed == total
 
 
-def test_deficit_view_is_read_only():
+def test_deficits_divide_only_the_requested_rows():
     trace = _hand_trace([1, 0, 3], Fraction(1, 2))
-    assert trace.deficit.tolist() == [[1.0], [0.5], [3.0]]
-    with pytest.raises(ValueError):
-        trace.deficit[1, 0] += 1.0
+    assert trace.deficits(slice(None)).tolist() == [[1.0], [0.5], [3.0]]
+    # two services: each column over its own allowance's denominator
+    trace = replace(
+        trace,
+        loss_allowances=(Fraction(1, 2), Fraction(2, 3)),
+        deficit_num=np.array([[2, 3], [1, 4], [6, 0]], dtype=np.int64),
+    )
+    q = np.array([2, 3])
+    for rows in (1, -1, slice(1, 3), slice(None), [2, 0]):
+        out = trace.deficits(rows)
+        assert np.array_equal(out, trace.deficit_num[rows] / q)
+        # a new array: writing to it leaves the numerators as they were
+        out[...] = 9.0
+        assert trace.deficit_num.tolist() == [[2, 3], [1, 4], [6, 0]]
     trace.deficit_num[1, 0] += 2
-    assert trace.deficit[1, 0] == 1.5
+    assert trace.deficits(1).tolist() == [1.5, 4 / 3]
 
 
 @pytest.mark.parametrize("policy", ["dcsa", "rr", "edf"])
@@ -566,7 +574,7 @@ def _two_service_trace(first, second):
     """The two single-service hand traces side by side as services 1 and 2."""
     cols = {
         name: np.hstack([getattr(first, name), getattr(second, name)])
-        for name in ("arrivals", "served", "drops", "deficit_num", "backlog")
+        for name in ("arrivals", "served", "drops", "deficit_num")
     }
     return replace(first, loss_allowances=first.loss_allowances + second.loss_allowances, **cols)
 
@@ -649,8 +657,8 @@ def test_block_checks_flag_a_counter_driven_negative_past_the_first_block(table1
     assert not lemma1["passed"] and [s["worst_prefix_frame"] for s in lemma1["services"]] == [k, None]
 
 
-def test_checks_trace_under_1_mib_on_a_whole_trip():
-    trace = run(parse_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "table1_fig2.ini")).sim)
+def test_checks_trace_under_1_mib_on_a_whole_trip(table1_trace):
+    trace = table1_trace
     assert trace.num_frames == 30000
     for check in (check_sample_drift, check_lemma1):
         tracemalloc.start()

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import backlog
 from hsrsched import ContractViolation, ServiceSpec, SimConfig, run
-from hsrsched.engine import single_service_ratios
+from hsrsched.engine import CSV_CHUNK_ROWS, single_service_ratios
 from hsrsched.schedulers import SCHEDULER_POLICIES, make_scheduler
 from hsrsched.traffic import ArrivalGenerator
 
@@ -26,8 +28,10 @@ def test_identical_configs_identical_traces(table1_traj, table1_radio, two_servi
     cfg = _config(table1_traj, table1_radio, two_services, seed=5, num_frames=3000)
     a = run(cfg)
     b = run(cfg)
-    for field in ("capacity", "arrivals", "served", "drops", "deficit", "backlog"):
+    for field in ("capacity", "arrivals", "served", "drops", "deficit_num"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert np.array_equal(a.deficits(slice(None)), b.deficits(slice(None)))
+    assert np.array_equal(backlog(a), backlog(b))
 
 
 def test_trace_csv_roundtrip_bytes(tmp_path, table1_traj, table1_radio, two_services):
@@ -52,7 +56,7 @@ def test_per_service_conservation(policy, table1_traj, table1_radio, two_service
         arrivals = int(trace.arrivals[:, j].sum())
         served = int(trace.served[:, j].sum())
         drops = int(trace.drops[:, j].sum())
-        assert arrivals == served + drops + int(trace.backlog[-1, j])
+        assert arrivals == served + drops + int(backlog(trace)[-1, j])
     cum_drops = np.cumsum(trace.drops, axis=0)
     assert (np.diff(cum_drops, axis=0) >= 0).all()
 
@@ -176,7 +180,7 @@ def test_saturated_link_drops_nothing(policy, table1_traj, table1_radio, two_ser
     )
     trace = run(cfg)
     assert trace.drops.sum() == 0
-    assert (trace.deficit == 0.0).all()
+    assert (trace.deficits(slice(None)) == 0.0).all()
     assert trace.delivery_ratios() == [1.0, 1.0]
 
 
@@ -194,7 +198,7 @@ def test_dcsa_serves_the_tight_service_at_least_as_well_as_edf(table1_traj, tabl
         for policy in ("dcsa", "edf")
     )
     assert dcsa.delivery_ratios()[0] >= edf.delivery_ratios()[0]
-    assert dcsa.deficit[-1].max() <= edf.deficit[-1].max()
+    assert dcsa.deficits(-1).max() <= edf.deficits(-1).max()
 
 
 def test_delivery_ratio_zero_with_dead_link(table1_traj, table1_radio):
@@ -248,7 +252,7 @@ def test_truncated_run_feasibility_covers_the_frames_run(table1_traj, table1_rad
 
 
 @pytest.mark.parametrize("policy", SCHEDULER_POLICIES)
-def test_backlog_is_what_the_buckets_hold_frame_by_frame(policy, table1_traj, table1_radio, monkeypatch):
+def test_backlog_is_what_the_buckets_hold_frame_by_frame(policy, table1_traj, table1_radio, monkeypatch, tmp_path):
     import hsrsched.engine as engine_mod
 
     held = []
@@ -272,13 +276,20 @@ def test_backlog_is_what_the_buckets_hold_frame_by_frame(policy, table1_traj, ta
         table1_traj, table1_radio, services, scheduler=policy, seed=8, num_frames=1500, capacity_override=100
     )
     trace = run(cfg)
-    assert trace.drops.sum() > 0 and trace.backlog.any(axis=0).all()
+    # the backlog columns as written, carried across two CSV_CHUNK_ROWS boundaries
+    assert 2 * CSV_CHUNK_ROWS < cfg.frames
+    trace.to_csv(tmp_path / "trace.csv")
+    header = (tmp_path / "trace.csv").read_text().splitlines()[1].split(",")
+    columns = [header.index(f"backlog_s{sid}") for sid in (1, 2, 3)]
+    written = np.loadtxt(tmp_path / "trace.csv", delimiter=",", skiprows=2, usecols=columns, dtype=np.int64)
+    assert trace.drops.sum() > 0 and written.any(axis=0).all()
     # when decide runs at frame k the buckets hold frame k - 1's backlog and frame k's arrivals
-    before = np.vstack([np.zeros((1, 3), dtype=np.int64), trace.backlog[:-1]])
+    before = np.vstack([np.zeros((1, 3), dtype=np.int64), written[:-1]])
     assert (before + trace.arrivals == np.array(held)).all()
-    for field in ("served", "drops", "deficit_num", "backlog"):
+    for field in ("served", "drops", "deficit_num"):
         values = getattr(trace, field)
         assert values.dtype == np.int64 and values.shape == (1500, 3), field
+    assert written.shape == (1500, 3)
     assert trace.deficit_num.flags.writeable
 
 
@@ -288,6 +299,20 @@ def test_summary_text_contains_key_fields(table1_traj, table1_radio, two_service
     assert "scheduler = dcsa" in text
     assert "feasibility_margin" in text
     assert "service 1:" in text and "service 2:" in text
+
+
+def test_summary_and_csv_trace_little_memory_on_a_whole_trip(table1_trace, tmp_path):
+    # each writer derives the rows it writes, never a whole-trip float or backlog array
+    trace = table1_trace
+    assert (trace.num_frames, trace.scheduler) == (30000, "dcsa")
+    for write, bound in ((trace.summary_text, 64 * 2**10), (lambda: trace.to_csv(tmp_path / "trace.csv"), 0.4 * 2**20)):
+        tracemalloc.start()
+        try:
+            write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"{write} traced {peak} bytes"
 
 
 @st.composite
@@ -326,10 +351,10 @@ def test_engine_conservation_laws(policy, params, table1_traj, table1_radio, run
     trace, bucket_served = run_recording_decisions(cfg)
     assert (trace.served == bucket_served.sum(axis=2)).all()
     assert (trace.served.sum(axis=1) <= trace.capacity).all()
-    assert (trace.deficit >= 0.0).all()
+    assert (trace.deficits(slice(None)) >= 0.0).all()
     for j, m in enumerate(s.deadline for s in services):
         arrivals, served, drops = trace.arrivals[:, j], trace.served[:, j], trace.drops[:, j]
-        assert arrivals.sum() == served.sum() + drops.sum() + trace.backlog[-1, j]
+        assert arrivals.sum() == served.sum() + drops.sum() + backlog(trace)[-1, j]
         # the batch of frame k is served from bucket r = m - i at frame k + i
         # and its unserved rest drops at the end of frame k + m - 1
         batches = max(frames - m + 1, 0)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hsrsched.engine as engine_mod
+from conftest import backlog
 from hsrsched import ContractViolation, ServiceSpec, SimConfig, run
 
 
@@ -61,14 +62,14 @@ def test_admit_places_arrivals_in_top_bucket(table1_traj, table1_radio):
     trace, seen = _drive(table1_traj, table1_radio, _spec(3), [7, 2])
     # aging empties the top bucket, so it holds only this frame's arrivals
     assert seen == [[0, 0, 7], [0, 7, 2]]
-    assert trace.backlog[:, 0].tolist() == [7, 9]
+    assert backlog(trace)[:, 0].tolist() == [7, 9]
 
 
 def test_serve_and_age_hand_case(table1_traj, table1_radio):
     trace, seen = _drive(table1_traj, table1_radio, _spec(2), [3, 5], lambda k, row: [3, 2] if k else [0, 0])
     assert seen[1] == [3, 5]
     assert trace.drops[1, 0] == 0
-    assert trace.backlog[1, 0] == 3
+    assert backlog(trace)[1, 0] == 3
     assert trace.served[:, 0].tolist() == [0, 5]
 
 
@@ -76,13 +77,13 @@ def test_unserved_expiring_packets_drop(table1_traj, table1_radio):
     trace, seen = _drive(table1_traj, table1_radio, _spec(3), [4, 0, 0, 0])
     assert seen[2] == [4, 0, 0]
     assert trace.drops[:, 0].tolist() == [0, 0, 4, 0]
-    assert trace.backlog[:, 0].tolist() == [4, 4, 0, 0]
+    assert backlog(trace)[:, 0].tolist() == [4, 4, 0, 0]
 
 
 def test_empty_queue_stays_empty(table1_traj, table1_radio):
     trace, seen = _drive(table1_traj, table1_radio, _spec(4), [0, 0, 0])
     assert seen == [[0, 0, 0, 0]] * 3
-    assert not trace.drops.any() and not trace.backlog.any()
+    assert not trace.drops.any() and not backlog(trace).any()
 
 
 def test_serve_and_age_contract_violations(table1_traj, table1_radio):
@@ -106,8 +107,8 @@ def test_conservation_over_random_operations(table1_traj, table1_radio):
             table1_traj, table1_radio, _spec(m), arrivals, lambda k, row: [rng.randint(0, b) for b in row]
         )
         assert min(map(min, seen)) >= 0
-        assert (trace.backlog >= 0).all()
-        assert sum(arrivals) == trace.served.sum() + trace.drops.sum() + trace.backlog[-1, 0]
+        assert (backlog(trace) >= 0).all()
+        assert sum(arrivals) == trace.served.sum() + trace.drops.sum() + backlog(trace)[-1, 0]
 
 
 def test_deficit_update_examples(table1_traj, table1_radio):
