@@ -101,7 +101,6 @@ SCHEMA = {
         ("lambda", ServiceSpec, "arrival_rate", float),
         ("deadline", ServiceSpec, "deadline", int),
         ("delivery_ratio", ServiceSpec, "delivery_ratio", float),
-        ("tail_eps", ServiceSpec, "tail_eps", float),
     ),
     "sweep": (
         ("deadlines", ExperimentConfig, "sweep_deadlines", _list(int)),
@@ -139,13 +138,13 @@ def parse_config(
 ) -> ExperimentConfig:
     """The experiment of the config file at ``path``; ``seed``, ``frames`` and
     ``out``, where given, replace its seed, num_frames and output_dir."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except FileNotFoundError:
+        raise ConfigError(f"config not found: {path}") from None
+    except (configparser.Error, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
     service_sections = []

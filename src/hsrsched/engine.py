@@ -259,15 +259,15 @@ def single_service_ratios(sims: list[SimConfig]) -> list[float | None]:
     policy, as each serves a lone service oldest first: with A(t) the arrivals
     of frames 0..t and x those gone (served or dropped), frame t serves up to
     y = min(x + c_t, A(t)), then x = max(y, A(t - m + 1)) and x - y drop.
-    Arrivals come ``CSV_CHUNK_ROWS`` frames at a time, one stream per rate,
-    tail and seed; at most ``PROGRESS_LINES`` INFO lines report the progress."""
+    Arrivals come ``CSV_CHUNK_ROWS`` frames at a time, one stream per rate
+    and seed; at most ``PROGRESS_LINES`` INFO lines report the progress."""
     profiles = {(sim.trajectory, sim.radio, sim.capacity_override, sim.frames) for sim in sims}
     if len(profiles) != 1 or any(len(sim.services) != 1 for sim in sims):
         raise ValueError("single_service_ratios needs one-service trips of one capacity profile and length")
     start = time.perf_counter()
     n, caps = sims[0].frames, sims[0].capacities()
     # (arrival stream, deadline) per trip: the deadline does not change a trip's arrivals
-    trips = [((s.arrival_rate, s.tail_eps, sim.seed), s.deadline) for sim in sims for s in sim.services]
+    trips = [((s.arrival_rate, sim.seed), s.deadline) for sim in sims for s in sim.services]
     gens = {key: ArrivalGenerator(sim.services, sim.seed) for (key, _), sim in zip(trips, sims)}
     # per stream: A(lo - pad - 1) .. A(hi - 1), zero before frame 0, so A(t - m + 1) is an offset
     pad = max(m for _, m in trips) - 1

@@ -8,7 +8,8 @@ it returns one row of per-bucket transmission counts per service that never
 exceed any bucket content or the frame's capacity, read from the trip's
 capacities alone.
 
-Round robin and EDF serve the buckets in a fixed cell order.  The
+There are two kinds.  A fixed-order policy (round robin, EDF) serves the
+buckets in cell orders built before the trip, taken in turn by frame.  The
 deficit-driven policy keeps no plan between frames: when services contend it
 ranks them by current deficit and grants every queued cohort (a service's
 packets with r frames to go) an amount over the next r frames through one
@@ -104,24 +105,19 @@ def make_scheduler(policy: str, specs: Sequence[ServiceSpec], capacities: Sequen
                 left -= x
         return served
 
-    if policy == "rr":
-        # one service per frame in fixed rotation; turn j: service j's cells, oldest first
-        turns = [[(j, i) for i in range(m)] for j, m in enumerate(deadlines)]
+    if policy != "dcsa":
+        if policy == "rr":
+            # one service per frame in fixed rotation; turn j: service j's cells, oldest first
+            orders = [[(j, i) for i in range(m)] for j, m in enumerate(deadlines)]
+        else:
+            # edf: the most urgent packets system-wide, ignoring QoS targets; ties at
+            # equal urgency go to the later service, an arbitrary but fixed rule
+            orders = [sorted(cells, key=lambda cell: (cell[1], -cell[0]))]
 
-        def rr(frame, buckets, nums):
-            return serve(turns[frame % len(turns)], buckets, frame)
+        def fixed_order(frame, buckets, nums):
+            return serve(orders[frame % len(orders)], buckets, frame)
 
-        return rr
-
-    if policy == "edf":
-        # the most urgent packets system-wide, ignoring QoS targets; ties at
-        # equal urgency go to the later service, an arbitrary but fixed rule
-        cells.sort(key=lambda cell: (cell[1], -cell[0]))
-
-        def edf(frame, buckets, nums):
-            return serve(cells, buckets, frame)
-
-        return edf
+        return fixed_order
 
     denominators = [s.loss_allowance.denominator for s in specs]
     # deficit numerators times these share one denominator, the lcm

@@ -2,8 +2,8 @@
 
 Arrivals are i.i.d. across frames.  Each service draws from a Poisson
 distribution truncated at the smallest burst bound whose tail mass falls below
-``tail_eps`` and renormalized, so per-frame arrivals are bounded by
-construction.
+``DEFAULT_TAIL_EPS`` = 1e-6 and renormalized, so per-frame arrivals are
+bounded by construction.
 """
 
 from __future__ import annotations
@@ -57,13 +57,11 @@ class ServiceSpec:
     arrival_rate: mean packets per frame (Poisson rate)
     deadline: packet lifetime in frames; unserved packets drop after it
     delivery_ratio: required long-run delivered fraction, in (0, 1)
-    tail_eps: tail mass threshold for the arrival burst bound
     """
 
     arrival_rate: float
     deadline: int
     delivery_ratio: float
-    tail_eps: float = DEFAULT_TAIL_EPS
 
     def __post_init__(self) -> None:
         if not 0 < self.arrival_rate < math.inf:
@@ -72,10 +70,8 @@ class ServiceSpec:
             raise ValueError("deadline must be at least one frame")
         if not 0.0 < self.delivery_ratio < 1.0:
             raise ValueError("delivery_ratio must be in (0, 1)")
-        if not 0 < self.tail_eps < 1:
-            raise ValueError("tail_eps must be in (0, 1)")
         if self.max_arrivals < math.ceil(self.arrival_rate):
-            raise ValueError("burst bound below mean arrival rate; decrease tail_eps")
+            raise ValueError("burst bound below mean arrival rate: arrival_rate too small to draw any arrival")
 
     @cached_property
     def loss_allowance(self) -> Fraction:
@@ -87,7 +83,7 @@ class ServiceSpec:
 
     @cached_property
     def pmf(self) -> np.ndarray:
-        return truncated_poisson_pmf(self.arrival_rate, self.tail_eps)
+        return truncated_poisson_pmf(self.arrival_rate)
 
     @cached_property
     def max_arrivals(self) -> int:

@@ -80,6 +80,21 @@ def test_missing_config_file_exits_one(capsys, tmp_path):
     assert "config not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+def test_unreadable_config_is_a_config_error(kind, tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff[experiment]\n")
+    out = tmp_path / "o"
+    rc = main(["run", str(path), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert not out.exists()
+
+
 def test_parse_default_config():
     cfg = parse_config(DEFAULT_CONFIG)
     assert cfg.kind == "fig2"
@@ -125,6 +140,7 @@ def test_fig2_kind_requires_two_services(tmp_path):
         ("experiment", "num_frame = 10", "num_frame"),
         ("sweep", "seeds_per_pont = 1", "seeds_per_pont"),
         ("service.1", "tail_esp = 1e-3", "tail_esp"),
+        ("service.1", "tail_eps = 1e-3", "tail_eps"),
         ("verfy", "oracle_instances = 3", "verfy"),
         ("DEFAULT", "seed = 3", "DEFAULT"),
     ],
@@ -147,7 +163,6 @@ def test_unknown_key_or_section_is_a_config_error(section, line, name, tmp_path,
 FLOAT_KEYS = [f.name for cls in (TrajectoryConfig, RadioConfig) for f in fields(cls)] + [
     "lambda",
     "delivery_ratio",
-    "tail_eps",
     "lambdas",
 ]
 
@@ -380,11 +395,12 @@ def test_fig3_prints_nothing_at_default_log_level(tmp_path):
 
 
 def test_fig3_rows_rejects_empty_grid(tmp_path):
-    cfg = parse_config(_write_small_fig3(tmp_path))
-    with pytest.raises(ConfigError):
-        fig3_rows(replace(cfg, sweep_deadlines=()))
-    with pytest.raises(ConfigError):
-        fig3_rows(replace(cfg, sweep_rates=()))
+    # kind = fig3 would reject the empty grid when the config is built;
+    # under kind = single only fig3_rows stands between it and the sweep
+    cfg = replace(parse_config(_write_small_fig3(tmp_path)), kind="single")
+    for empty in ({"sweep_deadlines": ()}, {"sweep_rates": ()}):
+        with pytest.raises(ConfigError, match="fig3 needs a non-empty sweep grid"):
+            fig3_rows(replace(cfg, **empty))
 
 
 def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
@@ -510,6 +526,19 @@ def test_bad_fig3_grid_point_is_a_config_error(key, value, message, tmp_path, ca
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_rate_too_small_to_draw_an_arrival_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "tiny.ini"
+    text = serialize_config(parse_config(FIG3_CONFIG))
+    path.write_text(re.sub(r"^lambda = .*$", "lambda = 1e-7", text, flags=re.M))
+    out = tmp_path / "o"
+    rc = main(["run", str(path), "--frames", "10", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "burst bound below mean arrival rate" in err
+    assert "tail_eps" not in err
     assert not out.exists()
 
 

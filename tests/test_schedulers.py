@@ -417,6 +417,38 @@ class TestEdf:
         assert decide(0, [[2], [1, 0, 4]], [0, 0]) == [[2], [1, 0, 1]]
 
 
+@st.composite
+def _fixed_order_states(draw):
+    deadlines = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    buckets = [draw(st.lists(st.integers(0, 8), min_size=m, max_size=m)) for m in deadlines]
+    caps = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12))
+    frame = draw(st.integers(0, len(caps) - 1))
+    return deadlines, buckets, caps, frame
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fixed_order_states())
+def test_fixed_order_policies_match_direct_loops(state):
+    deadlines, buckets, caps, frame = state
+    specs = [_spec(deadline=m) for m in deadlines]
+    turn = frame % len(deadlines)
+    # rr: service frame % n only, oldest bucket first
+    rr_cells = [(turn, i) for i in range(deadlines[turn])]
+    # edf: fewest frames to go first, then the later service first
+    edf_cells = [
+        (j, i) for i in range(max(deadlines)) for j in reversed(range(len(deadlines))) if i < deadlines[j]
+    ]
+    for policy, cells in (("rr", rr_cells), ("edf", edf_cells)):
+        left = caps[frame]
+        expected = [[0] * m for m in deadlines]
+        for j, i in cells:
+            expected[j][i] = min(buckets[j][i], left)
+            left -= expected[j][i]
+        rows = [row[:] for row in buckets]
+        assert make_scheduler(policy, specs, caps)(frame, rows, [0] * len(specs)) == expected
+        assert rows == buckets
+
+
 @pytest.mark.parametrize("policy", schedulers.SCHEDULER_POLICIES)
 def test_frame_capacity_is_read_from_the_trip_capacities(policy):
     # a bucket of 10 on a trip whose one frame holds 3
