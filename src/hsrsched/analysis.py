@@ -131,50 +131,48 @@ def check_lemma1(trace: TraceLog) -> dict:
 
 def _check_oracle_guard(weights, arrivals, deadlines, available) -> None:
     if len(weights) > ORACLE_MAX_SERVICES:
-        raise ValueError("instance too large for exhaustive search (services)")
-    for sid in weights:
-        if deadlines[sid] > ORACLE_MAX_DEADLINE:
+        raise ValueError("instance too large for exhaustive search (keys)")
+    for key in weights:
+        if deadlines[key] > ORACLE_MAX_DEADLINE:
             raise ValueError("instance too large for exhaustive search (deadline)")
-        if arrivals[sid] > ORACLE_MAX_ARRIVALS:
+        if arrivals[key] > ORACLE_MAX_ARRIVALS:
             raise ValueError("instance too large for exhaustive search (arrivals)")
-        if weights[sid] < 0:
+        if weights[key] < 0:
             raise ValueError("oracle weights must be non-negative")
     if any(c > ORACLE_MAX_CAPACITY for c in available):
         raise ValueError("instance too large for exhaustive search (capacity)")
 
 
 def brute_force_min_weighted_drops(
-    weights: Mapping[int, int],
-    arrivals: Mapping[int, int],
-    deadlines: Mapping[int, int],
-    available: Sequence[int],
-) -> dict[int, int]:
+    weights: Mapping, arrivals: Mapping, deadlines: Mapping, available: Sequence[int]
+) -> dict:
     """A drop vector of minimal weighted sum over all feasible allocations.
 
-    ``weights`` maps each key (a service id, or a cohort's (service id, r)) to
-    a non-negative integer weight; the search places keys by descending weight
-    and prunes any branch whose partial sum already reaches the best found.  ``available`` is the
-    per-offset free capacity.  Instances beyond the guard bounds are refused.
+    ``weights`` maps each key (``verify`` passes cohorts keyed (position, r))
+    to a non-negative integer weight; the search places keys by descending
+    weight and prunes any branch whose partial sum already reaches the best
+    found.  ``available`` is the per-offset free capacity.  Instances beyond
+    the guard bounds are refused.
     """
     _check_oracle_guard(weights, arrivals, deadlines, available)
-    order = sorted(weights, key=lambda sid: -weights[sid])
+    order = sorted(weights, key=lambda key: -weights[key])
     # dropping every packet is feasible, so the first complete branch beats this
-    best_cost = sum(weights[sid] * arrivals[sid] for sid in order) + 1
+    best_cost = sum(weights[key] * arrivals[key] for key in order) + 1
     best: list[int] = []
 
-    def place(sid_idx: int, caps: list[int], drops: list[int], cost: int) -> None:
+    def place(idx: int, caps: list[int], drops: list[int], cost: int) -> None:
         nonlocal best, best_cost
         if cost >= best_cost:
             return
-        if sid_idx == len(order):
+        if idx == len(order):
             best, best_cost = drops, cost
             return
-        sid = order[sid_idx]
-        m, total = deadlines[sid], arrivals[sid]
+        key = order[idx]
+        m, total = deadlines[key], arrivals[key]
 
         def spread(offset: int, left: int, caps2: list[int]) -> None:
             if offset == m:
-                place(sid_idx + 1, caps2, drops + [left], cost + weights[sid] * left)
+                place(idx + 1, caps2, drops + [left], cost + weights[key] * left)
                 return
             for x in range(min(left, caps2[offset]), -1, -1):
                 nxt = caps2.copy()
@@ -188,40 +186,39 @@ def brute_force_min_weighted_drops(
 
 
 def brute_force_lex_min_drops(
-    order: Sequence[int],
-    arrivals: Mapping[int, int],
-    deadlines: Mapping[int, int],
-    available: Sequence[int],
-) -> dict[int, int]:
+    order: Sequence, arrivals: Mapping, deadlines: Mapping, available: Sequence[int]
+) -> dict:
     """Lexicographically minimal drop vector over all feasible allocations.
 
-    ``order`` lists service ids from highest to lowest priority; the returned
+    ``order`` lists the keys from highest to lowest priority; the returned
     drops are compared position by position in that order.  The guard caps
     every drop at ``ORACLE_MAX_ARRIVALS``, so under radix weights along the
     order the weighted sum reads the drop vector as a numeral in base
     ``ORACLE_MAX_ARRIVALS + 1``, and its minimum is the lexicographic one.
     """
     radix = ORACLE_MAX_ARRIVALS + 1
-    weights = {sid: radix ** (len(order) - 1 - i) for i, sid in enumerate(order)}
+    weights = {key: radix ** (len(order) - 1 - i) for i, key in enumerate(order)}
     return brute_force_min_weighted_drops(weights, arrivals, deadlines, available)
 
 
 @dataclass(frozen=True)
 class OracleInstance:
-    """One randomized planning-frame instance within the oracle guard bounds:
-    ``rows[sid][i]`` holds service ``sid``'s packets with i + 1 frames to go."""
+    """One randomized planning-frame instance within the oracle guard bounds,
+    in the planner's layout: ``order`` lists service positions by priority,
+    ``rows[j][i]`` holds service j's packets with i + 1 frames to go and
+    ``weights[j]`` is service j's weight."""
 
     order: tuple[int, ...]
-    rows: dict[int, list[int]]
+    rows: list[list[int]]
     available: tuple[int, ...]
-    weights: dict[int, int]
+    weights: tuple[int, ...]
 
     def cohorts(self) -> tuple[list, dict, dict, dict]:
-        """The oracle's view: the non-empty cohorts keyed (service id, r) by
+        """The oracle's view: the non-empty cohorts keyed (position, r) by
         service priority and then ascending r, their packets, their windows
         (r) and their service's weights."""
-        keys = [(sid, i + 1) for sid in self.order for i, a in enumerate(self.rows[sid]) if a]
-        packets = {(sid, r): self.rows[sid][r - 1] for sid, r in keys}
+        keys = [(j, i + 1) for j in self.order for i, a in enumerate(self.rows[j]) if a]
+        packets = {(j, r): self.rows[j][r - 1] for j, r in keys}
         return keys, packets, {k: k[1] for k in keys}, {k: self.weights[k[0]] for k in keys}
 
 
@@ -236,15 +233,16 @@ def random_oracle_instances(seed: int, count: int) -> list[OracleInstance]:
     out = []
     for _ in range(count):
         n_svc = int(rng.integers(1, ORACLE_MAX_SERVICES + 1))
-        rows = {sid: [0] * int(rng.integers(1, ORACLE_MAX_DEADLINE + 1)) for sid in range(1, n_svc + 1)}
-        cells = [(sid, i) for sid, row in rows.items() for i in range(len(row))]
+        rows = [[0] * int(rng.integers(1, ORACLE_MAX_DEADLINE + 1)) for _ in range(n_svc)]
+        cells = [(j, i) for j, row in enumerate(rows) for i in range(len(row))]
         n_cells = int(rng.integers(1, min(ORACLE_MAX_SERVICES, len(cells)) + 1))
         for c in rng.choice(len(cells), n_cells, replace=False).tolist():
             rows[cells[c][0]][cells[c][1]] = int(rng.integers(1, ORACLE_MAX_ARRIVALS + 1))
-        horizon = max(map(len, rows.values()))
+        horizon = max(map(len, rows))
         available = tuple(rng.integers(0, ORACLE_MAX_CAPACITY + 1, horizon).tolist())
-        order = rng.permutation(np.arange(1, n_svc + 1)).tolist()
-        weights = dict(zip(order, sorted(rng.integers(0, 10, n_svc).tolist(), reverse=True)))
+        order = rng.permutation(n_svc).tolist()
+        ranked = sorted(rng.integers(0, 10, n_svc).tolist(), reverse=True)
+        weights = tuple(ranked[order.index(j)] for j in range(n_svc))
         out.append(OracleInstance(tuple(order), rows, available, weights))
     return out
 
@@ -254,13 +252,14 @@ def oracle_agreement(seed: int, count: int) -> dict:
     brute-force oracle on randomized guarded instances.
 
     The policy grants the instance's bucket rows in service priority order;
-    the oracle searches over the non-empty cohorts keyed (service id, r).
+    the oracle searches over the non-empty cohorts keyed (position, r).
     ``lex_agreed`` counts instances where the policy's drop vector equals the
     lexicographic minimum for the cohort order; ``weighted_agreed`` counts
     instances where its weighted drop sum, each cohort weighted as its
     service, equals the minimum, compared as integers.  ``first_mismatch`` is
-    the first instance that fails either count, as a dict.  Returns the
-    verdict as its ``verify_report.json`` row.
+    the first instance that fails either count, as a dict of positions and
+    lists that ``OracleInstance(**first_mismatch)`` rebuilds, also from JSON.
+    Returns the verdict as its ``verify_report.json`` row.
     """
     from .schedulers import allocate_cohorts
 
@@ -270,7 +269,7 @@ def oracle_agreement(seed: int, count: int) -> dict:
     for inst in instances:
         grants = allocate_cohorts(inst.order, inst.rows, inst.available)
         keys, packets, windows, weights = inst.cohorts()
-        policy_drops = {(sid, r): a - grants[sid][r - 1] for (sid, r), a in packets.items()}
+        policy_drops = {(j, r): a - grants[j][r - 1] for (j, r), a in packets.items()}
         frame = (packets, windows, inst.available)
         lex_ok = policy_drops == brute_force_lex_min_drops(keys, *frame)
         best = brute_force_min_weighted_drops(weights, *frame)

@@ -21,39 +21,40 @@ from __future__ import annotations
 import math
 from itertools import accumulate, zip_longest
 from operator import le, sub
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .traffic import ServiceSpec
 
 
-def allocate_cohorts(order: Sequence, rows: Mapping | Sequence, available: Sequence[int]) -> dict:
-    """Per key of ``order`` (highest priority first), the amount granted to
-    each cohort of ``rows[key]``, whose entry i holds the packets with i + 1
-    frames to go: window offsets 0..i of the per-offset capacity
-    ``available``, which covers at least the longest row and is never
-    negative.
+def allocate_cohorts(order: Sequence[int], rows: Sequence[Sequence[int]], available: Sequence[int]) -> list:
+    """Per position j of ``order`` (highest priority first), the amounts
+    granted to the cohorts of ``rows[j]``, whose entry i holds service j's
+    packets with i + 1 frames to go: window offsets 0..i of the per-offset
+    capacity ``available``, which covers at least the longest row and is
+    never negative.  They return in the layout of ``rows``, ``grants[j][i]``,
+    and a position that ``order`` omits gets None.
 
-    Keys are taken in order and a key's cohorts by ascending window; each gets
-    the minimum of its packets and the capacity left under every horizon at or
-    beyond its own.  All windows start at offset 0, so the feasible amounts
-    form a polymatroid: the drop vector is lexicographically minimal over the
-    cohorts in that order, and so is every weighted drop sum whose weights
-    never increase along it.
+    Positions are taken in order and a position's cohorts by ascending
+    window; each gets the minimum of its packets and the capacity left under
+    every horizon at or beyond its own.  All windows start at offset 0, so
+    the feasible amounts form a polymatroid: the drop vector is
+    lexicographically minimal over the cohorts in that order, and so is
+    every weighted drop sum whose weights never increase along it.
     """
-    horizon = max((len(rows[key]) for key in order), default=0)
+    horizon = max((len(rows[j]) for j in order), default=0)
     # slack[d]: capacity over offsets 0..d not yet granted to cohorts whose
     # whole window lies inside it
     slack = list(accumulate(available[:horizon]))
     # floor[i]: the least slack over every horizon at or beyond i; the prefix
     # sums of a non-negative capacity never decrease, so at first it is slack
     floor = slack
-    grants = {}
+    grants = [None] * len(rows)
     last = len(order) - 1
-    for n, key in enumerate(order):
-        row = rows[key]
+    for n, j in enumerate(order):
+        row = rows[j]
         if not slack[-1] or not any(row):
             # no capacity left over the whole horizon, or nothing queued
-            grants[key] = [0] * len(row)
+            grants[j] = [0] * len(row)
             continue
         granted = 0
         out = []
@@ -63,8 +64,8 @@ def allocate_cohorts(order: Sequence, rows: Mapping | Sequence, available: Seque
                 x = a
             granted += x
             out.append(x)
-        grants[key] = out
-        # no key after the last reads the slack
+        grants[j] = out
+        # no position after the last reads the slack
         if granted and n < last:
             m = len(row)
             slack[:m] = map(sub, slack, accumulate(out))

@@ -25,6 +25,7 @@ from hsrsched.analysis import (
     ORACLE_MAX_DEADLINE,
     ORACLE_MAX_SERVICES,
     RATE_STABLE_THRESHOLD,
+    OracleInstance,
     random_oracle_instances,
 )
 from hsrsched.schedulers import SCHEDULER_POLICIES
@@ -258,11 +259,11 @@ def test_oracle_single_service_spill():
 
 
 def test_oracle_matches_policy_on_shared_single_frame():
-    order, arrivals, deadlines, avail = [2, 1], {1: 4, 2: 4}, {1: 1, 2: 1}, [5]
+    order, arrivals, deadlines, avail = [1, 0], {0: 4, 1: 4}, {0: 1, 1: 1}, [5]
     oracle = brute_force_lex_min_drops(order, arrivals, deadlines, avail)
-    assert oracle == {2: 0, 1: 3}
-    grants = allocate_cohorts(order, {1: [4], 2: [4]}, avail)
-    assert {sid: arrivals[sid] - grants[sid][0] for sid in order} == oracle
+    assert oracle == {1: 0, 0: 3}
+    grants = allocate_cohorts(order, [[4], [4]], avail)
+    assert {j: arrivals[j] - grants[j][0] for j in order} == oracle
 
 
 def test_oracle_guard_refuses_large_instances():
@@ -329,8 +330,8 @@ def test_radix_weighted_lex_oracle_equals_direct_lex_search():
 
 def test_random_instance_weights_are_integers_descending_along_order():
     for inst in random_oracle_instances(5, 300):
-        weights = [inst.weights[sid] for sid in inst.order]
-        assert sorted(inst.weights) == sorted(inst.order)
+        weights = [inst.weights[j] for j in inst.order]
+        assert sorted(inst.order) == list(range(len(inst.weights))) == list(range(len(inst.rows)))
         assert all(type(w) is int and 0 <= w <= 9 for w in weights)
         assert weights == sorted(weights, reverse=True)
 
@@ -340,14 +341,23 @@ def test_random_instances_hold_several_cohorts_per_service_within_the_guard():
     for inst in random_oracle_instances(5, 300):
         keys, packets, windows, weights = inst.cohorts()
         assert 1 <= len(inst.order) <= ORACLE_MAX_SERVICES
-        assert sum(a > 0 for row in inst.rows.values() for a in row) <= ORACLE_MAX_SERVICES
-        assert all(1 <= len(row) <= ORACLE_MAX_DEADLINE for row in inst.rows.values())
-        assert len(inst.available) == max(map(len, inst.rows.values()))
+        assert sum(a > 0 for row in inst.rows for a in row) <= ORACLE_MAX_SERVICES
+        assert all(1 <= len(row) <= ORACLE_MAX_DEADLINE for row in inst.rows)
+        assert len(inst.available) == max(map(len, inst.rows))
         # cohorts by service priority, then ascending frames to go
         assert keys == sorted(keys, key=lambda k: (inst.order.index(k[0]), k[1]))
         assert all(weights[k] == inst.weights[k[0]] and windows[k] == k[1] for k in keys)
-        several += any(sum(a > 0 for a in row) > 1 for row in inst.rows.values())
+        several += any(sum(a > 0 for a in row) > 1 for row in inst.rows)
     assert several > 50
+
+
+def test_random_oracle_instances_stream_is_pinned():
+    # the verify verdict counts are taken over this stream, by position
+    assert random_oracle_instances(42, 3) == [
+        OracleInstance((0,), [[1, 5, 0]], (1, 0, 3), (9,)),
+        OracleInstance((2, 0, 1), [[0, 3, 0], [0, 0, 0], [0, 4, 0]], (1, 6, 5), (5, 4, 8)),
+        OracleInstance((1, 0), [[5], [6]], (1,), (1, 7)),
+    ]
 
 
 def test_oracle_report_fails_on_weighted_disagreement(monkeypatch):
@@ -365,10 +375,10 @@ def test_oracle_report_dict_carries_first_mismatch(monkeypatch):
     assert oracle_agreement(3, 20)["first_mismatch"] is None
     # a planner that grants nothing first disagrees where the real one grants
     instances = random_oracle_instances(3, 20)
-    inst = next(i for i in instances if any(map(any, allocate_cohorts(i.order, i.rows, i.available).values())))
+    inst = next(i for i in instances if any(map(any, allocate_cohorts(i.order, i.rows, i.available))))
 
     def grant_nothing(order, rows, available):
-        return {sid: [0] * len(rows[sid]) for sid in order}
+        return [[0] * len(row) for row in rows]
 
     monkeypatch.setattr(schedulers, "allocate_cohorts", grant_nothing)
     witness = oracle_agreement(3, 20)["first_mismatch"]
@@ -398,7 +408,7 @@ def test_oracle_agreement_on_equal_deadline_instances():
             continue
         total += 1
         grants = allocate_cohorts(inst.order, inst.rows, inst.available)
-        drops = {(sid, r): a - grants[sid][r - 1] for (sid, r), a in packets.items()}
+        drops = {(j, r): a - grants[j][r - 1] for (j, r), a in packets.items()}
         if drops == brute_force_lex_min_drops(keys, packets, windows, inst.available):
             agreed += 1
     assert total > 50

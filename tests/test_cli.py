@@ -7,11 +7,17 @@ import subprocess
 import sys
 import threading
 import weakref
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 
 from hsrsched import RadioConfig, ServiceSpec, SimConfig, TrajectoryConfig, cli, run, schedulers, traffic
+from hsrsched.analysis import (
+    OracleInstance,
+    brute_force_lex_min_drops,
+    brute_force_min_weighted_drops,
+    random_oracle_instances,
+)
 from hsrsched.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -25,6 +31,7 @@ from hsrsched.cli import (
     serialize_config,
 )
 from hsrsched.engine import PROGRESS_LINES
+from hsrsched.schedulers import allocate_cohorts
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 REPO_CONFIGS = os.path.join(REPO, "configs")
@@ -595,7 +602,7 @@ def test_cmd_verify_prints_the_first_oracle_mismatch(tmp_path, capsys, monkeypat
     # a planner that grants nothing disagrees with the oracle wherever
     # capacity is free
     def grant_nothing(order, rows, available):
-        return {key: [0] * len(rows[key]) for key in order}
+        return [[0] * len(row) for row in rows]
 
     monkeypatch.setattr(schedulers, "allocate_cohorts", grant_nothing)
     rc, report = _verify_with_fault(tmp_path, "1", verify="oracle_instances = 20")
@@ -608,6 +615,20 @@ def test_cmd_verify_prints_the_first_oracle_mismatch(tmp_path, capsys, monkeypat
     assert lex < n == 20
     assert lines[-2] == f"FAIL oracle_agreement ({lex}/{n} lexicographic, {weighted}/{n} weighted-optimal)"
     assert json.loads(lines[-1]) == oracle
+    # the printed witness replays: it rebuilds one of the run's instances,
+    # and the real planner's grants on it agree with the oracle
+    witness = json.loads(lines[-1])["first_mismatch"]
+    instance = OracleInstance(**witness)
+    assert asdict(instance) == witness
+    seed = parse_config(DEFAULT_CONFIG).sim.seed
+    assert witness in [json.loads(json.dumps(asdict(i))) for i in random_oracle_instances(seed, n)]
+    grants = allocate_cohorts(witness["order"], witness["rows"], witness["available"])
+    keys, packets, windows, weights = instance.cohorts()
+    drops = {(j, r): a - grants[j][r - 1] for (j, r), a in packets.items()}
+    frame = (packets, windows, instance.available)
+    assert drops == brute_force_lex_min_drops(keys, *frame)
+    best = brute_force_min_weighted_drops(weights, *frame)
+    assert sum(w * (drops[k] - best[k]) for k, w in weights.items()) == 0
 
 
 def test_unknown_log_level_is_a_config_error(tmp_path, capsys, monkeypatch):

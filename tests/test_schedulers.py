@@ -53,35 +53,36 @@ def _step(decide, specs, frame, buckets, nums, arrivals):
 def _assert_prefix_feasible(rows, grants, avail):
     """Every cohort within its packets, and for each horizon d the cohorts
     whose window lies inside offsets 0..d within the capacity there."""
-    for key, row in rows.items():
-        assert len(grants[key]) == len(row)
-        assert all(0 <= x <= a for x, a in zip(grants[key], row))
+    assert len(grants) == len(rows)
+    for row, granted in zip(rows, grants):
+        assert len(granted) == len(row)
+        assert all(0 <= x <= a for x, a in zip(granted, row))
     for d in range(len(avail)):
-        inside = sum(sum(grants[key][: d + 1]) for key in rows)
+        inside = sum(sum(granted[: d + 1]) for granted in grants)
         assert inside <= sum(avail[: d + 1])
 
 
 def test_allocate_single_service_spills_to_second_frame():
     # 5 packets with 2 frames to go fit over two frames of 3, 7 do not
-    assert allocate_cohorts([1], {1: [0, 5]}, [3, 3]) == {1: [0, 5]}
-    assert allocate_cohorts([1], {1: [0, 7]}, [3, 3]) == {1: [0, 6]}
+    assert allocate_cohorts([0], [[0, 5]], [3, 3]) == [[0, 5]]
+    assert allocate_cohorts([0], [[0, 7]], [3, 3]) == [[0, 6]]
 
 
 def test_allocate_priority_order_shares_one_frame():
-    assert allocate_cohorts([2, 1], {1: [4], 2: [4]}, [5]) == {2: [4], 1: [1]}
+    assert allocate_cohorts([1, 0], [[4], [4]], [5]) == [[1], [4]]
 
 
 def test_allocate_no_arrivals_changes_nothing():
-    assert allocate_cohorts([1, 2], {1: [0, 0], 2: [0, 0]}, [4, 4]) == {1: [0, 0], 2: [0, 0]}
+    assert allocate_cohorts([0, 1], [[0, 0], [0, 0]], [4, 4]) == [[0, 0], [0, 0]]
 
 
 def test_allocate_never_exceeds_capacity():
     rng = random.Random(31)
     for _ in range(300):
         n = rng.randint(1, 3)
-        rows = {sid: [rng.randint(0, 9) for _ in range(rng.randint(1, 4))] for sid in range(1, n + 1)}
-        avail = [rng.randint(0, 7) for _ in range(max(map(len, rows.values())))]
-        order = list(rows)
+        rows = [[rng.randint(0, 9) for _ in range(rng.randint(1, 4))] for _ in range(n)]
+        avail = [rng.randint(0, 7) for _ in range(max(map(len, rows)))]
+        order = list(range(n))
         rng.shuffle(order)
         _assert_prefix_feasible(rows, allocate_cohorts(order, rows, avail), avail)
 
@@ -89,69 +90,59 @@ def test_allocate_never_exceeds_capacity():
 def test_allocate_short_deadline_not_crowded_out_by_long():
     # the long-deadline cohort has priority, but serving it at offset 0
     # would leave the short-deadline packet nowhere to go
-    rows = {1: [1], 2: [0, 1]}
-    grants = allocate_cohorts([2, 1], rows, [1, 1])
-    assert grants == {2: [0, 1], 1: [1]}
+    rows = [[1], [0, 1]]
+    grants = allocate_cohorts([1, 0], rows, [1, 1])
+    assert grants == [[1], [0, 1]]
     _assert_prefix_feasible(rows, grants, [1, 1])
 
 
 def test_allocate_later_cohort_of_a_service_limited_by_its_earlier_one():
     # service 1's r=1 cohort takes offset 0; its r=2 cohort then has only
     # offset 1 left, and service 2 none at all
-    rows = {1: [3, 3], 2: [0, 2]}
-    assert allocate_cohorts([1, 2], rows, [3, 2]) == {1: [3, 2], 2: [0, 0]}
+    rows = [[3, 3], [0, 2]]
+    assert allocate_cohorts([0, 1], rows, [3, 2]) == [[3, 2], [0, 0]]
     # in the other order service 2 is whole and service 1 keeps offset 0
-    assert allocate_cohorts([2, 1], rows, [3, 2]) == {2: [0, 2], 1: [3, 0]}
-
-
-def _parent_allocate_cohorts(order, rows, available):
-    """The greedy without its two shortcuts: a suffix minimum for every key
-    and a slack update after every grant.  ``allocate_cohorts`` must match
-    it exactly."""
-    horizon = max((len(rows[key]) for key in order), default=0)
-    slack = list(accumulate(available[:horizon]))
-    grants = {}
-    for key in order:
-        row = rows[key]
-        if not slack[-1] or not any(row):
-            grants[key] = [0] * len(row)
-            continue
-        floor = list(accumulate(reversed(slack), min))
-        floor.reverse()
-        granted = 0
-        out = []
-        for a, f in zip(row, floor):
-            x = f - granted
-            if a < x:
-                x = a
-            granted += x
-            out.append(x)
-        if granted:
-            m = len(row)
-            slack[:m] = map(sub, slack, accumulate(out))
-            slack[m:] = [v - granted for v in slack[m:]]
-        grants[key] = out
-    return grants
+    assert allocate_cohorts([1, 0], rows, [3, 2]) == [[3, 0], [0, 2]]
 
 
 @st.composite
 def _greedy_inputs(draw):
-    """1-4 keys in any order, rows of 1-10 cohorts with empty ones likely,
-    and a non-negative capacity over the longest row, at times all zero."""
-    keys = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
+    """1-4 services in any order, rows of 1-10 cohorts with empty ones
+    likely, and a non-negative capacity over the longest row, at times all
+    zero."""
     cell = st.one_of(st.just(0), st.integers(0, 12))
-    rows = {key: draw(st.lists(cell, min_size=1, max_size=10)) for key in keys}
+    rows = draw(st.lists(st.lists(cell, min_size=1, max_size=10), min_size=1, max_size=4))
     # the capacity may run past the longest row
-    length = max(map(len, rows.values())) + draw(st.integers(0, 1))
+    length = max(map(len, rows)) + draw(st.integers(0, 1))
     capacity = st.one_of(st.just(0), st.integers(0, 15))
     available = draw(st.one_of(st.just([0] * length), st.lists(capacity, min_size=length, max_size=length)))
-    return draw(st.permutations(keys)), rows, available
+    return draw(st.permutations(range(len(rows)))), rows, available
 
 
 @settings(max_examples=500, deadline=None)
 @given(_greedy_inputs())
-def test_allocate_matches_parent_greedy(inputs):
-    assert allocate_cohorts(*inputs) == _parent_allocate_cohorts(*inputs)
+def test_allocate_grants_every_prefix_its_min_cut_rank(inputs):
+    """Edmonds' greedy theorem, checked without the greedy: take the cohorts
+    in processing order (positions in ``order``, each position's cohorts by
+    ascending r), cohort c holding a_c packets with window end w_c = r - 1.
+    The greedy grants every prefix P of that order exactly its rank
+
+        r(P) = min(sum of a over P, min_d [C(d) + sum of a_c over c in P with w_c > d])
+
+    with C the prefix sum of ``available``: a minimum cut of the nested
+    windows' flow network.  Each grant is then r(P_k) - r(P_(k-1))."""
+    order, rows, available = inputs
+    grants = allocate_cohorts(order, rows, available)
+    assert [len(granted) for granted in grants] == [len(row) for row in rows]
+    # cut[t]: capacity over offsets 0..t-1 plus the prefix's packets whose
+    # window ends at or past offset t; t = 0 cuts every packet of the prefix
+    cut = [0, *accumulate(available)]
+    total = 0
+    for j in order:
+        for i, a in enumerate(rows[j]):
+            cut[: i + 1] = [v + a for v in cut[: i + 1]]
+            total += grants[j][i]
+            assert total == min(cut), (j, i)
 
 
 @st.composite
@@ -159,18 +150,17 @@ def _oracle_instances(draw):
     """Bucket rows of up to three services with at most three non-empty
     cells in all, so one service may hold several cohorts."""
     n = draw(st.integers(1, ORACLE_MAX_SERVICES))
-    sids = list(range(1, n + 1))
-    rows = {sid: [0] * draw(st.integers(1, ORACLE_MAX_DEADLINE)) for sid in sids}
-    cells = [(sid, i) for sid in sids for i in range(len(rows[sid]))]
+    rows = [[0] * draw(st.integers(1, ORACLE_MAX_DEADLINE)) for _ in range(n)]
+    cells = [(j, i) for j, row in enumerate(rows) for i in range(len(row))]
     occupied = st.lists(st.sampled_from(cells), min_size=1, max_size=ORACLE_MAX_SERVICES, unique=True)
-    for sid, i in draw(occupied):
-        rows[sid][i] = draw(st.integers(0, ORACLE_MAX_ARRIVALS))
-    horizon = max(map(len, rows.values()))
+    for j, i in draw(occupied):
+        rows[j][i] = draw(st.integers(0, ORACLE_MAX_ARRIVALS))
+    horizon = max(map(len, rows))
     avail = draw(st.lists(st.integers(0, ORACLE_MAX_CAPACITY), min_size=horizon, max_size=horizon))
-    order = draw(st.permutations(sids))
+    order = draw(st.permutations(range(n)))
     # integer weights that never increase along the order, ties allowed
-    weights = sorted(draw(st.lists(st.integers(0, 20), min_size=n, max_size=n)), reverse=True)
-    return order, rows, avail, dict(zip(order, weights))
+    ranked = sorted(draw(st.lists(st.integers(0, 20), min_size=n, max_size=n)), reverse=True)
+    return order, rows, avail, tuple(ranked[order.index(j)] for j in range(n))
 
 
 @settings(max_examples=300, deadline=None)
@@ -179,11 +169,11 @@ def test_allocate_matches_lexicographic_oracle(instance):
     order, rows, avail, weights = instance
     grants = allocate_cohorts(order, rows, avail)
     _assert_prefix_feasible(rows, grants, avail)
-    # the oracle's view: non-empty cohorts keyed (service id, r), by service
+    # the oracle's view: non-empty cohorts keyed (position, r), by service
     # priority and then ascending r, each weighted as its service
     instance = OracleInstance(tuple(order), rows, tuple(avail), weights)
     keys, packets, windows, cohort_weights = instance.cohorts()
-    drops = {(sid, r): a - grants[sid][r - 1] for (sid, r), a in packets.items()}
+    drops = {(j, r): a - grants[j][r - 1] for (j, r), a in packets.items()}
     assert drops == brute_force_lex_min_drops(keys, packets, windows, avail)
     # the lexicographic minimum is also a weighted minimum for such weights
     best = brute_force_min_weighted_drops(cohort_weights, packets, windows, avail)
