@@ -268,10 +268,11 @@ def fig3_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float]]:
     numbers.  The rates mostly share seeds too: with seed 7 and five
     replicates, rate 0 uses seeds 7-11 and rate 1 uses 6-10, four in common.
 
-    All trips run in one loop, ``engine.single_service_ratios``,
-    whose ratios equal ``run``'s under every policy, so the config's
-    scheduler is ignored.  A trip without arrivals raises ``RuntimeError``.
-    One INFO line is logged per grid point.
+    All trips run together in ``engine.single_service_ratios``, one lane
+    each of its int64 FIFO kernel, and its ratios equal ``run``'s under
+    every policy, so the config's scheduler is ignored.  A trip without
+    arrivals raises ``RuntimeError``.  One INFO line is logged per grid
+    point.
     """
     if len(cfg.sim.services) != 1:
         raise ConfigError("fig3 needs exactly one service")

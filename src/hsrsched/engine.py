@@ -8,13 +8,16 @@ packets expire), update the deficit numerators and record the frame's
 served, dropped and deficit counts.  The trace keeps only what the run
 measured; the backlog and the float deficits are derived where they are
 written.  Runs are deterministic given the configuration.
-``single_service_ratios`` gives the delivery ratios of one-service trips
-from a two-integer FIFO recursion each.
+``single_service_ratios`` gives the delivery ratios of one-service trips,
+each one lane of the FIFO kernel ``fifo_chunk``: a frame is a clamp on the
+count of packets gone, clamps compose, and so a chunk of frames runs as
+numpy steps over blocks of frames and all lanes at once.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from array import array
 from dataclasses import dataclass
@@ -28,8 +31,10 @@ from .schedulers import SCHEDULER_POLICIES, make_scheduler
 from .traffic import ArrivalGenerator, FeasibilityReport, ServiceSpec, feasibility_check
 
 TRACE_SCHEMA = 1
-# frames per chunk of trace text (to_csv) and of arrivals (run, single_service_ratios); bounds memory
+# frames per chunk of trace text (to_csv) and of arrivals (run); bounds memory
 CSV_CHUNK_ROWS = 512
+# frames x lanes per group of fifo_chunk's lanes; bounds its memory
+FIFO_LANE_BUDGET = 1 << 16
 INT64_MAX = int(np.iinfo(np.int64).max)
 PROGRESS_LINES = 10
 
@@ -253,48 +258,111 @@ def run(config: SimConfig) -> TraceLog:
     )
 
 
+def fifo_chunk(
+    caps: np.ndarray, cum: np.ndarray, rows: np.ndarray, deadlines: np.ndarray, gone: np.ndarray
+) -> np.ndarray:
+    """Advance FIFO lanes over one chunk of frames: update ``gone`` in place
+    and return each lane's drops in the chunk.
+
+    Lane i serves stream ``rows[i]`` oldest first with deadline
+    ``deadlines[i]``; ``gone[i]`` counts its packets served or dropped so
+    far.  ``caps`` holds the chunk's capacities, and ``cum[r]`` stream r's
+    arrivals through each of the p + 1 frames before the chunk (zero before
+    frame 0), then through each of its frames; p is at least every deadline
+    less one.
+
+    Frame t is the clamp x -> min(max(x + c_t, E_t), A_t), with A_t the
+    arrivals through t and E_t = A_{t-m+1}, and drops max(E_t - y_t, 0) with
+    y_t = min(x + c_t, A_t).  Clamps compose, so each block of k frames is
+    composed for all lanes in k steps, the blocks are chained, and each block
+    is walked from its start to sum its drops.  Values in a block are kept
+    less its capacity so far, P_t, so that a step is one max and one min.
+    Each c_t is first capped at the largest arrival count: that changes no y
+    as x >= 0, and keeps every value within k + 1 times that count.
+    """
+    n = len(caps)
+    k = max(1, math.isqrt(n // 2))
+    blocks = -(-n // k)
+    # [j, b]: frame b * k + j; the padding repeats the last frame with no
+    # capacity, an identity clamp on every lane's end value
+    frame = np.minimum(np.arange(k)[:, None] + np.arange(0, blocks * k, k), n - 1)
+    spent = np.zeros(blocks * k, dtype=np.int64)
+    np.minimum(caps, cum[:, -1].max(), out=spent[:n])
+    # [j, b, 0]: P_t of frame t = b * k + j
+    spent = np.cumsum(spent.reshape(blocks, k), axis=1).T[:, :, None]
+    width, flat = cum.shape[1], cum.ravel()
+    drops = np.empty_like(gone)
+    group = max(1, FIFO_LANE_BUDGET // (blocks * k))
+    for g in range(0, len(gone), group):
+        lanes = slice(g, g + group)
+        # [j, b, i]: A_t - P_t and E_t - P_t of frame t = b * k + j, lane g + i
+        at = frame[:, :, None] + (rows[lanes] * width + width - n)
+        arrived = flat.take(at)
+        arrived -= spent
+        at -= deadlines[lanes] - 1
+        expired = flat.take(at)
+        expired -= spent
+        # compose: block b maps x to min(max(x, bounds[0, b]), bounds[1, b]) + P
+        bounds = np.stack([expired[0], arrived[0]])
+        for e, a in zip(expired[1:], arrived[1:]):
+            np.maximum(bounds, e, out=bounds)
+            np.minimum(bounds, a, out=bounds)
+        # chain: start[b] is every lane's count gone before block b
+        start = np.empty((blocks + 1, arrived.shape[2]), dtype=np.int64)
+        start[0] = gone[lanes]
+        shift = np.broadcast_to(spent[-1], arrived.shape[1:]).copy()
+        for before, after, s, low, high in zip(start, start[1:], shift, *bounds):
+            np.maximum(before, low, out=after)
+            np.minimum(after, high, out=after)
+            np.add(after, s, out=after)
+        gone[lanes] = start[-1]
+        # walk each block from its start: y_t - P_t overwrites A_t - P_t
+        x = start[:-1]
+        for e, a in zip(expired, arrived):
+            np.minimum(x, a, out=a)
+            np.maximum(a, e, out=x)
+        expired -= arrived
+        drops[lanes] = np.maximum(expired, 0, out=expired).sum(axis=(0, 1))
+    return drops
+
+
 def single_service_ratios(sims: list[SimConfig]) -> list[float | None]:
     """Delivery ratio of each one-service trip of ``sims`` (``None`` where it
     drew no arrivals), equal to ``run(sim).delivery_ratios()[0]`` under any
-    policy, as each serves a lone service oldest first: with A(t) the arrivals
-    of frames 0..t and x those gone (served or dropped), frame t serves up to
-    y = min(x + c_t, A(t)), then x = max(y, A(t - m + 1)) and x - y drop.
-    Arrivals come ``CSV_CHUNK_ROWS`` frames at a time, one stream per rate
-    and seed; at most ``PROGRESS_LINES`` INFO lines report the progress."""
+    policy, as each serves a lone service oldest first.  Every trip is one
+    lane of ``fifo_chunk``, run a progress step of frames at a time; the
+    arrivals are drawn per step, one stream per rate and seed, and at most
+    ``PROGRESS_LINES`` INFO lines report the progress."""
     profiles = {(sim.trajectory, sim.radio, sim.capacity_override, sim.frames) for sim in sims}
     if len(profiles) != 1 or any(len(sim.services) != 1 for sim in sims):
         raise ValueError("single_service_ratios needs one-service trips of one capacity profile and length")
     start = time.perf_counter()
     n, caps = sims[0].frames, sims[0].capacities()
-    # (arrival stream, deadline) per trip: the deadline does not change a trip's arrivals
-    trips = [((s.arrival_rate, sim.seed), s.deadline) for sim in sims for s in sim.services]
-    gens = {key: ArrivalGenerator(sim.services, sim.seed) for (key, _), sim in zip(trips, sims)}
-    # per stream: A(lo - pad - 1) .. A(hi - 1), zero before frame 0, so A(t - m + 1) is an offset
-    pad = max(m for _, m in trips) - 1
-    totals = {key: [0] * (pad + 1) for key in gens}
-    gone, dropped = [0] * len(sims), [0] * len(sims)
-    # frames between progress lines, a whole number of chunks
+    # the deadline does not change a trip's arrivals: one stream per rate and seed
+    keys = [(sim.services[0].arrival_rate, sim.seed) for sim in sims]
+    gens = {key: ArrivalGenerator(sim.services, sim.seed) for key, sim in zip(keys, sims)}
+    row_of = {key: r for r, key in enumerate(gens)}
+    rows = np.array([row_of[key] for key in keys])
+    deadlines = np.array([sim.services[0].deadline for sim in sims])
+    pad = int(deadlines.max()) - 1
+    # per stream: the arrivals through the pad + 1 frames before the chunk
+    carried = np.zeros((len(gens), pad + 1), dtype=np.int64)
+    gone, dropped = np.zeros(len(sims), dtype=np.int64), np.zeros(len(sims), dtype=np.int64)
+    # frames per kernel chunk and progress line, a multiple of CSV_CHUNK_ROWS
     log_every = -(-n // (PROGRESS_LINES * CSV_CHUNK_ROWS)) * CSV_CHUNK_ROWS
-    for lo in range(0, n, CSV_CHUNK_ROWS):
-        hi = min(lo + CSV_CHUNK_ROWS, n)
-        for key, g in gens.items():
-            carried = totals[key][-pad - 1 :]
-            totals[key] = carried + (np.cumsum(g.sample_run(hi - lo)[:, 0]) + carried[-1]).tolist()
-        for b, (key, m) in enumerate(trips):
-            cum = totals[key]
-            x, d = gone[b], dropped[b]
-            for c, a, expired in zip(caps[lo:hi], cum[pad + 1 :], cum[pad + 2 - m :]):
-                x += c
-                if x > a:
-                    x = a
-                if expired > x:
-                    d += expired - x
-                    x = expired
-            gone[b], dropped[b] = x, d
-        if hi % log_every == 0 or hi == n:
-            elapsed = time.perf_counter() - start
-            logging.getLogger(__name__).info(
-                "%d lockstep trips: frame %d/%d, %.1f s elapsed, ETA %.1f s",
-                len(sims), hi, n, elapsed, elapsed / hi * (n - hi),
-            )
-    return [None if (a := totals[key][-1]) == 0 else (a - d) / a for (key, _), d in zip(trips, dropped)]
+    for lo in range(0, n, log_every):
+        hi = min(lo + log_every, n)
+        cum = np.empty((len(gens), pad + 1 + hi - lo), dtype=np.int64)
+        cum[:, : pad + 1] = carried
+        for r, g in enumerate(gens.values()):
+            np.cumsum(g.sample_run(hi - lo)[:, 0], out=cum[r, pad + 1 :])
+        cum[:, pad + 1 :] += carried[:, -1:]
+        dropped += fifo_chunk(np.array(caps[lo:hi], dtype=np.int64), cum, rows, deadlines, gone)
+        carried = cum[:, -pad - 1 :].copy()
+        elapsed = time.perf_counter() - start
+        logging.getLogger(__name__).info(
+            "%d lockstep trips: frame %d/%d, %.1f s elapsed, ETA %.1f s",
+            len(sims), hi, n, elapsed, elapsed / hi * (n - hi),
+        )
+    totals = carried[rows, -1].tolist()
+    return [None if a == 0 else (a - d) / a for a, d in zip(totals, dropped.tolist())]

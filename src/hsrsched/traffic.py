@@ -2,7 +2,7 @@
 
 Arrivals are i.i.d. across frames.  Each service draws from a Poisson
 distribution truncated at the smallest burst bound whose tail mass falls below
-``DEFAULT_TAIL_EPS`` = 1e-6 and renormalized, so per-frame arrivals are
+``TAIL_EPS`` = 1e-6 and renormalized, so per-frame arrivals are
 bounded by construction.
 """
 
@@ -15,19 +15,17 @@ from functools import cached_property
 
 import numpy as np
 
-DEFAULT_TAIL_EPS = 1e-6
+TAIL_EPS = 1e-6
 
 
-def truncated_poisson_pmf(rate: float, tail_eps: float = DEFAULT_TAIL_EPS) -> np.ndarray:
+def truncated_poisson_pmf(rate: float) -> np.ndarray:
     """Truncated, renormalized Poisson pmf.
 
     Its support is {0..a}, where ``a`` is the smallest integer whose Poisson
-    upper-tail mass beyond it is below ``tail_eps``, and it sums to 1.
+    upper-tail mass beyond it is below ``TAIL_EPS``, and it sums to 1.
     """
     if rate <= 0:
         raise ValueError("rate must be strictly positive")
-    if not 0 < tail_eps < 1:
-        raise ValueError("tail_eps must be in (0, 1)")
     log_rate = math.log(rate)
 
     def term(i: int) -> float:
@@ -38,13 +36,15 @@ def truncated_poisson_pmf(rate: float, tail_eps: float = DEFAULT_TAIL_EPS) -> np
     cdf = terms[0]
     i = 0
     # tail mass beyond i is 1 - cdf; stop at the first i where it drops below eps
-    while 1.0 - cdf >= tail_eps:
+    while 1.0 - cdf >= TAIL_EPS:
         i += 1
         t = term(i)
         terms.append(t)
         cdf += t
+        # the terms' rounding can leave the sum short of 1 - TAIL_EPS for
+        # good: at rate 1e9 it ends at 0.9999974 once they underflow
         if t == 0.0 and i > rate:
-            raise ValueError("tail_eps below float resolution for this rate")
+            raise ValueError("rate beyond float resolution: the pmf sums short of 1 - TAIL_EPS")
     pmf = np.array(terms, dtype=float)
     pmf /= pmf.sum()
     return pmf

@@ -1,17 +1,25 @@
+import os
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hsrsched.cli as cli
+import hsrsched.engine as engine
 from conftest import backlog
 from hsrsched import ContractViolation, ServiceSpec, SimConfig, run
-from hsrsched.engine import CSV_CHUNK_ROWS, single_service_ratios
+from hsrsched.cli import fig3_rows, parse_config
+from hsrsched.engine import CSV_CHUNK_ROWS, INT64_MAX, fifo_chunk, single_service_ratios
 from hsrsched.schedulers import SCHEDULER_POLICIES, make_scheduler
 from hsrsched.traffic import ArrivalGenerator
+
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
+SWEEP_CONFIG = os.path.join(REPO, "perfbench", "configs", "sweep.ini")
 
 
 def _config(table1_traj, table1_radio, services, **kw):
@@ -471,6 +479,105 @@ def test_lockstep_mixed_deadlines_across_chunk_boundaries(table1_traj, table1_ra
         expected.append((sum(a) - _fifo_drops(a, 120, sim.services[0].deadline)) / sum(a))
     assert len(set(expected[:2] + expected[3:5])) == 4
     assert single_service_ratios(sims) == expected
+
+
+def _fifo_steps(arrivals, capacities, m):
+    """Per frame of one service served oldest first, batch by batch: the
+    packets gone (served or dropped) so far and the frame's drops."""
+    batches, gone, steps = [], 0, []
+    for t, (a, c) in enumerate(zip(arrivals, capacities)):
+        batches.append([t, a])
+        for batch in batches:
+            taken = min(c, batch[1])
+            batch[1] -= taken
+            c -= taken
+            gone += taken
+        dropped = batches.pop(0)[1] if batches[0][0] == t - m + 1 else 0
+        gone += dropped
+        steps.append((gone, dropped))
+    return steps
+
+
+@st.composite
+def _fifo_lanes(draw):
+    """Arrival streams, capacities (zeros and int64's largest among them),
+    lanes of deadlines 1-10 on those streams, the cuts into chunks, the
+    columns kept before each chunk beyond the largest deadline, and a lane
+    budget, mostly small enough to split the lanes into groups."""
+    frames = draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    streams = rng.integers(0, 41, (draw(st.integers(1, 3)), frames)).tolist()
+    capacities = np.where(rng.random(frames) < 0.1, INT64_MAX, rng.integers(0, 61, frames))
+    capacities[rng.random(frames) < 0.2] = 0
+    lanes = st.tuples(st.integers(0, len(streams) - 1), st.integers(1, 10))
+    cuts = draw(st.sets(st.integers(1, frames - 1), max_size=4)) if frames > 1 else set()
+    extra = draw(st.integers(0, 2))
+    budget = draw(st.sampled_from([1, 20, 150, engine.FIFO_LANE_BUDGET]))
+    return streams, capacities.tolist(), draw(st.lists(lanes, min_size=1, max_size=12)), sorted(cuts), extra, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_fifo_lanes())
+def test_fifo_chunk_matches_a_per_frame_fifo(case):
+    streams, capacities, lanes, cuts, extra, budget = case
+    frames = len(capacities)
+    rows = np.array([r for r, _ in lanes])
+    deadlines = np.array([m for _, m in lanes])
+    pad = int(deadlines.max()) - 1 + extra
+    # cum[r, pad + 1 + t] = stream r's arrivals through frame t, zero before frame 0
+    cum = np.zeros((len(streams), pad + 1 + frames), dtype=np.int64)
+    cum[:, pad + 1 :] = np.cumsum(streams, axis=1)
+    steps = [_fifo_steps(streams[r], capacities, m) for r, m in lanes]
+    gone = np.zeros(len(lanes), dtype=np.int64)
+    with mock.patch.object(engine, "FIFO_LANE_BUDGET", budget):
+        for lo, hi in zip([0, *cuts], [*cuts, frames]):
+            caps = np.array(capacities[lo:hi], dtype=np.int64)
+            drops = fifo_chunk(caps, cum[:, lo : pad + 1 + hi], rows, deadlines, gone)
+            assert gone.tolist() == [lane[hi - 1][0] for lane in steps]
+            assert drops.tolist() == [sum(d for _, d in lane[lo:hi]) for lane in steps]
+
+
+@pytest.mark.parametrize("capacity", [INT64_MAX, 2**62])
+def test_lockstep_capacity_near_int64_limit_drops_nothing(capacity):
+    # every frame's capacity exceeds all arrivals so far; summing it unchecked
+    # over a block would wrap around int64
+    cfg = parse_config(SWEEP_CONFIG)
+    sims = [
+        replace(
+            cfg.sim,
+            services=(replace(cfg.sim.services[0], deadline=m),),
+            num_frames=3000,
+            capacity_override=capacity,
+        )
+        for m in (1, 10)
+    ]
+    assert single_service_ratios(sims) == [1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "config, trips, bound",
+    [(("perfbench", "configs", "sweep.ini"), 4, 2**20), (("configs", "fig3.ini"), 100, 8 * 2**20)],
+    ids=["sweep.ini", "fig3.ini"],
+)
+def test_lockstep_memory_is_bounded_by_chunk_and_lane_group(config, trips, bound, monkeypatch):
+    cfg = parse_config(os.path.join(REPO, *config))
+    cfg.sim.capacities()  # the profile is cached; build it outside the trace
+    peaks = []
+
+    def traced(sims):
+        tracemalloc.start()
+        try:
+            ratios = single_service_ratios(sims)
+            peaks.append((len(sims), tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return ratios
+
+    monkeypatch.setattr(cli, "single_service_ratios", traced)
+    fig3_rows(cfg)
+    [(n, peak)] = peaks
+    assert n == trips
+    assert peak < bound, f"{trips} trips traced {peak} bytes"
 
 
 def test_lockstep_rejects_trips_that_cannot_share_a_loop(table1_traj, table1_radio, two_services):
