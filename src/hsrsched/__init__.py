@@ -21,20 +21,13 @@ from .channel import (
 )
 from .engine import ContractViolation, SimConfig, TraceLog, run
 from .schedulers import allocate_cohorts, make_scheduler
-from .traffic import (
-    ArrivalGenerator,
-    FeasibilityReport,
-    ServiceSpec,
-    feasibility_check,
-    truncated_poisson_pmf,
-)
+from .traffic import ArrivalGenerator, ServiceSpec, truncated_poisson_pmf
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArrivalGenerator",
     "ContractViolation",
-    "FeasibilityReport",
     "RadioConfig",
     "ServiceSpec",
     "SimConfig",
@@ -47,7 +40,6 @@ __all__ = [
     "check_lemma1",
     "check_sample_drift",
     "distance_at",
-    "feasibility_check",
     "frame_capacity",
     "make_scheduler",
     "oracle_agreement",

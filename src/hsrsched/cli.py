@@ -33,7 +33,6 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
 
-EXPERIMENT_KINDS = ("single", "fig2", "fig3", "verify")
 FIG2_PLOT_FRAMES = 1000
 
 
@@ -44,7 +43,6 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     sim: SimConfig
-    kind: str = "single"
     output_dir: str = "out"
     sweep_deadlines: tuple[int, ...] = ()
     sweep_rates: tuple[float, ...] = ()
@@ -53,8 +51,6 @@ class ExperimentConfig:
     inject_fault: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if not self.output_dir:
             raise ConfigError("output_dir must not be empty")
         if self.seeds_per_point < 1:
@@ -68,13 +64,6 @@ class ExperimentConfig:
                 replace(base, arrival_rate=rate, deadline=m)
             except ValueError as exc:
                 raise ConfigError(f"[sweep] point lambda={rate!r} deadline={m}: {exc}") from None
-        if self.kind == "fig2" and len(self.sim.services) != 2:
-            raise ConfigError("fig2 experiments need exactly two services")
-        if self.kind == "fig3":
-            if len(self.sim.services) != 1:
-                raise ConfigError("fig3 experiments need exactly one service")
-            if not self.sweep_deadlines or not self.sweep_rates:
-                raise ConfigError("fig3 experiments need a non-empty [sweep] grid")
 
 
 def _list(conv):
@@ -86,7 +75,6 @@ def _list(conv):
 # section reads the "service" rows.  A key left out takes the field's default.
 SCHEMA = {
     "experiment": (
-        ("kind", ExperimentConfig, "kind", str),
         ("scheduler", SimConfig, "scheduler", str),
         ("seed", SimConfig, "seed", int),
         ("output_dir", ExperimentConfig, "output_dir", str),
@@ -157,6 +145,10 @@ def parse_config(
             if not sid.isdecimal():
                 raise ConfigError(f"bad service section name [{name}]")
             service_sections.append((int(sid), name))
+    # [experiment] kind is retired: the subcommand decides what runs.  The key
+    # is read and ignored until ROADMAP item 4 drops it from perfbench/configs.
+    if parser.has_section("experiment"):
+        parser.remove_option("experiment", "kind")
     kwargs = {}
     try:
         for name, rows in SCHEMA.items():
@@ -281,11 +273,11 @@ def fig3_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float]]:
     base = cfg.sim.services[0]
     reps = cfg.seeds_per_point
     points = [(p, float(rate), int(m)) for p, rate in enumerate(cfg.sweep_rates) for m in cfg.sweep_deadlines]
+    # one spec per point, so its replicates share the cached pmf
+    specs = [replace(base, arrival_rate=rate, deadline=m) for _, rate, m in points]
     sims = [
-        replace(
-            cfg.sim, services=(replace(base, arrival_rate=rate, deadline=m),), seed=(cfg.sim.seed ^ p) + rep
-        )
-        for p, rate, m in points
+        replace(cfg.sim, services=(spec,), seed=(cfg.sim.seed ^ p) + rep)
+        for (p, _, _), spec in zip(points, specs)
         for rep in range(reps)
     ]
     ratios = single_service_ratios(sims)

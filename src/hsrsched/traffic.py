@@ -1,4 +1,4 @@
-"""Traffic model: per-service truncated-Poisson arrivals and the service mix check.
+"""Traffic model: per-service truncated-Poisson arrivals.
 
 Arrivals are i.i.d. across frames.  Each service draws from a Poisson
 distribution truncated at the smallest burst bound whose tail mass falls below
@@ -114,30 +114,3 @@ class ArrivalGenerator:
             out[:, j] = np.searchsorted(cdf, u[:, j], side="right")
         return out
 
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    feasible: bool
-    margin: float
-    mean_capacity: float
-    required_rate: float
-
-
-def feasibility_check(specs, capacities) -> FeasibilityReport:
-    """Check the service mix against the mean of the per-frame ``capacities``.
-
-    The mix is feasible when the summed rate-weighted delivery requirements do
-    not exceed the mean per-frame capacity; the (signed) slack is returned
-    either way.
-    """
-    if len(capacities) < 1:
-        raise ValueError("capacity profile is empty")
-    required = sum(s.arrival_rate * s.delivery_ratio for s in specs)
-    mean_cap = sum(capacities) / len(capacities)
-    margin = mean_cap - required
-    return FeasibilityReport(
-        feasible=required <= mean_cap,
-        margin=margin,
-        mean_capacity=mean_cap,
-        required_rate=required,
-    )

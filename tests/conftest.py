@@ -1,5 +1,7 @@
+import functools
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,12 +60,6 @@ def two_services():
 
 
 @pytest.fixture(scope="session")
-def table1_trace():
-    """The whole 30,000-frame trip of ``configs/table1_fig2.ini`` (dcsa, seed 42); read it, do not write to it."""
-    return run(parse_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "table1_fig2.ini")).sim)
-
-
-@pytest.fixture(scope="session")
 def run_recording_decisions():
     """``run(config)`` that also returns every frame's decision, recorded by a
     wrapper around the ``decide`` that ``engine.make_scheduler`` returns, as an
@@ -89,3 +85,27 @@ def run_recording_decisions():
             return run(config), served
 
     return go
+
+
+@pytest.fixture(scope="session")
+def table1_run(run_recording_decisions):
+    """``table1_run(policy)``: the whole 30,000-frame trip of
+    ``configs/table1_fig2.ini`` at its seed 42 under ``policy``, run once a
+    session, as ``run_recording_decisions`` returns it.  Every array is
+    read-only; a test that changes a trace copies it first."""
+    sim = parse_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "table1_fig2.ini")).sim
+
+    @functools.cache
+    def go(policy):
+        trace, served = run_recording_decisions(replace(sim, scheduler=policy))
+        for array in (trace.capacity, trace.arrivals, trace.served, trace.drops, trace.deficit_num, served):
+            array.flags.writeable = False
+        return trace, served
+
+    return go
+
+
+@pytest.fixture(scope="session")
+def table1_trace(table1_run):
+    """The dcsa trip of ``table1_run``."""
+    return table1_run("dcsa")[0]

@@ -29,7 +29,6 @@ from hsrsched.analysis import (
     random_oracle_instances,
 )
 from hsrsched.schedulers import SCHEDULER_POLICIES
-from hsrsched.traffic import FeasibilityReport
 
 # the shipped link with three services of deadlines 2, 5 and 10
 MIXED_SERVICES = (
@@ -65,7 +64,7 @@ def _hand_trace(drops_per_frame, loss_allowance, deficits=None):
         served=zeros.copy(),
         drops=drops,
         deficit_num=np.array([int(v) for v in nums], dtype=np.int64).reshape(n, 1),
-        feasibility=FeasibilityReport(True, 0.0, 0.0, 0.0),
+        required_rate=0.0,
     )
 
 

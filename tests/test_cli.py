@@ -45,7 +45,6 @@ POOL_TIMEOUT_S = 120
 def _write_small_fig3(tmp_path, frames=1500, seeds=1, lambdas="250.0,400.0"):
     text = f"""
 [experiment]
-kind = fig3
 scheduler = dcsa
 seed = 3
 num_frames = {frames}
@@ -104,7 +103,6 @@ def test_unreadable_config_is_a_config_error(kind, tmp_path, capsys):
 
 def test_parse_default_config():
     cfg = parse_config(DEFAULT_CONFIG)
-    assert cfg.kind == "fig2"
     assert cfg.sim.seed == 42
     assert cfg.sim.scheduler == "dcsa"
     assert len(cfg.sim.services) == 2
@@ -123,22 +121,49 @@ def test_config_roundtrip_identity(tmp_path):
 
 def test_parse_rejects_bad_values(tmp_path):
     bad = tmp_path / "bad.ini"
-    bad.write_text("[experiment]\nkind = fig9\n")
+    bad.write_text("[experiment]\nscheduler = fig9\n")
     with pytest.raises(ConfigError):
         parse_config(str(bad))
-    bad.write_text("[experiment]\nkind = single\n[trajectory]\nspeed = fast\n")
+    bad.write_text("[experiment]\nscheduler = dcsa\n[trajectory]\nspeed = fast\n")
     with pytest.raises(ConfigError):
         parse_config(str(bad))
 
 
-def test_fig2_kind_requires_two_services(tmp_path):
+def test_fig2_on_one_service_exits_one(tmp_path, capsys):
     cfg = parse_config(DEFAULT_CONFIG)
     text, dropped = re.subn(r"^\[service\.2\]\n(?:.+\n)*", "", serialize_config(cfg), flags=re.M)
     assert dropped == 1
     path = tmp_path / "one.ini"
     path.write_text(text)
-    with pytest.raises(ConfigError, match="fig2 experiments need exactly two services"):
-        parse_config(str(path))
+    out = tmp_path / "x"
+    assert main(["fig2", str(path), "--frames", "10", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: fig2 needs exactly two services\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis", ["deadlines", "lambdas"])
+def test_fig3_on_an_empty_grid_exits_one(axis, tmp_path, capsys):
+    path = tmp_path / "empty.ini"
+    path.write_text(re.sub(rf"^{axis} = .*$", f"{axis} =", serialize_config(parse_config(FIG3_CONFIG)), flags=re.M))
+    out = tmp_path / "x"
+    assert main(["fig3", str(path), "--frames", "10", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: fig3 needs a non-empty sweep grid\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["mixed.ini", "sweep.ini"])
+def test_retired_kind_key_is_read_and_ignored(name, tmp_path):
+    # the benchmark configs still set [experiment] kind
+    with open(os.path.join(REPO, "perfbench", "configs", name)) as fh:
+        text = fh.read()
+    without, dropped = re.subn(r"^kind = .*\n", "", text, flags=re.M)
+    assert dropped == 1
+    cfg = parse_config(os.path.join(REPO, "perfbench", "configs", name))
+    for body in (without, without.replace("[experiment]\n", "[experiment]\nkind = fig9\n")):
+        path = tmp_path / name
+        path.write_text(body)
+        assert parse_config(str(path)) == cfg
+    assert "kind" not in serialize_config(cfg)
 
 
 @pytest.mark.parametrize(
@@ -402,9 +427,8 @@ def test_fig3_prints_nothing_at_default_log_level(tmp_path):
 
 
 def test_fig3_rows_rejects_empty_grid(tmp_path):
-    # kind = fig3 would reject the empty grid when the config is built;
-    # under kind = single only fig3_rows stands between it and the sweep
-    cfg = replace(parse_config(_write_small_fig3(tmp_path)), kind="single")
+    # a config checks no command's shape, so fig3_rows stands between an empty grid and the sweep
+    cfg = parse_config(_write_small_fig3(tmp_path))
     for empty in ({"sweep_deadlines": ()}, {"sweep_rates": ()}):
         with pytest.raises(ConfigError, match="fig3 needs a non-empty sweep grid"):
             fig3_rows(replace(cfg, **empty))
@@ -716,8 +740,9 @@ def test_overrides_check_the_sweep_grid_once(tmp_path, monkeypatch):
     monkeypatch.setattr(traffic, "truncated_poisson_pmf", lambda *args: walks.append(args) or pmf(*args))
     assert main(["fig3", FIG3_CONFIG, "--frames", "50", "--seed", "7", "--out", str(tmp_path / "f3")]) == EXIT_OK
     # each ServiceSpec walks its pmf once: the base service, one per grid
-    # point the config checks, one per trip
-    assert len(walks) == 1 + points + points * cfg.seeds_per_point
+    # point the config checks, and one per grid point that its trips share
+    assert cfg.seeds_per_point > 1
+    assert len(walks) == 1 + 2 * points
 
 
 def test_capacity_override_beyond_int64_is_a_config_error(tmp_path, capsys):

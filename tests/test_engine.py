@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import hsrsched.cli as cli
 import hsrsched.engine as engine
 from conftest import backlog
-from hsrsched import ContractViolation, ServiceSpec, SimConfig, run
+from hsrsched import ContractViolation, ServiceSpec, SimConfig, build_capacity_profile, run
 from hsrsched.cli import fig3_rows, parse_config
 from hsrsched.engine import CSV_CHUNK_ROWS, INT64_MAX, fifo_chunk, single_service_ratios
 from hsrsched.schedulers import SCHEDULER_POLICIES, make_scheduler
@@ -253,10 +253,14 @@ def test_allowance_beyond_int64_numerators_rejected(table1_traj, table1_radio):
 def test_truncated_run_feasibility_covers_the_frames_run(table1_traj, table1_radio, two_services):
     # the first 1000 frames lie near the base station, well above the trip's mean
     trace = run(_config(table1_traj, table1_radio, two_services, seed=42, num_frames=1000))
-    report = trace.feasibility
-    assert report.mean_capacity == trace.capacity.mean()
-    assert report.mean_capacity > 200
-    assert report.feasible
+    mean = sum(build_capacity_profile(table1_traj, table1_radio)[:1000]) / 1000
+    assert mean > 200
+    assert trace.summary_text().splitlines()[3:7] == [
+        "feasible = True",
+        f"feasibility_margin = {mean - 153.0:.9g}",
+        f"mean_capacity = {mean:.9g}",
+        "required_rate = 153",
+    ]
 
 
 @pytest.mark.parametrize("policy", SCHEDULER_POLICIES)

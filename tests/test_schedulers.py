@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hsrsched.engine as engine
 from hsrsched import (
     ServiceSpec,
     SimConfig,
@@ -24,6 +26,9 @@ from hsrsched.analysis import (
     brute_force_lex_min_drops,
     brute_force_min_weighted_drops,
 )
+from hsrsched.cli import parse_config
+
+MIXED_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "configs", "mixed.ini")
 
 
 def _spec(rate=10.0, deadline=2, q=0.9):
@@ -119,9 +124,7 @@ def _greedy_inputs(draw):
     return draw(st.permutations(range(len(rows)))), rows, available
 
 
-@settings(max_examples=500, deadline=None)
-@given(_greedy_inputs())
-def test_allocate_grants_every_prefix_its_min_cut_rank(inputs):
+def _first_rank_mismatch(order, rows, available, grants):
     """Edmonds' greedy theorem, checked without the greedy: take the cohorts
     in processing order (positions in ``order``, each position's cohorts by
     ascending r), cohort c holding a_c packets with window end w_c = r - 1.
@@ -130,10 +133,11 @@ def test_allocate_grants_every_prefix_its_min_cut_rank(inputs):
         r(P) = min(sum of a over P, min_d [C(d) + sum of a_c over c in P with w_c > d])
 
     with C the prefix sum of ``available``: a minimum cut of the nested
-    windows' flow network.  Each grant is then r(P_k) - r(P_(k-1))."""
-    order, rows, available = inputs
-    grants = allocate_cohorts(order, rows, available)
-    assert [len(granted) for granted in grants] == [len(row) for row in rows]
+    windows' flow network.  Each grant is then r(P_k) - r(P_(k-1)).
+
+    Returns None when ``grants`` gives every prefix its rank, else the first
+    prefix that differs: its last cohort (position, bucket), what the
+    prefix was granted and its rank."""
     # cut[t]: capacity over offsets 0..t-1 plus the prefix's packets whose
     # window ends at or past offset t; t = 0 cuts every packet of the prefix
     cut = [0, *accumulate(available)]
@@ -142,7 +146,52 @@ def test_allocate_grants_every_prefix_its_min_cut_rank(inputs):
         for i, a in enumerate(rows[j]):
             cut[: i + 1] = [v + a for v in cut[: i + 1]]
             total += grants[j][i]
-            assert total == min(cut), (j, i)
+            if total != min(cut):
+                return {"position": j, "bucket": i, "granted": total, "rank": min(cut)}
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(_greedy_inputs())
+def test_allocate_grants_every_prefix_its_min_cut_rank(inputs):
+    order, rows, available = inputs
+    grants = allocate_cohorts(order, rows, available)
+    assert [len(granted) for granted in grants] == [len(row) for row in rows]
+    assert _first_rank_mismatch(order, rows, available, grants) is None
+
+
+def test_every_planner_call_of_a_mixed_deadline_trip_grants_min_cut_ranks(monkeypatch):
+    # dcsa over perfbench/configs/mixed.ini (deadlines 2, 5 and 10) at its
+    # seed 42: the dcsa closure looks allocate_cohorts up at each call, and
+    # a wrapped decide tells the recording which frame it belongs to
+    frame = [None]
+    calls = []
+
+    def recorded(order, rows, available):
+        grants = allocate_cohorts(order, rows, available)
+        calls.append((frame[0], list(order), [list(row) for row in rows], list(available), grants))
+        return grants
+
+    def framed(policy, specs, capacities):
+        decide = make_scheduler(policy, specs, capacities)
+
+        def at(k, buckets, nums):
+            frame[0] = k
+            return decide(k, buckets, nums)
+
+        return at
+
+    monkeypatch.setattr(schedulers, "allocate_cohorts", recorded)
+    monkeypatch.setattr(engine, "make_scheduler", framed)
+    sim = parse_config(MIXED_CONFIG).sim
+    assert (sim.scheduler, sim.seed) == ("dcsa", 42)
+    run(sim)
+    # the frames where services contend, of 15,000
+    assert len(calls) == 7861
+    for k, order, rows, available, grants in calls:
+        assert [len(granted) for granted in grants] == [len(row) for row in rows], f"frame {k}"
+        mismatch = _first_rank_mismatch(order, rows, available, grants)
+        assert mismatch is None, f"frame {k}: first prefix off its rank {mismatch}"
 
 
 @st.composite

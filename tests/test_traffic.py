@@ -8,11 +8,13 @@ import pytest
 from hsrsched import (
     ArrivalGenerator,
     ServiceSpec,
+    SimConfig,
     build_capacity_profile,
-    feasibility_check,
+    run,
     traffic,
     truncated_poisson_pmf,
 )
+from hsrsched.engine import INT64_MAX
 
 
 def _poisson_tail_bound(rate, eps):
@@ -160,30 +162,68 @@ def test_empirical_mean_within_three_standard_errors():
     assert abs(arr.mean() - spec.arrival_rate) < 3 * se
 
 
-def test_feasibility_single_service_slack():
+def _feasibility(trace):
+    """The four feasibility lines of ``trace``'s ``summary.txt``, by key."""
+    lines = trace.summary_text().splitlines()
+    assert [line.split(" = ")[0] for line in lines[3:7]] == [
+        "feasible",
+        "feasibility_margin",
+        "mean_capacity",
+        "required_rate",
+    ]
+    return dict(line.split(" = ") for line in lines[3:7])
+
+
+def _constant_link_run(traj, radio, services, capacity, frames):
+    sim = SimConfig(traj, radio, tuple(services), seed=5, num_frames=frames, capacity_override=capacity)
+    return run(sim)
+
+
+def test_feasibility_single_service_slack(table1_traj, table1_radio):
     spec = ServiceSpec(arrival_rate=1.0, deadline=2, delivery_ratio=0.5)
-    report = feasibility_check([spec], (1,) * 10)
-    assert report.feasible
-    assert report.margin == pytest.approx(0.5)
+    trace = _constant_link_run(table1_traj, table1_radio, [spec], 1, 10)
+    assert _feasibility(trace) == {
+        "feasible": "True",
+        "feasibility_margin": "0.5",
+        "mean_capacity": "1",
+        "required_rate": "0.5",
+    }
 
 
-def test_feasibility_boundary_is_feasible():
+def test_feasibility_boundary_is_feasible(table1_traj, table1_radio):
     # requirement exactly equals mean capacity: non-strict inequality
     spec = ServiceSpec(arrival_rate=2.0, deadline=2, delivery_ratio=0.5)
-    report = feasibility_check([spec], (1,) * 5)
-    assert report.required_rate == pytest.approx(1.0)
-    assert report.feasible
-    assert report.margin == pytest.approx(0.0)
+    trace = _constant_link_run(table1_traj, table1_radio, [spec], 1, 5)
+    assert _feasibility(trace) == {
+        "feasible": "True",
+        "feasibility_margin": "0",
+        "mean_capacity": "1",
+        "required_rate": "1",
+    }
 
 
-def test_feasibility_default_mix_is_infeasible(table1_traj, table1_radio, two_services):
-    report = feasibility_check(two_services, build_capacity_profile(table1_traj, table1_radio))
-    assert report.required_rate == pytest.approx(153.0)
-    assert report.mean_capacity == pytest.approx(119.79836666666667, rel=1e-12)
-    assert not report.feasible
-    assert report.margin == pytest.approx(119.79836666666667 - 153.0, rel=1e-12)
+def test_feasibility_default_mix_is_infeasible(table1_traj, table1_radio, two_services, table1_trace):
+    # 100 * 0.99 + 60 * 0.9 = 153 packets a frame, one more than the link holds
+    trace = _constant_link_run(table1_traj, table1_radio, two_services, 152, 20)
+    assert _feasibility(trace) == {
+        "feasible": "False",
+        "feasibility_margin": "-1",
+        "mean_capacity": "152",
+        "required_rate": "153",
+    }
+    # over the shipped link's whole trip the mean is the profile's
+    caps = build_capacity_profile(table1_traj, table1_radio)
+    mean = sum(caps) / len(caps)
+    assert mean == pytest.approx(119.79836666666667, rel=1e-12)
+    assert _feasibility(table1_trace) == {
+        "feasible": "False",
+        "feasibility_margin": f"{mean - 153.0:.9g}",
+        "mean_capacity": f"{mean:.9g}",
+        "required_rate": "153",
+    }
 
 
-def test_feasibility_rejects_empty_profile(two_services):
-    with pytest.raises(ValueError):
-        feasibility_check(two_services, ())
+def test_feasibility_mean_capacity_is_exact_at_the_int64_limit(table1_traj, table1_radio, two_services):
+    # three frames of 2**63 - 1 sum past int64; a wrapped sum would read 2**63 - 3
+    trace = _constant_link_run(table1_traj, table1_radio, two_services, INT64_MAX, 3)
+    assert _feasibility(trace)["mean_capacity"] == f"{INT64_MAX:.9g}" == "9.22337204e+18"
