@@ -260,11 +260,12 @@ def fig3_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float]]:
     numbers.  The rates mostly share seeds too: with seed 7 and five
     replicates, rate 0 uses seeds 7-11 and rate 1 uses 6-10, four in common.
 
-    All trips run together in ``engine.single_service_ratios``, one lane
-    each of its int64 FIFO kernel, and its ratios equal ``run``'s under
-    every policy, so the config's scheduler is ignored.  A trip without
-    arrivals raises ``RuntimeError``.  One INFO line is logged per grid
-    point.
+    A trip is its point's service and a seed, over the capacities of the
+    frames run.  All trips run together in ``engine.single_service_ratios``,
+    one lane each of its int64 FIFO kernel, and its ratios equal ``run``'s
+    under every policy, so the config's scheduler is ignored.  A trip
+    without arrivals raises ``RuntimeError``.  One INFO line is logged per
+    grid point.
     """
     if len(cfg.sim.services) != 1:
         raise ConfigError("fig3 needs exactly one service")
@@ -275,12 +276,8 @@ def fig3_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float]]:
     points = [(p, float(rate), int(m)) for p, rate in enumerate(cfg.sweep_rates) for m in cfg.sweep_deadlines]
     # one spec per point, so its replicates share the cached pmf
     specs = [replace(base, arrival_rate=rate, deadline=m) for _, rate, m in points]
-    sims = [
-        replace(cfg.sim, services=(spec,), seed=(cfg.sim.seed ^ p) + rep)
-        for (p, _, _), spec in zip(points, specs)
-        for rep in range(reps)
-    ]
-    ratios = single_service_ratios(sims)
+    trips = [(spec, (cfg.sim.seed ^ p) + rep) for (p, _, _), spec in zip(points, specs) for rep in range(reps)]
+    ratios = single_service_ratios(cfg.sim.capacities()[: cfg.sim.frames], trips)
     if None in ratios:
         _, rate, m = points[ratios.index(None) // reps]
         raise RuntimeError(f"no arrivals in fig3 run at m={m} lambda={rate:g}; grid point unusable")

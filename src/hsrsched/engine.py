@@ -9,9 +9,10 @@ served, dropped and deficit counts.  The trace keeps only what the run
 measured; the backlog and the float deficits are derived where they are
 written.  Runs are deterministic given the configuration.
 ``single_service_ratios`` gives the delivery ratios of one-service trips,
-each one lane of the FIFO kernel ``fifo_chunk``: a frame is a clamp on the
-count of packets gone, clamps compose, and so a chunk of frames runs as
-numpy steps over blocks of frames and all lanes at once.
+each a service and a seed over one capacity sequence, run as one lane of
+the FIFO kernel ``fifo_chunk``: a frame is a clamp on the count of packets
+gone, clamps compose, and so a chunk of frames runs as numpy steps over
+blocks of frames and all lanes at once.
 """
 
 from __future__ import annotations
@@ -340,28 +341,26 @@ def fifo_chunk(
     return drops
 
 
-def single_service_ratios(sims: list[SimConfig]) -> list[float | None]:
-    """Delivery ratio of each one-service trip of ``sims`` (``None`` where it
-    drew no arrivals), equal to ``run(sim).delivery_ratios()[0]`` under any
-    policy, as each serves a lone service oldest first.  Every trip is one
-    lane of ``fifo_chunk``, run a progress step of frames at a time; the
-    arrivals are drawn per step, one stream per rate and seed, and at most
+def single_service_ratios(caps: tuple[int, ...], trips: list[tuple[ServiceSpec, int]]) -> list[float | None]:
+    """Delivery ratio of each one-service trip, a (service, seed) pair of
+    ``trips`` over the frames of capacities ``caps`` (``None`` where it drew
+    no arrivals): ``run(sim).delivery_ratios()[0]`` under any policy, as
+    each serves a lone service oldest first.  Every trip is one lane of
+    ``fifo_chunk``, run a progress step of frames at a time; the arrivals
+    are drawn per step, one stream per rate and seed, and at most
     ``PROGRESS_LINES`` INFO lines report the progress."""
-    profiles = {(sim.trajectory, sim.radio, sim.capacity_override, sim.frames) for sim in sims}
-    if len(profiles) != 1 or any(len(sim.services) != 1 for sim in sims):
-        raise ValueError("single_service_ratios needs one-service trips of one capacity profile and length")
     start = time.perf_counter()
-    n, caps = sims[0].frames, sims[0].capacities()
+    n = len(caps)
     # the deadline does not change a trip's arrivals: one stream per rate and seed
-    keys = [(sim.services[0].arrival_rate, sim.seed) for sim in sims]
-    gens = {key: ArrivalGenerator(sim.services, sim.seed) for key, sim in zip(keys, sims)}
+    keys = [(spec.arrival_rate, seed) for spec, seed in trips]
+    gens = {key: ArrivalGenerator((spec,), seed) for key, (spec, seed) in zip(keys, trips)}
     row_of = {key: r for r, key in enumerate(gens)}
     rows = np.array([row_of[key] for key in keys])
-    deadlines = np.array([sim.services[0].deadline for sim in sims])
+    deadlines = np.array([spec.deadline for spec, _ in trips])
     pad = int(deadlines.max()) - 1
     # per stream: the arrivals through the pad + 1 frames before the chunk
     carried = np.zeros((len(gens), pad + 1), dtype=np.int64)
-    gone, dropped = np.zeros(len(sims), dtype=np.int64), np.zeros(len(sims), dtype=np.int64)
+    gone, dropped = np.zeros(len(trips), dtype=np.int64), np.zeros(len(trips), dtype=np.int64)
     # frames per kernel chunk and progress line, a multiple of CSV_CHUNK_ROWS
     log_every = -(-n // (PROGRESS_LINES * CSV_CHUNK_ROWS)) * CSV_CHUNK_ROWS
     for lo in range(0, n, log_every):
@@ -376,7 +375,7 @@ def single_service_ratios(sims: list[SimConfig]) -> list[float | None]:
         elapsed = time.perf_counter() - start
         logging.getLogger(__name__).info(
             "%d lockstep trips: frame %d/%d, %.1f s elapsed, ETA %.1f s",
-            len(sims), hi, n, elapsed, elapsed / hi * (n - hi),
+            len(trips), hi, n, elapsed, elapsed / hi * (n - hi),
         )
     totals = carried[rows, -1].tolist()
     return [None if a == 0 else (a - d) / a for a, d in zip(totals, dropped.tolist())]

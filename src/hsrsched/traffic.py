@@ -70,7 +70,10 @@ class ServiceSpec:
             raise ValueError("deadline must be at least one frame")
         if not 0.0 < self.delivery_ratio < 1.0:
             raise ValueError("delivery_ratio must be in (0, 1)")
-        if self.max_arrivals < math.ceil(self.arrival_rate):
+        # max_arrivals < ceil(rate) without the walk: this is the walk's first
+        # loop test (its first term is exp(-rate)), and no later count below
+        # ceil(rate) stops it, as each leaves a tail mass above 0.26
+        if 1.0 - math.exp(-self.arrival_rate) < TAIL_EPS:
             raise ValueError("burst bound below mean arrival rate: arrival_rate too small to draw any arrival")
 
     @cached_property

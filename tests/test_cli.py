@@ -739,10 +739,20 @@ def test_overrides_check_the_sweep_grid_once(tmp_path, monkeypatch):
     pmf = traffic.truncated_poisson_pmf
     monkeypatch.setattr(traffic, "truncated_poisson_pmf", lambda *args: walks.append(args) or pmf(*args))
     assert main(["fig3", FIG3_CONFIG, "--frames", "50", "--seed", "7", "--out", str(tmp_path / "f3")]) == EXIT_OK
-    # each ServiceSpec walks its pmf once: the base service, one per grid
-    # point the config checks, and one per grid point that its trips share
+    # checking a grid point walks no pmf; the base service's int64 check
+    # walks one, and each grid point's spec one that its trips share
     assert cfg.seeds_per_point > 1
-    assert len(walks) == 1 + 2 * points
+    assert len(walks) == 1 + points
+
+
+def test_run_walks_the_pmf_of_its_own_service_only(tmp_path, monkeypatch):
+    # configs/fig3.ini has a [sweep] grid that run checks and never draws from
+    assert parse_config(FIG3_CONFIG).sweep_rates
+    walks = []
+    pmf = traffic.truncated_poisson_pmf
+    monkeypatch.setattr(traffic, "truncated_poisson_pmf", lambda *args: walks.append(args) or pmf(*args))
+    assert main(["run", FIG3_CONFIG, "--frames", "50", "--out", str(tmp_path / "r")]) == EXIT_OK
+    assert walks == [(90.0,)]
 
 
 def test_capacity_override_beyond_int64_is_a_config_error(tmp_path, capsys):

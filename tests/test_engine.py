@@ -382,6 +382,11 @@ def test_engine_conservation_laws(policy, params, table1_traj, table1_radio, run
             assert num == y * allowance.denominator
 
 
+def _trips(sims):
+    """The (service, seed) pair of each one-service config of ``sims``."""
+    return [(sim.services[0], sim.seed) for sim in sims]
+
+
 @st.composite
 def _lockstep_grids(draw):
     """One-service trips on one capacity profile and frame count, with mixed
@@ -407,7 +412,8 @@ def test_lockstep_ratios_equal_run_under_every_policy(grid, table1_traj, table1_
         )
         for m, rate, seed in trips
     ]
-    for sim, ratio in zip(sims, single_service_ratios(sims), strict=True):
+    ratios = single_service_ratios(sims[0].capacities()[:frames], _trips(sims))
+    for sim, ratio in zip(sims, ratios, strict=True):
         for policy in SCHEDULER_POLICIES:
             assert run(replace(sim, scheduler=policy)).delivery_ratios() == [ratio]
 
@@ -443,7 +449,7 @@ def test_lockstep_deadline_one_drops_the_excess_of_each_frame(table1_traj, table
     a = _arrivals(sim)
     drops = sum(max(0, x - 120) for x in a)
     assert drops > 0
-    assert single_service_ratios([sim]) == [(sum(a) - drops) / sum(a)]
+    assert single_service_ratios((120,) * 700, _trips([sim])) == [(sum(a) - drops) / sum(a)]
 
 
 def test_lockstep_zero_capacity_drops_all_but_the_last_deadline(table1_traj, table1_radio):
@@ -451,12 +457,12 @@ def test_lockstep_zero_capacity_drops_all_but_the_last_deadline(table1_traj, tab
     m, n = 7, 600
     sim = _one_service(table1_traj, table1_radio, m, num_frames=n, capacity_override=0)
     total = np.cumsum(_arrivals(sim)).tolist()
-    assert single_service_ratios([sim]) == [(total[n - 1] - total[n - m]) / total[n - 1]]
+    assert single_service_ratios((0,) * n, _trips([sim])) == [(total[n - 1] - total[n - m]) / total[n - 1]]
 
 
 def test_lockstep_trip_shorter_than_its_deadline_drops_nothing(table1_traj, table1_radio):
     sim = _one_service(table1_traj, table1_radio, 8, num_frames=5, capacity_override=0)
-    assert single_service_ratios([sim]) == [1.0]
+    assert single_service_ratios((0,) * 5, _trips([sim])) == [1.0]
 
 
 def test_service_without_arrivals_reads_not_applicable(table1_traj, table1_radio):
@@ -466,7 +472,7 @@ def test_service_without_arrivals_reads_not_applicable(table1_traj, table1_radio
     assert trace.arrivals.sum() == 0
     assert trace.delivery_ratios() == [None]
     assert trace.summary_text().splitlines()[-1].endswith(", delivery_ratio = n/a")
-    assert single_service_ratios([sim]) == [None]
+    assert single_service_ratios(sim.capacities()[:5], _trips([sim])) == [None]
 
 
 def test_lockstep_mixed_deadlines_across_chunk_boundaries(table1_traj, table1_radio):
@@ -482,7 +488,7 @@ def test_lockstep_mixed_deadlines_across_chunk_boundaries(table1_traj, table1_ra
         a = _arrivals(sim)
         expected.append((sum(a) - _fifo_drops(a, 120, sim.services[0].deadline)) / sum(a))
     assert len(set(expected[:2] + expected[3:5])) == 4
-    assert single_service_ratios(sims) == expected
+    assert single_service_ratios((120,) * 1030, _trips(sims)) == expected
 
 
 def _fifo_steps(arrivals, capacities, m):
@@ -546,16 +552,8 @@ def test_lockstep_capacity_near_int64_limit_drops_nothing(capacity):
     # every frame's capacity exceeds all arrivals so far; summing it unchecked
     # over a block would wrap around int64
     cfg = parse_config(SWEEP_CONFIG)
-    sims = [
-        replace(
-            cfg.sim,
-            services=(replace(cfg.sim.services[0], deadline=m),),
-            num_frames=3000,
-            capacity_override=capacity,
-        )
-        for m in (1, 10)
-    ]
-    assert single_service_ratios(sims) == [1.0, 1.0]
+    trips = [(replace(cfg.sim.services[0], deadline=m), cfg.sim.seed) for m in (1, 10)]
+    assert single_service_ratios((capacity,) * 3000, trips) == [1.0, 1.0]
 
 
 @pytest.mark.parametrize(
@@ -568,11 +566,11 @@ def test_lockstep_memory_is_bounded_by_chunk_and_lane_group(config, trips, bound
     cfg.sim.capacities()  # the profile is cached; build it outside the trace
     peaks = []
 
-    def traced(sims):
+    def traced(caps, lanes):
         tracemalloc.start()
         try:
-            ratios = single_service_ratios(sims)
-            peaks.append((len(sims), tracemalloc.get_traced_memory()[1]))
+            ratios = single_service_ratios(caps, lanes)
+            peaks.append((len(lanes), tracemalloc.get_traced_memory()[1]))
         finally:
             tracemalloc.stop()
         return ratios
@@ -582,16 +580,3 @@ def test_lockstep_memory_is_bounded_by_chunk_and_lane_group(config, trips, bound
     [(n, peak)] = peaks
     assert n == trips
     assert peak < bound, f"{trips} trips traced {peak} bytes"
-
-
-def test_lockstep_rejects_trips_that_cannot_share_a_loop(table1_traj, table1_radio, two_services):
-    one = _config(table1_traj, table1_radio, two_services[:1], num_frames=10)
-    with pytest.raises(ValueError, match="single_service_ratios needs"):
-        single_service_ratios([])
-    for other in (
-        _config(table1_traj, table1_radio, two_services, num_frames=10),
-        replace(one, num_frames=11),
-        replace(one, capacity_override=5),
-    ):
-        with pytest.raises(ValueError, match="single_service_ratios needs"):
-            single_service_ratios([one, other])

@@ -28,7 +28,9 @@ from hsrsched.analysis import (
 )
 from hsrsched.cli import parse_config
 
-MIXED_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "configs", "mixed.ini")
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
+MIXED_CONFIG = os.path.join(REPO, "perfbench", "configs", "mixed.ini")
+TABLE1_CONFIG = os.path.join(REPO, "configs", "table1_fig2.ini")
 
 
 def _spec(rate=10.0, deadline=2, q=0.9):
@@ -160,10 +162,16 @@ def test_allocate_grants_every_prefix_its_min_cut_rank(inputs):
     assert _first_rank_mismatch(order, rows, available, grants) is None
 
 
-def test_every_planner_call_of_a_mixed_deadline_trip_grants_min_cut_ranks(monkeypatch):
-    # dcsa over perfbench/configs/mixed.ini (deadlines 2, 5 and 10) at its
-    # seed 42: the dcsa closure looks allocate_cohorts up at each call, and
-    # a wrapped decide tells the recording which frame it belongs to
+@pytest.mark.parametrize(
+    "config, contended",
+    [(MIXED_CONFIG, 7861), (TABLE1_CONFIG, 23653)],
+    ids=["mixed.ini", "table1_fig2.ini"],
+)
+def test_every_planner_call_of_a_mixed_deadline_trip_grants_min_cut_ranks(config, contended, monkeypatch):
+    # dcsa at seed 42 over perfbench/configs/mixed.ini (deadlines 2, 5 and
+    # 10) and over the shipped configs/table1_fig2.ini (both deadlines 10):
+    # the dcsa closure looks allocate_cohorts up at each call, and a wrapped
+    # decide tells the recording which frame it belongs to
     frame = [None]
     calls = []
 
@@ -183,11 +191,11 @@ def test_every_planner_call_of_a_mixed_deadline_trip_grants_min_cut_ranks(monkey
 
     monkeypatch.setattr(schedulers, "allocate_cohorts", recorded)
     monkeypatch.setattr(engine, "make_scheduler", framed)
-    sim = parse_config(MIXED_CONFIG).sim
+    sim = parse_config(config).sim
     assert (sim.scheduler, sim.seed) == ("dcsa", 42)
     run(sim)
-    # the frames where services contend, of 15,000
-    assert len(calls) == 7861
+    # the frames where services contend, of 15,000 and of 30,000
+    assert len(calls) == contended
     for k, order, rows, available, grants in calls:
         assert [len(granted) for granted in grants] == [len(row) for row in rows], f"frame {k}"
         mismatch = _first_rank_mismatch(order, rows, available, grants)

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsrsched import (
     ArrivalGenerator,
@@ -87,6 +89,41 @@ def test_service_spec_validation():
         ServiceSpec(arrival_rate=10.0, deadline=5, delivery_ratio=1.0)
     with pytest.raises(ValueError):
         ServiceSpec(arrival_rate=10.0, deadline=5, delivery_ratio=0.0)
+
+
+def test_building_a_service_walks_no_pmf(monkeypatch):
+    def walk(rate):
+        raise AssertionError(f"walked the pmf of rate {rate}")
+
+    monkeypatch.setattr(traffic, "truncated_poisson_pmf", walk)
+    # 1e9's walk would take about a billion steps; 1e-7 is the tiny-rate error
+    for rate in (130.0, 1e9):
+        ServiceSpec(arrival_rate=rate, deadline=5, delivery_ratio=0.9)
+    with pytest.raises(ValueError, match="burst bound below mean arrival rate"):
+        ServiceSpec(arrival_rate=1e-7, deadline=5, delivery_ratio=0.9)
+    # the pmf is walked when it is first read
+    spec = ServiceSpec(arrival_rate=130.0, deadline=5, delivery_ratio=0.9)
+    with pytest.raises(AssertionError, match="rate 130.0"):
+        spec.max_arrivals
+
+
+# the rate where 1 - exp(-rate) crosses TAIL_EPS
+_TINY_RATE_EDGE = -math.log1p(-1e-6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rate=st.one_of(
+        st.floats(math.log(1e-9), math.log(1e4)).map(math.exp),
+        st.floats(_TINY_RATE_EDGE * (1 - 1e-9), _TINY_RATE_EDGE * (1 + 1e-9)),
+    )
+)
+def test_tiny_rate_check_agrees_with_the_walk(rate):
+    if len(truncated_poisson_pmf(rate)) - 1 < math.ceil(rate):
+        with pytest.raises(ValueError, match="burst bound below mean arrival rate"):
+            ServiceSpec(arrival_rate=rate, deadline=1, delivery_ratio=0.9)
+    else:
+        ServiceSpec(arrival_rate=rate, deadline=1, delivery_ratio=0.9)
 
 
 def test_spec_derived_quantities():
