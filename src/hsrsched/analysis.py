@@ -10,15 +10,16 @@ no tolerance for a fault to hide behind, and no round-off to fake one.
 The oracle enumerates the feasible lifetime allocations of one frame's queued
 cohorts and returns a drop vector of minimal integer-weighted sum; the
 lexicographically smallest drop vector under a priority order is the weighted
-minimum for radix weights along that order.  It is deliberately independent
-of the scheduler code it is used to audit.
+minimum for radix weights along that order.  It takes the planner's bucket
+rows and returns drops in their layout, but its search is deliberately
+independent of the scheduler code it is used to audit.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -129,50 +130,52 @@ def check_lemma1(trace: TraceLog) -> dict:
     return {"check": "lemma1", "passed": all(s["prefix_ok"] for s in services), "services": services}
 
 
-def _check_oracle_guard(weights, arrivals, deadlines, available) -> None:
-    if len(weights) > ORACLE_MAX_SERVICES:
-        raise ValueError("instance too large for exhaustive search (keys)")
-    for key in weights:
-        if deadlines[key] > ORACLE_MAX_DEADLINE:
+def brute_force_min_weighted_drops(
+    rows: Sequence[Sequence[int]], weights: Sequence[Sequence[int]], available: Sequence[int]
+) -> list:
+    """A drop vector of minimal weighted sum over all feasible allocations.
+
+    ``rows[j][i]`` holds service j's packets with i + 1 frames to go, as the
+    planner's rows do, and ``weights[j][i]`` is that cell's non-negative
+    integer weight.  The search places the non-empty cells by descending
+    weight and prunes any branch whose partial sum already reaches the best
+    found.  ``available`` is the per-offset free capacity.  The drops return
+    as ``drops[j][i]``, zero on every empty cell.  Instances beyond the guard
+    bounds are refused: more than ``ORACLE_MAX_SERVICES`` non-empty cells,
+    or one beyond the deadline, arrivals or capacity bound.
+    """
+    cells = [(j, i) for j, row in enumerate(rows) for i, a in enumerate(row) if a]
+    if len(cells) > ORACLE_MAX_SERVICES:
+        raise ValueError("instance too large for exhaustive search (cohorts)")
+    for j, i in cells:
+        if i >= ORACLE_MAX_DEADLINE:
             raise ValueError("instance too large for exhaustive search (deadline)")
-        if arrivals[key] > ORACLE_MAX_ARRIVALS:
+        if rows[j][i] > ORACLE_MAX_ARRIVALS:
             raise ValueError("instance too large for exhaustive search (arrivals)")
-        if weights[key] < 0:
+        if weights[j][i] < 0:
             raise ValueError("oracle weights must be non-negative")
     if any(c > ORACLE_MAX_CAPACITY for c in available):
         raise ValueError("instance too large for exhaustive search (capacity)")
-
-
-def brute_force_min_weighted_drops(
-    weights: Mapping, arrivals: Mapping, deadlines: Mapping, available: Sequence[int]
-) -> dict:
-    """A drop vector of minimal weighted sum over all feasible allocations.
-
-    ``weights`` maps each key (``verify`` passes cohorts keyed (position, r))
-    to a non-negative integer weight; the search places keys by descending
-    weight and prunes any branch whose partial sum already reaches the best
-    found.  ``available`` is the per-offset free capacity.  Instances beyond
-    the guard bounds are refused.
-    """
-    _check_oracle_guard(weights, arrivals, deadlines, available)
-    order = sorted(weights, key=lambda key: -weights[key])
+    cells.sort(key=lambda cell: -weights[cell[0]][cell[1]])
     # dropping every packet is feasible, so the first complete branch beats this
-    best_cost = sum(weights[key] * arrivals[key] for key in order) + 1
-    best: list[int] = []
+    best_cost = sum(weights[j][i] * rows[j][i] for j, i in cells) + 1
+    best: list[list[int]] = []
+    drops = [[0] * len(row) for row in rows]
 
-    def place(idx: int, caps: list[int], drops: list[int], cost: int) -> None:
+    def place(idx: int, caps: list[int], cost: int) -> None:
         nonlocal best, best_cost
         if cost >= best_cost:
             return
-        if idx == len(order):
-            best, best_cost = drops, cost
+        if idx == len(cells):
+            best, best_cost = [row.copy() for row in drops], cost
             return
-        key = order[idx]
-        m, total = deadlines[key], arrivals[key]
+        j, i = cells[idx]
+        m, total, weight = i + 1, rows[j][i], weights[j][i]
 
         def spread(offset: int, left: int, caps2: list[int]) -> None:
             if offset == m:
-                place(idx + 1, caps2, drops + [left], cost + weights[key] * left)
+                drops[j][i] = left
+                place(idx + 1, caps2, cost + weight * left)
                 return
             for x in range(min(left, caps2[offset]), -1, -1):
                 nxt = caps2.copy()
@@ -181,24 +184,27 @@ def brute_force_min_weighted_drops(
 
         spread(0, total, caps)
 
-    place(0, list(available), [], 0)
-    return dict(zip(order, best))
+    place(0, list(available), 0)
+    return best
 
 
-def brute_force_lex_min_drops(
-    order: Sequence, arrivals: Mapping, deadlines: Mapping, available: Sequence[int]
-) -> dict:
+def brute_force_lex_min_drops(order: Sequence[int], rows: Sequence[Sequence[int]], available: Sequence[int]) -> list:
     """Lexicographically minimal drop vector over all feasible allocations.
 
-    ``order`` lists the keys from highest to lowest priority; the returned
-    drops are compared position by position in that order.  The guard caps
-    every drop at ``ORACLE_MAX_ARRIVALS``, so under radix weights along the
-    order the weighted sum reads the drop vector as a numeral in base
-    ``ORACLE_MAX_ARRIVALS + 1``, and its minimum is the lexicographic one.
+    It takes ``allocate_cohorts``' arguments and returns drops in the layout
+    of ``rows``; the non-empty cohorts are compared by their service's place
+    in ``order`` (highest priority first), then by ascending window.  The
+    guard caps every drop at ``ORACLE_MAX_ARRIVALS``, so under radix weights
+    along that cohort order the weighted sum reads the drop vector as a
+    numeral in base ``ORACLE_MAX_ARRIVALS + 1``, and its minimum is the
+    lexicographic one.
     """
     radix = ORACLE_MAX_ARRIVALS + 1
-    weights = {key: radix ** (len(order) - 1 - i) for i, key in enumerate(order)}
-    return brute_force_min_weighted_drops(weights, arrivals, deadlines, available)
+    cells = [(j, i) for j in order for i, a in enumerate(rows[j]) if a]
+    weights = [[0] * len(row) for row in rows]
+    for k, (j, i) in enumerate(cells):
+        weights[j][i] = radix ** (len(cells) - 1 - k)
+    return brute_force_min_weighted_drops(rows, weights, available)
 
 
 @dataclass(frozen=True)
@@ -212,14 +218,6 @@ class OracleInstance:
     rows: list[list[int]]
     available: tuple[int, ...]
     weights: tuple[int, ...]
-
-    def cohorts(self) -> tuple[list, dict, dict, dict]:
-        """The oracle's view: the non-empty cohorts keyed (position, r) by
-        service priority and then ascending r, their packets, their windows
-        (r) and their service's weights."""
-        keys = [(j, i + 1) for j in self.order for i, a in enumerate(self.rows[j]) if a]
-        packets = {(j, r): self.rows[j][r - 1] for j, r in keys}
-        return keys, packets, {k: k[1] for k in keys}, {k: self.weights[k[0]] for k in keys}
 
 
 def random_oracle_instances(seed: int, count: int) -> list[OracleInstance]:
@@ -251,10 +249,10 @@ def oracle_agreement(seed: int, count: int) -> dict:
     """Compare the deficit-driven policy's planning step against the
     brute-force oracle on randomized guarded instances.
 
-    The policy grants the instance's bucket rows in service priority order;
-    the oracle searches over the non-empty cohorts keyed (position, r).
-    ``lex_agreed`` counts instances where the policy's drop vector equals the
-    lexicographic minimum for the cohort order; ``weighted_agreed`` counts
+    The policy grants the instance's bucket rows in service priority order,
+    and both searches take the same rows.  ``lex_agreed`` counts instances
+    where the policy's drops, ``rows`` less its grants, equal the
+    lexicographic minimum for that order; ``weighted_agreed`` counts
     instances where its weighted drop sum, each cohort weighted as its
     service, equals the minimum, compared as integers.  ``first_mismatch`` is
     the first instance that fails either count, as a dict of positions and
@@ -268,12 +266,11 @@ def oracle_agreement(seed: int, count: int) -> dict:
     instances = random_oracle_instances(seed, count)
     for inst in instances:
         grants = allocate_cohorts(inst.order, inst.rows, inst.available)
-        keys, packets, windows, weights = inst.cohorts()
-        policy_drops = {(j, r): a - grants[j][r - 1] for (j, r), a in packets.items()}
-        frame = (packets, windows, inst.available)
-        lex_ok = policy_drops == brute_force_lex_min_drops(keys, *frame)
-        best = brute_force_min_weighted_drops(weights, *frame)
-        weighted_ok = sum(w * (policy_drops[k] - best[k]) for k, w in weights.items()) == 0
+        policy_drops = [[a - g for a, g in zip(row, granted)] for row, granted in zip(inst.rows, grants)]
+        lex_ok = policy_drops == brute_force_lex_min_drops(inst.order, inst.rows, inst.available)
+        weights = [[w] * len(row) for w, row in zip(inst.weights, inst.rows)]
+        best = brute_force_min_weighted_drops(inst.rows, weights, inst.available)
+        weighted_ok = sum(w * (sum(p) - sum(b)) for w, p, b in zip(inst.weights, policy_drops, best)) == 0
         lex_agreed += lex_ok
         weighted_agreed += weighted_ok
         if not (lex_ok and weighted_ok) and first_mismatch is None:

@@ -348,7 +348,8 @@ def single_service_ratios(caps: tuple[int, ...], trips: list[tuple[ServiceSpec, 
     each serves a lone service oldest first.  Every trip is one lane of
     ``fifo_chunk``, run a progress step of frames at a time; the arrivals
     are drawn per step, one stream per rate and seed, and at most
-    ``PROGRESS_LINES`` INFO lines report the progress."""
+    ``PROGRESS_LINES`` INFO lines report the progress.  Both ``caps`` and
+    ``trips`` must be non-empty, as ``cli.fig3_rows`` guarantees."""
     start = time.perf_counter()
     n = len(caps)
     # the deadline does not change a trip's arrivals: one stream per rate and seed

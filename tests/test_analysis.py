@@ -249,82 +249,109 @@ def test_lemma1_rejects_empty_trace():
 
 
 def test_oracle_zero_drops_when_capacity_ample():
-    drops = brute_force_lex_min_drops([1, 2], {1: 3, 2: 3}, {1: 2, 2: 2}, [6, 6])
-    assert drops == {1: 0, 2: 0}
+    drops = brute_force_lex_min_drops([0, 1], [[0, 3], [0, 3]], [6, 6])
+    assert drops == [[0, 0], [0, 0]]
 
 
 def test_oracle_single_service_spill():
-    assert brute_force_lex_min_drops([1], {1: 5}, {1: 2}, [3, 2]) == {1: 0}
+    assert brute_force_lex_min_drops([0], [[0, 5]], [3, 2]) == [[0, 0]]
 
 
 def test_oracle_matches_policy_on_shared_single_frame():
-    order, arrivals, deadlines, avail = [1, 0], {0: 4, 1: 4}, {0: 1, 1: 1}, [5]
-    oracle = brute_force_lex_min_drops(order, arrivals, deadlines, avail)
-    assert oracle == {1: 0, 0: 3}
-    grants = allocate_cohorts(order, [[4], [4]], avail)
-    assert {j: arrivals[j] - grants[j][0] for j in order} == oracle
+    order, rows, avail = [1, 0], [[4], [4]], [5]
+    oracle = brute_force_lex_min_drops(order, rows, avail)
+    assert oracle == [[3], [0]]
+    grants = allocate_cohorts(order, rows, avail)
+    assert [[a - g for a, g in zip(row, granted)] for row, granted in zip(rows, grants)] == oracle
 
 
 def test_oracle_guard_refuses_large_instances():
-    with pytest.raises(ValueError):
-        brute_force_lex_min_drops([1, 2, 3, 4], {i: 1 for i in range(1, 5)}, {i: 1 for i in range(1, 5)}, [2])
-    with pytest.raises(ValueError):
-        brute_force_lex_min_drops([1], {1: 7}, {1: 2}, [2, 2])
-    with pytest.raises(ValueError):
-        brute_force_lex_min_drops([1], {1: 2}, {1: 4}, [2, 2, 2, 2])
-    with pytest.raises(ValueError):
-        brute_force_lex_min_drops([1], {1: 2}, {1: 2}, [7, 2])
+    with pytest.raises(ValueError, match=r"\(cohorts\)"):
+        brute_force_lex_min_drops([0, 1, 2, 3], [[1], [1], [1], [1]], [2])
+    # three services of one cohort each pass; a fourth cohort in one of them
+    # is refused, since the search's size grows with the cohorts it places
+    assert brute_force_lex_min_drops([0, 1, 2], [[1], [1], [1]], [2]) == [[0], [0], [1]]
+    with pytest.raises(ValueError, match=r"\(cohorts\)"):
+        brute_force_lex_min_drops([0, 1, 2], [[1, 1], [1], [1]], [2, 2])
+    with pytest.raises(ValueError, match=r"\(arrivals\)"):
+        brute_force_lex_min_drops([0], [[0, 7]], [2, 2])
+    with pytest.raises(ValueError, match=r"\(deadline\)"):
+        brute_force_lex_min_drops([0], [[0, 0, 0, 2]], [2, 2, 2, 2])
+    with pytest.raises(ValueError, match=r"\(capacity\)"):
+        brute_force_lex_min_drops([0], [[0, 2]], [7, 2])
 
 
 def test_weighted_minimum_hand_case():
     # one unit of capacity, two single-frame services: the heavier loses less
-    best = brute_force_min_weighted_drops({1: 5, 2: 1}, {1: 1, 2: 1}, {1: 1, 2: 1}, [1])
-    assert best == {1: 0, 2: 1}
-    best = brute_force_min_weighted_drops({1: 1, 2: 5}, {1: 1, 2: 1}, {1: 1, 2: 1}, [1])
-    assert best == {1: 1, 2: 0}
+    best = brute_force_min_weighted_drops([[1], [1]], [[5], [1]], [1])
+    assert best == [[0], [1]]
+    best = brute_force_min_weighted_drops([[1], [1]], [[1], [5]], [1])
+    assert best == [[1], [0]]
 
 
 def test_weighted_minimum_refuses_negative_weights():
     with pytest.raises(ValueError):
-        brute_force_min_weighted_drops({1: -1}, {1: 1}, {1: 1}, [1])
+        brute_force_min_weighted_drops([[1]], [[-1]], [1])
 
 
-def _reference_lex_min_drops(order, arrivals, deadlines, available):
-    """The lexicographic oracle as a direct search: tuples of drops compared
-    in priority order, pruned on any prefix above the best found."""
+def _reference_lex_min_drops(order, rows, available):
+    """The lexicographic oracle as a direct search over the cohorts by
+    service priority and then ascending window: tuples of drops compared in
+    that order, pruned on any prefix above the best found."""
+    cohorts = [(j, i) for j in order for i in range(len(rows[j])) if rows[j][i]]
     best = None
 
-    def place(sid_idx, caps, drops):
+    def place(idx, caps, drops):
         nonlocal best
         if best is not None and drops > best[: len(drops)]:
             return
-        if sid_idx == len(order):
+        if idx == len(cohorts):
             if best is None or drops < best:
                 best = list(drops)
             return
-        sid = order[sid_idx]
-        m, total = deadlines[sid], arrivals[sid]
+        j, i = cohorts[idx]
 
         def spread(offset, left, caps2):
-            if offset == m:
-                place(sid_idx + 1, caps2, drops + [left])
+            if offset > i:
+                place(idx + 1, caps2, drops + [left])
                 return
             for x in range(min(left, caps2[offset]), -1, -1):
                 nxt = caps2.copy()
                 nxt[offset] -= x
                 spread(offset + 1, left - x, nxt)
 
-        spread(0, total, caps)
+        spread(0, rows[j][i], caps)
 
     place(0, list(available), [])
-    return {sid: best[i] for i, sid in enumerate(order)}
+    out = [[0] * len(row) for row in rows]
+    for (j, i), d in zip(cohorts, best):
+        out[j][i] = d
+    return out
+
+
+def _policy_drops(inst):
+    grants = allocate_cohorts(inst.order, inst.rows, inst.available)
+    return [[a - g for a, g in zip(row, granted)] for row, granted in zip(inst.rows, grants)]
 
 
 def test_radix_weighted_lex_oracle_equals_direct_lex_search():
     for inst in random_oracle_instances(1, 1000):
-        keys, packets, windows, _ = inst.cohorts()
-        frame = (packets, windows, inst.available)
-        assert brute_force_lex_min_drops(keys, *frame) == _reference_lex_min_drops(keys, *frame)
+        frame = (inst.order, inst.rows, inst.available)
+        assert brute_force_lex_min_drops(*frame) == _reference_lex_min_drops(*frame)
+
+
+def test_both_searches_return_the_planners_row_layout():
+    for inst in random_oracle_instances(42, 1000):
+        weights = [[w] * len(row) for w, row in zip(inst.weights, inst.rows)]
+        lex = brute_force_lex_min_drops(inst.order, inst.rows, inst.available)
+        best = brute_force_min_weighted_drops(inst.rows, weights, inst.available)
+        for drops in (lex, best):
+            assert type(drops) is list and all(type(row) is list for row in drops)
+            assert [len(row) for row in drops] == [len(row) for row in inst.rows]
+            # at most each cell's packets, so zero on every empty cell
+            for row, dropped in zip(inst.rows, drops):
+                assert all(0 <= d <= a for a, d in zip(row, dropped))
+        assert lex == _policy_drops(inst)
 
 
 def test_random_instance_weights_are_integers_descending_along_order():
@@ -338,14 +365,10 @@ def test_random_instance_weights_are_integers_descending_along_order():
 def test_random_instances_hold_several_cohorts_per_service_within_the_guard():
     several = 0
     for inst in random_oracle_instances(5, 300):
-        keys, packets, windows, weights = inst.cohorts()
         assert 1 <= len(inst.order) <= ORACLE_MAX_SERVICES
         assert sum(a > 0 for row in inst.rows for a in row) <= ORACLE_MAX_SERVICES
         assert all(1 <= len(row) <= ORACLE_MAX_DEADLINE for row in inst.rows)
         assert len(inst.available) == max(map(len, inst.rows))
-        # cohorts by service priority, then ascending frames to go
-        assert keys == sorted(keys, key=lambda k: (inst.order.index(k[0]), k[1]))
-        assert all(weights[k] == inst.weights[k[0]] and windows[k] == k[1] for k in keys)
         several += any(sum(a > 0 for a in row) > 1 for row in inst.rows)
     assert several > 50
 
@@ -363,7 +386,7 @@ def test_oracle_report_fails_on_weighted_disagreement(monkeypatch):
     # lexicographic agreement alone does not pass: an oracle that calls every
     # drop avoidable disagrees on weight wherever the planner drops
     monkeypatch.setattr(analysis, "brute_force_lex_min_drops", _reference_lex_min_drops)
-    monkeypatch.setattr(analysis, "brute_force_min_weighted_drops", lambda weights, *_: dict.fromkeys(weights, 0))
+    monkeypatch.setattr(analysis, "brute_force_min_weighted_drops", lambda rows, *_: [[0] * len(r) for r in rows])
     report = oracle_agreement(3, 50)
     assert report["lex_agreed"] == report["total"] == 50
     assert report["weighted_agreed"] < 50
@@ -402,13 +425,11 @@ def test_oracle_agreement_on_equal_deadline_instances():
     agreed = 0
     total = 0
     for inst in random_oracle_instances(77, 300):
-        keys, packets, windows, _ = inst.cohorts()
-        if len(set(windows.values())) != 1:
+        windows = {i + 1 for row in inst.rows for i, a in enumerate(row) if a}
+        if len(windows) != 1:
             continue
         total += 1
-        grants = allocate_cohorts(inst.order, inst.rows, inst.available)
-        drops = {(j, r): a - grants[j][r - 1] for (j, r), a in packets.items()}
-        if drops == brute_force_lex_min_drops(keys, packets, windows, inst.available):
+        if _policy_drops(inst) == brute_force_lex_min_drops(inst.order, inst.rows, inst.available):
             agreed += 1
     assert total > 50
     assert agreed == total

@@ -646,13 +646,13 @@ def test_cmd_verify_prints_the_first_oracle_mismatch(tmp_path, capsys, monkeypat
     assert asdict(instance) == witness
     seed = parse_config(DEFAULT_CONFIG).sim.seed
     assert witness in [json.loads(json.dumps(asdict(i))) for i in random_oracle_instances(seed, n)]
-    grants = allocate_cohorts(witness["order"], witness["rows"], witness["available"])
-    keys, packets, windows, weights = instance.cohorts()
-    drops = {(j, r): a - grants[j][r - 1] for (j, r), a in packets.items()}
-    frame = (packets, windows, instance.available)
-    assert drops == brute_force_lex_min_drops(keys, *frame)
-    best = brute_force_min_weighted_drops(weights, *frame)
-    assert sum(w * (drops[k] - best[k]) for k, w in weights.items()) == 0
+    order, rows, available = witness["order"], witness["rows"], witness["available"]
+    grants = allocate_cohorts(order, rows, available)
+    drops = [[a - g for a, g in zip(row, granted)] for row, granted in zip(rows, grants)]
+    assert drops == brute_force_lex_min_drops(order, rows, available)
+    cell_weights = [[w] * len(row) for w, row in zip(witness["weights"], rows)]
+    best = brute_force_min_weighted_drops(rows, cell_weights, available)
+    assert sum(w * (sum(d) - sum(b)) for w, d, b in zip(witness["weights"], drops, best)) == 0
 
 
 def test_unknown_log_level_is_a_config_error(tmp_path, capsys, monkeypatch):

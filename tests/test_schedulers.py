@@ -22,7 +22,6 @@ from hsrsched.analysis import (
     ORACLE_MAX_CAPACITY,
     ORACLE_MAX_DEADLINE,
     ORACLE_MAX_SERVICES,
-    OracleInstance,
     brute_force_lex_min_drops,
     brute_force_min_weighted_drops,
 )
@@ -226,15 +225,13 @@ def test_allocate_matches_lexicographic_oracle(instance):
     order, rows, avail, weights = instance
     grants = allocate_cohorts(order, rows, avail)
     _assert_prefix_feasible(rows, grants, avail)
-    # the oracle's view: non-empty cohorts keyed (position, r), by service
-    # priority and then ascending r, each weighted as its service
-    instance = OracleInstance(tuple(order), rows, tuple(avail), weights)
-    keys, packets, windows, cohort_weights = instance.cohorts()
-    drops = {(j, r): a - grants[j][r - 1] for (j, r), a in packets.items()}
-    assert drops == brute_force_lex_min_drops(keys, packets, windows, avail)
-    # the lexicographic minimum is also a weighted minimum for such weights
-    best = brute_force_min_weighted_drops(cohort_weights, packets, windows, avail)
-    assert sum(w * (drops[k] - best[k]) for k, w in cohort_weights.items()) == 0
+    drops = [[a - g for a, g in zip(row, granted)] for row, granted in zip(rows, grants)]
+    assert drops == brute_force_lex_min_drops(order, rows, avail)
+    # the lexicographic minimum is also a weighted minimum for such weights,
+    # each cohort weighted as its service
+    cell_weights = [[w] * len(row) for w, row in zip(weights, rows)]
+    best = brute_force_min_weighted_drops(rows, cell_weights, avail)
+    assert sum(w * (sum(d) - sum(b)) for w, d, b in zip(weights, drops, best)) == 0
 
 
 class TestDcsa:
