@@ -26,6 +26,7 @@ import numpy as np
 from .engine import TraceLog
 
 ORACLE_MAX_SERVICES = 3
+ORACLE_MAX_COHORTS = 3
 ORACLE_MAX_DEADLINE = 3
 ORACLE_MAX_ARRIVALS = 6
 ORACLE_MAX_CAPACITY = 6
@@ -141,11 +142,11 @@ def brute_force_min_weighted_drops(
     weight and prunes any branch whose partial sum already reaches the best
     found.  ``available`` is the per-offset free capacity.  The drops return
     as ``drops[j][i]``, zero on every empty cell.  Instances beyond the guard
-    bounds are refused: more than ``ORACLE_MAX_SERVICES`` non-empty cells,
+    bounds are refused: more than ``ORACLE_MAX_COHORTS`` non-empty cells,
     or one beyond the deadline, arrivals or capacity bound.
     """
     cells = [(j, i) for j, row in enumerate(rows) for i, a in enumerate(row) if a]
-    if len(cells) > ORACLE_MAX_SERVICES:
+    if len(cells) > ORACLE_MAX_COHORTS:
         raise ValueError("instance too large for exhaustive search (cohorts)")
     for j, i in cells:
         if i >= ORACLE_MAX_DEADLINE:
@@ -233,7 +234,7 @@ def random_oracle_instances(seed: int, count: int) -> list[OracleInstance]:
         n_svc = int(rng.integers(1, ORACLE_MAX_SERVICES + 1))
         rows = [[0] * int(rng.integers(1, ORACLE_MAX_DEADLINE + 1)) for _ in range(n_svc)]
         cells = [(j, i) for j, row in enumerate(rows) for i in range(len(row))]
-        n_cells = int(rng.integers(1, min(ORACLE_MAX_SERVICES, len(cells)) + 1))
+        n_cells = int(rng.integers(1, min(ORACLE_MAX_COHORTS, len(cells)) + 1))
         for c in rng.choice(len(cells), n_cells, replace=False).tolist():
             rows[cells[c][0]][cells[c][1]] = int(rng.integers(1, ORACLE_MAX_ARRIVALS + 1))
         horizon = max(map(len, rows))

@@ -3,11 +3,12 @@
 A run's state is plain data: per service, deadline buckets (``row[i]`` holds
 the packets with i + 1 frames to go) and the exact deficit numerator.  Each
 frame executes, in order: admit sampled arrivals into the top buckets, take
-the scheduler's decision, check it, serve and age the buckets (unserved r = 1
-packets expire), update the deficit numerators and record the frame's
-served, dropped and deficit counts.  The trace keeps only what the run
-measured; the backlog and the float deficits are derived where they are
-written.  Runs are deterministic given the configuration.
+the scheduler's decision (packets per service), check it, serve it oldest
+first and age the buckets (unserved r = 1 packets expire), update the deficit
+numerators and record the frame's served, dropped and deficit counts.  The
+trace keeps only what the run measured; the backlog and the float deficits
+are derived where they are written.  Runs are deterministic given the
+configuration.
 ``single_service_ratios`` gives the delivery ratios of one-service trips,
 each a service and a seed over one capacity sequence, run as one lane of
 the FIFO kernel ``fifo_chunk``: a frame is a clamp on the count of packets
@@ -23,7 +24,6 @@ import time
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 
 import numpy as np
 
@@ -235,29 +235,27 @@ def run(config: SimConfig) -> TraceLog:
         for k, arrived in enumerate(arrivals[lo : lo + CSV_CHUNK_ROWS].tolist(), lo):
             for row, a in zip(buckets, arrived):
                 row[-1] = a
-            decision = decide(k, buckets, nums)
-            # the decision contract: row count, frame capacity, then each row's
-            # length and bucket bounds before the row is applied
-            if len(decision) != n_svc:
-                raise ContractViolation(f"frame {k}: {len(decision)} rows decided for {n_svc} services")
-            totals = list(map(sum, decision))
+            totals = decide(k, buckets, nums)
+            # the decision contract: one total per service, the frame
+            # capacity, then each total within what its service holds
+            if len(totals) != n_svc:
+                raise ContractViolation(f"frame {k}: {len(totals)} totals decided for {n_svc} services")
             if sum(totals) > caps[k]:
                 raise ContractViolation(f"frame {k}: served total {sum(totals)} exceeds frame capacity {caps[k]}")
-            for j, (row, served, total, (p, q)) in enumerate(zip(buckets, decision, totals, allowances)):
-                if len(served) != len(row):
-                    raise ContractViolation(f"frame {k}: service {j + 1}: {len(served)} counts, {len(row)} buckets")
-                # what each bucket keeps: the rest of r = 1 drops, the others age
-                left = list(map(sub, row, served))
-                if min(served) < 0 or min(left) < 0:
-                    i = next(i for i, (x, b) in enumerate(zip(served, row)) if not 0 <= x <= b)
-                    raise ContractViolation(
-                        f"frame {k}: service {j + 1}: served {served[i]} from bucket r={i + 1} holding {row[i]}"
-                    )
-                dropped = left.pop(0)
-                left.append(0)
+            for j, (row, x, (p, q)) in enumerate(zip(buckets, totals, allowances)):
+                if not 0 <= x <= sum(row):
+                    raise ContractViolation(f"frame {k}: service {j + 1}: served {x} of {sum(row)} queued")
+                # serve x oldest first: the rest of r = 1 drops, the others age
+                left = row[1:] + [0]
+                dropped = max(row[0] - x, 0)
+                rest, i = x - row[0], 0
+                while rest > 0:
+                    rest -= left[i]
+                    left[i] = max(-rest, 0)
+                    i += 1
                 buckets[j] = left
                 nums[j] = num = max(nums[j] - p, 0) + dropped * q
-                record.extend((total, dropped, num))
+                record.extend((x, dropped, num))
 
     served, drops, deficit_num = np.frombuffer(record, dtype=np.int64).reshape(n, n_svc, 3).transpose(2, 0, 1)
     return TraceLog(
@@ -345,7 +343,7 @@ def single_service_ratios(caps: tuple[int, ...], trips: list[tuple[ServiceSpec, 
     """Delivery ratio of each one-service trip, a (service, seed) pair of
     ``trips`` over the frames of capacities ``caps`` (``None`` where it drew
     no arrivals): ``run(sim).delivery_ratios()[0]`` under any policy, as
-    each serves a lone service oldest first.  Every trip is one lane of
+    each sends all a lone service can, oldest first.  Every trip is one lane of
     ``fifo_chunk``, run a progress step of frames at a time; the arrivals
     are drawn per step, one stream per rate and seed, and at most
     ``PROGRESS_LINES`` INFO lines report the progress.  Both ``caps`` and

@@ -4,9 +4,9 @@ A policy is its ``decide(frame, buckets, nums)``, a closure ``make_scheduler``
 builds once per run.  Given the frame index, each service's deadline buckets
 (``buckets[j][i]`` holds service j's packets with i + 1 frames to go, this
 frame's arrivals already admitted) and exact deficit numerators in spec order,
-it returns one row of per-bucket transmission counts per service that never
-exceed any bucket content or the frame's capacity, read from the trip's
-capacities alone.
+it returns per service the packets it sends this frame, never more than the
+service holds nor, summed, than the frame's capacity, read from the trip's
+capacities alone.  The engine serves each total oldest first.
 
 There are two kinds.  A fixed-order policy (round robin, EDF) serves the
 buckets in cell orders built before the trip, taken in turn by frame.  The
@@ -80,8 +80,8 @@ SCHEDULER_POLICIES = ("dcsa", "rr", "edf")
 
 def make_scheduler(policy: str, specs: Sequence[ServiceSpec], capacities: Sequence[int]) -> Callable:
     """The named policy's ``decide(frame, buckets, nums)`` over the trip's
-    ``capacities``: row j serves ``buckets[j]``, ``row[i]`` packets from bucket
-    r = i + 1; ``nums[j]`` is service j's deficit times its allowance's denominator."""
+    ``capacities``: entry j of a decision is the packets ``buckets[j]`` sends;
+    ``nums[j]`` is service j's deficit times its allowance's denominator."""
     if policy not in SCHEDULER_POLICIES:
         raise ValueError(f"unknown scheduler policy {policy!r}; expected one of {SCHEDULER_POLICIES}")
     deadlines = [s.deadline for s in specs]
@@ -92,19 +92,19 @@ def make_scheduler(policy: str, specs: Sequence[ServiceSpec], capacities: Sequen
     cells = [(j, i) for i in range(horizon) for j, m in enumerate(deadlines) if i < m]
 
     def serve(order, rows, frame):
-        """Serve ``rows[j][i]`` packets cell by cell in the order of ``order``,
-        (position j, bucket i) pairs, until the frame's capacity runs out."""
-        served = [[0] * m for m in deadlines]
+        """The packets each position j sends: ``rows[j][i]`` taken cell by
+        cell along ``order``'s (j, i) pairs until the capacity runs out."""
+        totals = [0] * len(deadlines)
         left = caps[frame]
         for j, i in order:
             x = rows[j][i]
             if x:
                 if x >= left:
-                    served[j][i] = left
+                    totals[j] += left
                     break
-                served[j][i] = x
+                totals[j] += x
                 left -= x
-        return served
+        return totals
 
     if policy != "dcsa":
         if policy == "rr":

@@ -6,8 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import hsrsched.engine as engine_mod
-from hsrsched import RadioConfig, ServiceSpec, TrajectoryConfig, make_scheduler, run
+from hsrsched import RadioConfig, ServiceSpec, TrajectoryConfig, run
 from hsrsched.cli import parse_config
 
 # hypothesis's pytest plugin imports this module when a property test fails,
@@ -26,6 +25,24 @@ with warnings.catch_warnings():
 def backlog(trace):
     """What the buckets hold after each frame of ``trace``: every arrival not yet served or dropped."""
     return np.cumsum(trace.arrivals - trace.served - trace.drops, axis=0)
+
+
+def fifo_drops(trace, deadlines):
+    """Each frame's drops as serving every service oldest first makes them,
+    recomputed from the arrivals, served and dropped columns of ``trace``
+    alone.  With A the running arrivals and G the running served plus
+    dropped, the packets of frames through k - m + 1 expire at frame k, so
+    it drops max(0, A[k - m + 1] - (G[k - 1] + served[k])).  Asserts first
+    that no frame serves more than its service holds, A[k] - G[k - 1]."""
+    arrived = np.cumsum(trace.arrivals, axis=0)
+    gone = np.cumsum(trace.served + trace.drops, axis=0)
+    served_through = np.vstack([np.zeros_like(gone[:1]), gone[:-1]]) + trace.served
+    assert (served_through <= arrived).all(), "a frame serves more than its service holds"
+    expected = np.zeros_like(trace.drops)
+    for j, m in enumerate(deadlines):
+        expired = np.concatenate([np.zeros(m - 1, dtype=np.int64), arrived[:, j]])[: trace.num_frames]
+        expected[:, j] = np.maximum(expired - served_through[:, j], 0)
+    return expected
 
 
 @pytest.fixture(scope="session")
@@ -60,47 +77,19 @@ def two_services():
 
 
 @pytest.fixture(scope="session")
-def run_recording_decisions():
-    """``run(config)`` that also returns every frame's decision, recorded by a
-    wrapper around the ``decide`` that ``engine.make_scheduler`` returns, as an
-    array ``[frame, service position, bucket]`` (zero past a service's deadline)."""
-
-    def go(config):
-        shape = (config.frames, len(config.services), max(s.deadline for s in config.services))
-        served = np.zeros(shape, dtype=np.int64)
-
-        def recording(policy, specs, capacities):
-            decide = make_scheduler(policy, specs, capacities)
-
-            def recorded(frame, buckets, nums):
-                rows = decide(frame, buckets, nums)
-                for j, row in enumerate(rows):
-                    served[frame, j, : len(row)] = row
-                return rows
-
-            return recorded
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine_mod, "make_scheduler", recording)
-            return run(config), served
-
-    return go
-
-
-@pytest.fixture(scope="session")
-def table1_run(run_recording_decisions):
-    """``table1_run(policy)``: the whole 30,000-frame trip of
+def table1_run():
+    """``table1_run(policy)``: the trace of the whole 30,000-frame trip of
     ``configs/table1_fig2.ini`` at its seed 42 under ``policy``, run once a
-    session, as ``run_recording_decisions`` returns it.  Every array is
-    read-only; a test that changes a trace copies it first."""
+    session.  Every array is read-only; a test that changes a trace copies
+    it first."""
     sim = parse_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "table1_fig2.ini")).sim
 
     @functools.cache
     def go(policy):
-        trace, served = run_recording_decisions(replace(sim, scheduler=policy))
-        for array in (trace.capacity, trace.arrivals, trace.served, trace.drops, trace.deficit_num, served):
+        trace = run(replace(sim, scheduler=policy))
+        for array in (trace.capacity, trace.arrivals, trace.served, trace.drops, trace.deficit_num):
             array.flags.writeable = False
-        return trace, served
+        return trace
 
     return go
 
@@ -108,4 +97,4 @@ def table1_run(run_recording_decisions):
 @pytest.fixture(scope="session")
 def table1_trace(table1_run):
     """The dcsa trip of ``table1_run``."""
-    return table1_run("dcsa")[0]
+    return table1_run("dcsa")

@@ -22,6 +22,7 @@ from hsrsched import (
     schedulers,
 )
 from hsrsched.analysis import (
+    ORACLE_MAX_COHORTS,
     ORACLE_MAX_DEADLINE,
     ORACLE_MAX_SERVICES,
     RATE_STABLE_THRESHOLD,
@@ -366,7 +367,7 @@ def test_random_instances_hold_several_cohorts_per_service_within_the_guard():
     several = 0
     for inst in random_oracle_instances(5, 300):
         assert 1 <= len(inst.order) <= ORACLE_MAX_SERVICES
-        assert sum(a > 0 for row in inst.rows for a in row) <= ORACLE_MAX_SERVICES
+        assert sum(a > 0 for row in inst.rows for a in row) <= ORACLE_MAX_COHORTS
         assert all(1 <= len(row) <= ORACLE_MAX_DEADLINE for row in inst.rows)
         assert len(inst.available) == max(map(len, inst.rows))
         several += any(sum(a > 0 for a in row) > 1 for row in inst.rows)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import hsrsched.cli as cli
 import hsrsched.engine as engine
-from conftest import backlog
+from conftest import backlog, fifo_drops
 from hsrsched import ContractViolation, ServiceSpec, SimConfig, build_capacity_profile, run
 from hsrsched.cli import fig3_rows, parse_config
 from hsrsched.engine import CSV_CHUNK_ROWS, INT64_MAX, fifo_chunk, single_service_ratios
@@ -78,7 +78,7 @@ def test_capacity_and_bucket_limits_hold(policy, table1_traj, table1_radio, two_
     assert (trace.served.sum(axis=1) <= trace.capacity).all()
 
 
-def test_cohort_drop_equivalence(table1_traj, table1_radio, two_services, run_recording_decisions):
+def test_cohort_drop_equivalence(table1_traj, table1_radio, two_services):
     # a mix of deadlines 2/5/10 gives each service a different ring length in
     # the dcsa planner and different bucket counts in the queues; both links
     # carry less than the offered load, so batches do drop
@@ -98,14 +98,12 @@ def test_cohort_drop_equivalence(table1_traj, table1_radio, two_services, run_re
                 num_frames=3000,
                 capacity_override=link,
             )
-            trace, bucket_served = run_recording_decisions(cfg)
+            trace = run(cfg)
             assert trace.drops.sum() > 0
-            for j, m in enumerate(s.deadline for s in services):
-                assert not bucket_served[:, j, m:].any()
-                for k in range(trace.num_frames - m + 1):
-                    lifetime = [int(bucket_served[k + i, j, m - 1 - i]) for i in range(m)]
-                    expected = int(trace.arrivals[k, j]) - sum(lifetime)
-                    assert expected == int(trace.drops[k + m - 1, j]), (policy, j, k)
+            # each batch drops what its oldest-first service left of it at expiry
+            expected = fifo_drops(trace, [s.deadline for s in services])
+            for j in range(len(services)):
+                assert (expected[:, j] == trace.drops[:, j]).all(), (policy, j)
 
 
 def _run_with(decide, table1_traj, table1_radio, services, monkeypatch):
@@ -118,7 +116,7 @@ def _run_with(decide, table1_traj, table1_radio, services, monkeypatch):
 
 def test_engine_rejects_overserving_scheduler(table1_traj, table1_radio, two_services, monkeypatch):
     def greedy(frame, buckets, nums):
-        return [[0] * (s.deadline - 1) + [10**6] for s in two_services]
+        return [10**6 for _ in two_services]
 
     with pytest.raises(ContractViolation, match=r"frame 0: served total 2000000 exceeds frame capacity \d+$"):
         _run_with(greedy, table1_traj, table1_radio, two_services, monkeypatch)
@@ -128,50 +126,39 @@ def test_engine_rejects_bucket_overserve_within_capacity(
     table1_traj, table1_radio, two_services, monkeypatch
 ):
     caps = _config(table1_traj, table1_radio, two_services, num_frames=10).capacities()
+    held = []
 
     def one_too_many(frame, buckets, nums):
-        """Serves the whole top bucket of service 1 plus one packet: within
-        the frame capacity, above the bucket."""
-        counts = [[0] * s.deadline for s in two_services]
-        counts[0][-1] = buckets[0][-1] + 1
-        assert sum(map(sum, counts)) <= caps[frame]
-        return counts
+        """Serves all that service 1 holds plus one packet: within the frame
+        capacity, above its buckets."""
+        held.append(sum(buckets[0]))
+        totals = [held[-1] + 1, 0]
+        assert sum(totals) <= caps[frame]
+        return totals
 
-    with pytest.raises(ContractViolation, match="from bucket r=10"):
+    with pytest.raises(ContractViolation) as info:
         _run_with(one_too_many, table1_traj, table1_radio, two_services, monkeypatch)
+    assert str(info.value) == f"frame 0: service 1: served {held[0] + 1} of {held[0]} queued"
 
 
 def test_engine_rejects_negative_served_count(table1_traj, table1_radio, two_services, monkeypatch):
     def negative(frame, buckets, nums):
-        counts = [[0] * s.deadline for s in two_services]
-        counts[1][0] = -1
-        return counts
+        return [0, -1]
 
-    with pytest.raises(ContractViolation, match="served -1"):
+    with pytest.raises(ContractViolation, match=r"frame 0: service 2: served -1 of \d+ queued$"):
         _run_with(negative, table1_traj, table1_radio, two_services, monkeypatch)
 
 
-@pytest.mark.parametrize("rows", [1, 3])
-def test_engine_rejects_wrong_row_count(rows, table1_traj, table1_radio, two_services, monkeypatch):
-    def wrong_rows(frame, buckets, nums):
-        """Decides nothing but with one row too few or too many, on the last
-        frame only."""
-        n = rows if frame == 9 else len(two_services)
-        return [[0] * 10 for _ in range(n)]
+@pytest.mark.parametrize("frame, count", [(9, 1), (9, 3), (4, 0), (4, 20)])
+def test_engine_rejects_wrong_total_count(frame, count, table1_traj, table1_radio, two_services, monkeypatch):
+    def wrong_count(k, buckets, nums):
+        """Decides nothing, but with the wrong number of totals on one frame:
+        one too few or too many on the last frame; none, or one per bucket
+        of both services, on frame 4."""
+        return [0] * (count if k == frame else len(two_services))
 
-    with pytest.raises(ContractViolation, match=f"frame 9: {rows} rows decided for 2 services"):
-        _run_with(wrong_rows, table1_traj, table1_radio, two_services, monkeypatch)
-
-
-@pytest.mark.parametrize("length", [9, 11])
-def test_engine_rejects_wrong_row_length(length, table1_traj, table1_radio, two_services, monkeypatch):
-    def wrong_length(frame, buckets, nums):
-        """Serves nothing, but gives service 2 one count too few or too many
-        on frame 4."""
-        return [[0] * 10, [0] * (length if frame == 4 else 10)]
-
-    with pytest.raises(ContractViolation, match=f"frame 4: service 2: {length} counts, 10 buckets"):
-        _run_with(wrong_length, table1_traj, table1_radio, two_services, monkeypatch)
+    with pytest.raises(ContractViolation, match=f"frame {frame}: {count} totals decided for 2 services"):
+        _run_with(wrong_count, table1_traj, table1_radio, two_services, monkeypatch)
 
 
 @pytest.mark.parametrize("policy", SCHEDULER_POLICIES)
@@ -349,7 +336,7 @@ def _small_runs(draw):
 @pytest.mark.parametrize("policy", SCHEDULER_POLICIES)
 @settings(max_examples=50, deadline=None)
 @given(params=_small_runs())
-def test_engine_conservation_laws(policy, params, table1_traj, table1_radio, run_recording_decisions):
+def test_engine_conservation_laws(policy, params, table1_traj, table1_radio):
     services, link, frames, seed = params
     cfg = _config(
         table1_traj,
@@ -360,18 +347,17 @@ def test_engine_conservation_laws(policy, params, table1_traj, table1_radio, run
         num_frames=frames,
         capacity_override=link,
     )
-    trace, bucket_served = run_recording_decisions(cfg)
-    assert (trace.served == bucket_served.sum(axis=2)).all()
+    trace = run(cfg)
+    assert (trace.served >= 0).all()
     assert (trace.served.sum(axis=1) <= trace.capacity).all()
     assert (trace.deficits(slice(None)) >= 0.0).all()
+    # each service is served oldest first, so the batch of frame k drops
+    # what is left of it at the end of frame k + m - 1
+    expected = fifo_drops(trace, [s.deadline for s in services])
     for j, m in enumerate(s.deadline for s in services):
         arrivals, served, drops = trace.arrivals[:, j], trace.served[:, j], trace.drops[:, j]
         assert arrivals.sum() == served.sum() + drops.sum() + backlog(trace)[-1, j]
-        # the batch of frame k is served from bucket r = m - i at frame k + i
-        # and its unserved rest drops at the end of frame k + m - 1
-        batches = max(frames - m + 1, 0)
-        lifetime = sum(bucket_served[i : i + batches, j, m - 1 - i] for i in range(m))
-        assert (arrivals[:batches] - lifetime == drops[m - 1 :]).all()
+        assert (expected[:, j] == drops).all()
         assert not drops[: m - 1].any()
         # the deficit numerators follow Y <- max(Y - allowance, 0) + drops in
         # exact rationals, frame by frame

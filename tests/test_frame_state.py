@@ -1,9 +1,11 @@
 """The frame state ``engine.run`` keeps per service: deadline buckets (entry i
 holds the packets with i + 1 frames to go) and the exact deficit numerator.
-Each case scripts one service's arrivals and the decision of every frame, and
-reads the buckets each decision saw and the trace the run left."""
+Each case scripts one service's arrivals and the decision of every frame (the
+packets it sends, which the engine serves oldest first), and reads the
+buckets each decision saw and the trace the run left."""
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -21,14 +23,14 @@ def _spec(deadline=1, rate=10.0, ratio=0.9):
 
 
 def _drive(traj, radio, spec, arrivals, decide=None):
-    """Run ``spec`` alone with ``arrivals[k]`` admitted at frame k, serving
-    ``decide(frame, row)`` (nothing by default) on an unlimited link; returns
-    the trace and the bucket row each decision saw."""
+    """Run ``spec`` alone with ``arrivals[k]`` admitted at frame k, deciding
+    ``decide(frame, row)``, a list of totals (nothing served by default), on
+    an unlimited link; returns the trace and the bucket row each decision saw."""
     seen = []
 
     def scripted(frame, buckets, nums):
         seen.append(list(buckets[0]))
-        return [decide(frame, list(buckets[0])) if decide else [0] * spec.deadline]
+        return decide(frame, list(buckets[0])) if decide else [0]
 
     class Arrivals:
         def __init__(self, specs, seed):
@@ -66,7 +68,8 @@ def test_admit_places_arrivals_in_top_bucket(table1_traj, table1_radio):
 
 
 def test_serve_and_age_hand_case(table1_traj, table1_radio):
-    trace, seen = _drive(table1_traj, table1_radio, _spec(2), [3, 5], lambda k, row: [3, 2] if k else [0, 0])
+    # frame 1 sends 5: the 3 packets with 1 frame to go, then 2 of the 5 with 2
+    trace, seen = _drive(table1_traj, table1_radio, _spec(2), [3, 5], lambda k, row: [5 if k else 0])
     assert seen[1] == [3, 5]
     assert trace.drops[1, 0] == 0
     assert backlog(trace)[1, 0] == 3
@@ -88,14 +91,14 @@ def test_empty_queue_stays_empty(table1_traj, table1_radio):
 
 def test_serve_and_age_contract_violations(table1_traj, table1_radio):
     # frame 1 holds 1 packet at r = 1 and 2 at r = 2, or 2 and 3
-    for arrivals, served, message in (
-        ([1, 2], [2, 0], "served 2 from bucket r=1 holding 1"),
-        ([1, 2], [0, -1], "served -1 from bucket r=2 holding 2"),
-        ([1, 2], [0], "1 counts, 2 buckets"),
-        ([2, 3], [2, 4], "served 4 from bucket r=2 holding 3"),
+    for arrivals, totals, message in (
+        ([1, 2], [4], "service 1: served 4 of 3 queued"),
+        ([1, 2], [-1], "service 1: served -1 of 3 queued"),
+        ([1, 2], [0, 0], "2 totals decided for 1 services"),
+        ([2, 3], [6], "service 1: served 6 of 5 queued"),
     ):
-        with pytest.raises(ContractViolation, match=f"frame 1: service 1: {message}"):
-            _drive(table1_traj, table1_radio, _spec(2), arrivals, lambda k, row: served if k else [0, 0])
+        with pytest.raises(ContractViolation, match=f"^frame 1: {message}$"):
+            _drive(table1_traj, table1_radio, _spec(2), arrivals, lambda k, row: totals if k else [0])
 
 
 def test_conservation_over_random_operations(table1_traj, table1_radio):
@@ -104,11 +107,42 @@ def test_conservation_over_random_operations(table1_traj, table1_radio):
         m = rng.randint(1, 6)
         arrivals = [rng.randint(0, 8) for _ in range(200)]
         trace, seen = _drive(
-            table1_traj, table1_radio, _spec(m), arrivals, lambda k, row: [rng.randint(0, b) for b in row]
+            table1_traj, table1_radio, _spec(m), arrivals, lambda k, row: [rng.randint(0, sum(row))]
         )
         assert min(map(min, seen)) >= 0
         assert (backlog(trace) >= 0).all()
         assert sum(arrivals) == trace.served.sum() + trace.drops.sum() + backlog(trace)[-1, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    arrivals=st.lists(st.integers(0, 12), min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_engine_serves_each_total_oldest_first(m, arrivals, data, table1_traj, table1_radio):
+    # each frame sends a random total of what the service holds; a deque of
+    # one arrival frame per queued packet, served from the left, is the reference
+    totals = []
+
+    def decide(k, row):
+        totals.append(data.draw(st.integers(0, sum(row)), label=f"total at frame {k}"))
+        return [totals[-1]]
+
+    trace, seen = _drive(table1_traj, table1_radio, _spec(m), arrivals, decide)
+    assert trace.served[:, 0].tolist() == totals
+    queue = deque()
+    for k, (a, x) in enumerate(zip(arrivals, totals)):
+        queue.extend([k] * a)
+        # a packet of frame f has f + m - k frames to go at frame k
+        assert seen[k] == [queue.count(k + i + 1 - m) for i in range(m)], k
+        for _ in range(x):
+            queue.popleft()
+        dropped = 0
+        while queue and queue[0] == k - m + 1:
+            queue.popleft()
+            dropped += 1
+        assert trace.drops[k, 0] == dropped, k
 
 
 def test_deficit_update_examples(table1_traj, table1_radio):

@@ -20,6 +20,7 @@ from hsrsched import (
 from hsrsched.analysis import (
     ORACLE_MAX_ARRIVALS,
     ORACLE_MAX_CAPACITY,
+    ORACLE_MAX_COHORTS,
     ORACLE_MAX_DEADLINE,
     ORACLE_MAX_SERVICES,
     brute_force_lex_min_drops,
@@ -40,20 +41,32 @@ def _buckets(specs):
     return [[0] * s.deadline for s in specs]
 
 
+def _oldest_first(row, total):
+    """Per bucket of ``row``, the packets taken when ``total`` are served
+    oldest first (r = 1 first)."""
+    served = []
+    for a in row:
+        served.append(min(a, total))
+        total -= served[-1]
+    return served
+
+
 def _step(decide, specs, frame, buckets, nums, arrivals):
-    """One engine frame: admit, decide, serve and age, update the deficit
-    numerators; returns the decision and each service's drops."""
+    """One engine frame: admit, decide, serve each total oldest first and
+    age, update the deficit numerators; returns the decision and each
+    service's drops."""
     for row, a in zip(buckets, arrivals):
         row[-1] = a
-    rows = decide(frame, buckets, nums)
+    totals = decide(frame, buckets, nums)
     drops = []
-    for j, (row, served, spec) in enumerate(zip(buckets, rows, specs)):
+    for j, (row, total, spec) in enumerate(zip(buckets, totals, specs)):
         p, q = spec.loss_allowance.as_integer_ratio()
+        served = _oldest_first(row, total)
         drops.append(row[0] - served[0])
         row[:-1] = map(sub, row[1:], served[1:])
         row[-1] = 0
         nums[j] = max(nums[j] - p, 0) + drops[-1] * q
-    return rows, drops
+    return totals, drops
 
 
 def _assert_prefix_feasible(rows, grants, avail):
@@ -208,7 +221,7 @@ def _oracle_instances(draw):
     n = draw(st.integers(1, ORACLE_MAX_SERVICES))
     rows = [[0] * draw(st.integers(1, ORACLE_MAX_DEADLINE)) for _ in range(n)]
     cells = [(j, i) for j, row in enumerate(rows) for i in range(len(row))]
-    occupied = st.lists(st.sampled_from(cells), min_size=1, max_size=ORACLE_MAX_SERVICES, unique=True)
+    occupied = st.lists(st.sampled_from(cells), min_size=1, max_size=ORACLE_MAX_COHORTS, unique=True)
     for j, i in draw(occupied):
         rows[j][i] = draw(st.integers(0, ORACLE_MAX_ARRIVALS))
     horizon = max(map(len, rows))
@@ -240,18 +253,18 @@ class TestDcsa:
         decide = make_scheduler("dcsa", [spec], (3, 3))
         buckets, nums = _buckets([spec]), [0]
         # r=2 bucket holds the fresh cohort
-        assert _step(decide, [spec], 0, buckets, nums, [5]) == ([[0, 3]], [0])
-        assert _step(decide, [spec], 1, buckets, nums, [0]) == ([[2, 0]], [0])
+        assert _step(decide, [spec], 0, buckets, nums, [5]) == ([3], [0])
+        assert _step(decide, [spec], 1, buckets, nums, [0]) == ([2], [0])
 
     def test_capacity_past_the_trip_end_is_zero(self):
         # service 1 outranks service 2; its r=2 cohort has only frame 0 left
         # on a one-frame trip, so it takes that frame whole
         specs = [_spec(deadline=2), _spec(deadline=1)]
         decide = make_scheduler("dcsa", specs, (2,))
-        assert decide(0, [[0, 2], [2]], [10, 0]) == [[0, 2], [0]]
+        assert decide(0, [[0, 2], [2]], [10, 0]) == [2, 0]
         # with a second frame of capacity the r=2 cohort would wait for it
         decide = make_scheduler("dcsa", specs, (2, 2))
-        assert decide(0, [[0, 2], [2]], [10, 0]) == [[0, 0], [2]]
+        assert decide(0, [[0, 2], [2]], [10, 0]) == [0, 2]
 
     def test_earlier_batches_hold_later_capacity(self):
         s1 = _spec(deadline=3)
@@ -260,16 +273,16 @@ class TestDcsa:
         decide = make_scheduler("dcsa", specs, (10, 2, 5))
         buckets, nums = _buckets(specs), [0, 0]
         # service 1 gets 10 at frame 0 and keeps 2 packets with 2 frames to go
-        assert _step(decide, specs, 0, buckets, nums, [12, 0])[0] == [[0, 0, 10], [0, 0]]
+        assert _step(decide, specs, 0, buckets, nums, [12, 0])[0] == [10, 0]
         # deficits tie at 0, so service 1's cohort ranks first and takes all
         # of frame 1; service 2's batch still fits at frame 2
-        assert _step(decide, specs, 1, buckets, nums, [0, 3])[0] == [[0, 2, 0], [0, 0]]
-        assert _step(decide, specs, 2, buckets, nums, [0, 0])[0] == [[0, 0, 0], [3, 0]]
+        assert _step(decide, specs, 1, buckets, nums, [0, 3])[0] == [2, 0]
+        assert _step(decide, specs, 2, buckets, nums, [0, 0])[0] == [0, 3]
 
     def test_priority_ties_break_by_ascending_id(self):
         specs = [_spec(deadline=1), _spec(deadline=1)]
         decide = make_scheduler("dcsa", specs, (1,))
-        assert decide(0, [[1], [1]], [0, 0]) == [[1], [0]]
+        assert decide(0, [[1], [1]], [0, 0]) == [1, 0]
 
     def test_exact_zero_deficits_tie_by_ascending_id(self):
         # service 2 (lambda 60, ratio 0.9) drops 6 and drains back to exactly
@@ -281,7 +294,7 @@ class TestDcsa:
         _step(decide, specs, 0, buckets, nums, [0, 6])
         _step(decide, specs, 1, buckets, nums, [0, 0])
         assert nums == [0, 0]
-        assert _step(decide, specs, 2, buckets, nums, [1, 1])[0] == [[1], [0]]
+        assert _step(decide, specs, 2, buckets, nums, [1, 1])[0] == [1, 0]
 
     def test_priority_compares_fractional_deficits_exactly(self):
         # allowances 1/2, 1 and 5/4: numerators over denominators 2, 1 and 4
@@ -289,9 +302,9 @@ class TestDcsa:
         decide = make_scheduler("dcsa", specs, (2,))
 
         # deficits 1.5, 1 and 1.5: the two 1.5s tie and keep id order
-        assert decide(0, [[1], [1], [1]], [3, 1, 6]) == [[1], [0], [1]]
+        assert decide(0, [[1], [1], [1]], [3, 1, 6]) == [1, 0, 1]
         # deficits 1.5, 2 and 1.75
-        assert decide(0, [[1], [1], [1]], [3, 2, 7]) == [[0], [1], [1]]
+        assert decide(0, [[1], [1], [1]], [3, 2, 7]) == [0, 1, 1]
 
     def test_priority_responsiveness(self):
         # a higher deficit never loses contested capacity: raising one
@@ -305,9 +318,9 @@ class TestDcsa:
             bumped = rng.randrange(len(specs))
 
             def served(nums):
-                rows = make_scheduler("dcsa", specs, caps)(0, buckets, nums)
-                assert sum(map(sum, rows)) <= caps[0]
-                return sum(rows[bumped])
+                totals = make_scheduler("dcsa", specs, caps)(0, buckets, nums)
+                assert sum(totals) <= caps[0]
+                return totals[bumped]
 
             before = served(nums)
             nums[bumped] += rng.randint(0, 10)
@@ -317,14 +330,15 @@ class TestDcsa:
         specs = [_spec(deadline=2), _spec(deadline=2)]
         decide = make_scheduler("dcsa", specs, (4, 0))
         # both cohorts fit the trip only at frame 0, which holds one of them
-        for nums, expected in (([0, 1], [[0, 0], [0, 4]]), ([1, 0], [[0, 4], [0, 0]])):
+        for nums, expected in (([0, 1], [0, 4]), ([1, 0], [4, 0])):
             assert decide(0, [[0, 4], [0, 4]], nums) == expected
 
 
 def _always_ranked(specs, caps, frame, buckets, nums):
     """dcsa's frame without the contention guard: rank by exact deficit (ties
     by ascending id), grant every cohort through ``allocate_cohorts`` and fill
-    the grants by ascending r, then ascending id, up to the frame capacity."""
+    the grants by ascending r, then ascending id, up to the frame capacity.
+    Returns what each bucket sends, ``served[j][i]``."""
     horizon = max(s.deadline for s in specs)
     available = (tuple(caps) + (0,) * horizon)[frame : frame + horizon]
     deficits = [Fraction(num, s.loss_allowance.denominator) for s, num in zip(specs, nums)]
@@ -363,7 +377,12 @@ def _dcsa_states(draw):
 @settings(max_examples=500, deadline=None)
 @given(_dcsa_states())
 def test_contention_guard_matches_always_ranked_decide(state):
-    assert _dcsa_frame(*state) == _always_ranked(*state)
+    served = _always_ranked(*state)
+    assert _dcsa_frame(*state) == [sum(row) for row in served]
+    # the grants' serve takes each service's packets oldest first, so the
+    # engine's oldest-first serve of the totals sends the same packets
+    buckets = state[3]
+    assert served == [_oldest_first(row, sum(took)) for row, took in zip(buckets, served)]
 
 
 def _counting_allocate(monkeypatch):
@@ -382,12 +401,12 @@ def _counting_allocate(monkeypatch):
     [
         # one service holds packets beside an empty one: its buckets fill
         # the frame, whatever the deficits
-        ((3, 1), (4, 1, 1), [[2, 0, 7], [0]], [0, 9], [[2, 0, 2], [0]], 0),
+        ((3, 1), (4, 1, 1), [[2, 0, 7], [0]], [0, 9], [4, 0], 0),
         # two services whose packets fit every prefix of the horizon
-        ((2, 3), (3, 3, 3), [[1, 2], [0, 1, 3]], [0, 9], [[1, 2], [0, 0, 0]], 0),
+        ((2, 3), (3, 3, 3), [[1, 2], [0, 1, 3]], [0, 9], [3, 0], 0),
         # contended: service 2's higher deficit grants its long cohort the
         # trip's one frame first, so service 1's short cohort is served none
-        ((1, 2), (4,), [[3], [0, 4]], [0, 9], [[0], [0, 4]], 1),
+        ((1, 2), (4,), [[3], [0, 4]], [0, 9], [0, 4], 1),
     ],
 )
 def test_contention_guard_branches(deadlines, caps, buckets, nums, served, greedy_calls, monkeypatch):
@@ -395,7 +414,7 @@ def test_contention_guard_branches(deadlines, caps, buckets, nums, served, greed
     calls = _counting_allocate(monkeypatch)
     assert _dcsa_frame(specs, caps, 0, buckets, nums) == served
     assert len(calls) == greedy_calls
-    assert _always_ranked(specs, caps, 0, buckets, nums) == served
+    assert [sum(row) for row in _always_ranked(specs, caps, 0, buckets, nums)] == served
 
 
 def test_greedy_runs_only_when_services_contend(table1_traj, table1_radio, monkeypatch):
@@ -422,43 +441,42 @@ class TestRoundRobin:
         specs = [_spec(deadline=2), _spec(deadline=2)]
         decide = make_scheduler("rr", specs, (10, 10))
         buckets = [[1, 1], [1, 1]]
-        even = decide(0, buckets, [0, 0])
-        assert sum(even[0]) == 2 and sum(even[1]) == 0
-        odd = decide(1, buckets, [0, 0])
-        assert sum(odd[0]) == 0 and sum(odd[1]) == 2
+        assert decide(0, buckets, [0, 0]) == [2, 0]
+        assert decide(1, buckets, [0, 0]) == [0, 2]
 
     def test_empty_selected_service_wastes_capacity(self):
         specs = [_spec(deadline=2), _spec(deadline=2)]
         decide = make_scheduler("rr", specs, (10,))
-        assert decide(0, [[0, 0], [4, 0]], [0, 0]) == [[0, 0], [0, 0]]
+        assert decide(0, [[0, 0], [4, 0]], [0, 0]) == [0, 0]
 
     def test_fills_earliest_buckets_first(self):
         specs = [_spec(deadline=2)]
         decide = make_scheduler("rr", specs, (7,))
-        assert decide(0, [[4, 6]], [0]) == [[4, 3]]
+        # the engine sends these 7 as all 4 with 1 frame to go and 3 of the 6 with 2
+        assert decide(0, [[4, 6]], [0]) == [7]
 
 
 class TestEdf:
     def test_single_packet_served(self):
         specs = [_spec(deadline=3)]
         decide = make_scheduler("edf", specs, (5,))
-        assert decide(0, [[0, 1, 0]], [0]) == [[0, 1, 0]]
+        assert decide(0, [[0, 1, 0]], [0]) == [1]
 
     def test_urgency_tie_goes_to_the_later_service(self):
         specs = [_spec(deadline=2), _spec(deadline=2)]
         decide = make_scheduler("edf", specs, (4,))
-        assert decide(0, [[2, 0], [3, 0]], [0, 0]) == [[1, 0], [3, 0]]
+        assert decide(0, [[2, 0], [3, 0]], [0, 0]) == [1, 3]
 
     def test_zero_capacity_serves_nothing(self):
         specs = [_spec(deadline=2), _spec(deadline=2)]
         decide = make_scheduler("edf", specs, (0,))
-        assert decide(0, [[5, 5], [5, 5]], [0, 0]) == [[0, 0], [0, 0]]
+        assert decide(0, [[5, 5], [5, 5]], [0, 0]) == [0, 0]
 
     def test_mixed_deadlines(self):
         specs = [_spec(deadline=1), _spec(deadline=3)]
         decide = make_scheduler("edf", specs, (4,))
         # r=1 first (s2 then s1), leftover goes to s2's r=3 bucket
-        assert decide(0, [[2], [1, 0, 4]], [0, 0]) == [[2], [1, 0, 1]]
+        assert decide(0, [[2], [1, 0, 4]], [0, 0]) == [2, 2]
 
 
 @st.composite
@@ -484,10 +502,11 @@ def test_fixed_order_policies_match_direct_loops(state):
     ]
     for policy, cells in (("rr", rr_cells), ("edf", edf_cells)):
         left = caps[frame]
-        expected = [[0] * m for m in deadlines]
+        expected = [0] * len(deadlines)
         for j, i in cells:
-            expected[j][i] = min(buckets[j][i], left)
-            left -= expected[j][i]
+            took = min(buckets[j][i], left)
+            expected[j] += took
+            left -= took
         rows = [row[:] for row in buckets]
         assert make_scheduler(policy, specs, caps)(frame, rows, [0] * len(specs)) == expected
         assert rows == buckets
@@ -497,7 +516,7 @@ def test_fixed_order_policies_match_direct_loops(state):
 def test_frame_capacity_is_read_from_the_trip_capacities(policy):
     # a bucket of 10 on a trip whose one frame holds 3
     spec = _spec(deadline=1)
-    assert make_scheduler(policy, [spec], (3,))(0, [[10]], [0]) == [[3]]
+    assert make_scheduler(policy, [spec], (3,))(0, [[10]], [0]) == [3]
 
 
 def test_make_scheduler_factory(two_services):
@@ -505,7 +524,7 @@ def test_make_scheduler_factory(two_services):
     # highest deficit, rr service 1's turn at frame 0 and edf the later
     # service on the urgency tie, so each name picks a different policy
     specs = [_spec(deadline=1)] * 3
-    expected = {"dcsa": [[0], [1], [0]], "rr": [[1], [0], [0]], "edf": [[0], [0], [1]]}
+    expected = {"dcsa": [0, 1, 0], "rr": [1, 0, 0], "edf": [0, 0, 1]}
     for policy, served in expected.items():
         assert make_scheduler(policy, specs, (1, 1))(0, [[1], [1], [1]], [0, 10, 0]) == served
     with pytest.raises(ValueError):
