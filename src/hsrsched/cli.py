@@ -79,7 +79,6 @@ SCHEMA = {
         ("seed", SimConfig, "seed", int),
         ("output_dir", ExperimentConfig, "output_dir", str),
         ("num_frames", SimConfig, "num_frames", int),
-        ("capacity_override", SimConfig, "capacity_override", int),
     ),
     **{
         name: tuple((f.name, cls, f.name, float) for f in fields(cls))

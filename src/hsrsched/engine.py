@@ -56,7 +56,6 @@ class SimConfig:
     scheduler: str = "dcsa"
     seed: int = 0
     num_frames: int | None = None
-    capacity_override: int | None = None
 
     def __post_init__(self) -> None:
         if not self.services:
@@ -73,8 +72,6 @@ class SimConfig:
                     f"num_frames {self.num_frames} exceeds trip length "
                     f"{self.trajectory.num_frames}"
                 )
-        if self.capacity_override is not None and not 0 <= self.capacity_override <= INT64_MAX:
-            raise ValueError(f"capacity_override must be in 0..{INT64_MAX}")
         for j, s in enumerate(self.services):
             # a deficit never exceeds the drops so far, at most max_arrivals a frame
             if s.loss_allowance.denominator * s.max_arrivals * self.frames > INT64_MAX:
@@ -91,8 +88,6 @@ class SimConfig:
     def capacities(self) -> tuple[int, ...]:
         """Capacity of every frame of the full trip (the scheduler may look
         past the run horizon, never past the trip end)."""
-        if self.capacity_override is not None:
-            return (int(self.capacity_override),) * self.trajectory.num_frames
         return build_capacity_profile(self.trajectory, self.radio)
 
 
@@ -145,9 +140,9 @@ class TraceLog:
         The mix is feasible when ``required_rate`` does not exceed the mean
         capacity of the frames run; the signed slack is reported either way.
         """
-        # exact over Python integers (an int64 sum overflows at
-        # capacity_override = 2**63 - 1), a chunk at a time so the column
-        # never becomes one list
+        # exact over Python integers (the link model allows frames of up to
+        # 2**63 - 1, whose int64 sum overflows), a chunk at a time so the
+        # column never becomes one list
         total = 0
         for lo in range(0, self.num_frames, CSV_CHUNK_ROWS):
             total += sum(self.capacity[lo : lo + CSV_CHUNK_ROWS].tolist())

@@ -1,13 +1,18 @@
+import contextlib
 import functools
+import itertools
 import os
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from hsrsched import RadioConfig, ServiceSpec, TrajectoryConfig, run
+from hsrsched import RadioConfig, ServiceSpec, SimConfig, TrajectoryConfig, run, schedulers
 from hsrsched.cli import parse_config
+from hsrsched.engine import INT64_MAX
 
 # hypothesis's pytest plugin imports this module when a property test fails,
 # and the import chain (libcst, mypy_extensions) raises a DeprecationWarning.
@@ -20,6 +25,91 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # without libcst the plugin skips the module too
         pass
+
+
+@dataclass(frozen=True)
+class LinkSim(SimConfig):
+    """A run whose link is ``profile``, one capacity per frame from the
+    first and zero past its end, in place of the link model's: the one way
+    a test sets the link, through the ``capacities()`` that the engine, the
+    dcsa planner and ``fig3`` read."""
+
+    profile: tuple[int, ...] = ()
+
+    def capacities(self) -> tuple[int, ...]:
+        n = self.trajectory.num_frames
+        return (tuple(self.profile) + (0,) * n)[:n]
+
+
+@st.composite
+def links(draw, frames, top):
+    """A link of ``frames`` frames: a constant, a ramp or steps of levels
+    0..``top``, with runs of zero and frames of ``INT64_MAX`` laid over it."""
+    level = st.integers(0, top)
+    shape = draw(st.sampled_from(["constant", "ramp", "steps"]))
+    if shape == "constant":
+        profile = [draw(level)] * frames
+    elif shape == "ramp":
+        first, last = draw(level), draw(level)
+        profile = [first + (last - first) * k // max(frames - 1, 1) for k in range(frames)]
+    else:
+        steps = draw(st.lists(st.tuples(st.integers(1, 40), level), min_size=1, max_size=6))
+        levels = itertools.cycle([c for width, c in steps for _ in range(width)])
+        profile = list(itertools.islice(levels, frames))
+    for lo, width in draw(st.lists(st.tuples(st.integers(0, frames - 1), st.integers(1, 30)), max_size=3)):
+        profile[lo : lo + width] = [0] * len(profile[lo : lo + width])
+    for k in draw(st.sets(st.integers(0, frames - 1), max_size=3)):
+        profile[k] = INT64_MAX
+    return tuple(profile)
+
+
+def first_rank_mismatch(order, rows, available, grants):
+    """Edmonds' greedy theorem, checked without the greedy: take the cohorts
+    in processing order (positions in ``order``, each position's cohorts by
+    ascending r), cohort c holding a_c packets with window end w_c = r - 1.
+    The greedy grants every prefix P of that order exactly its rank
+
+        r(P) = min(sum of a over P, min_d [C(d) + sum of a_c over c in P with w_c > d])
+
+    with C the prefix sum of ``available``: a minimum cut of the nested
+    windows' flow network.  Each grant is then r(P_k) - r(P_(k-1)).
+
+    Returns None when ``grants`` gives every prefix its rank, else the first
+    prefix that differs: its last cohort (position, bucket), what the
+    prefix was granted and its rank."""
+    # cut[t]: capacity over offsets 0..t-1 plus the prefix's packets whose
+    # window ends at or past offset t; t = 0 cuts every packet of the prefix
+    cut = [0, *itertools.accumulate(available)]
+    total = 0
+    for j in order:
+        for i, a in enumerate(rows[j]):
+            cut[: i + 1] = [v + a for v in cut[: i + 1]]
+            total += grants[j][i]
+            if total != min(cut):
+                return {"position": j, "bucket": i, "granted": total, "rank": min(cut)}
+    return None
+
+
+@contextlib.contextmanager
+def certified_planner():
+    """Inside the block every call of dcsa's planner,
+    ``schedulers.allocate_cohorts``, asserts that its grants have the rows'
+    shape and give every prefix its min-cut rank (``first_rank_mismatch``);
+    yields a list of each call's processing order.  The dcsa closure looks
+    the planner up at each call, so the patch reaches every run."""
+    calls = []
+    allocate = schedulers.allocate_cohorts
+
+    def certified(order, rows, available):
+        grants = allocate(order, rows, available)
+        assert [len(granted) for granted in grants] == [len(row) for row in rows], f"call {len(calls)}"
+        mismatch = first_rank_mismatch(order, rows, available, grants)
+        assert mismatch is None, f"call {len(calls)}: first prefix off its rank {mismatch}"
+        calls.append(order)
+        return grants
+
+    with mock.patch.object(schedulers, "allocate_cohorts", certified):
+        yield calls
 
 
 def backlog(trace):

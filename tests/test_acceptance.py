@@ -10,10 +10,9 @@ import os
 
 import numpy as np
 import pytest
-from conftest import backlog, fifo_drops
+from conftest import LinkSim, backlog, fifo_drops
 
 from hsrsched import (
-    SimConfig,
     build_capacity_profile,
     check_lemma1,
     check_sample_drift,
@@ -60,13 +59,14 @@ def matrix(default_sim, table1_run):
 
 @pytest.fixture(scope="module")
 def saturated(default_sim):
-    from dataclasses import replace
+    from dataclasses import fields, replace
 
-    override = sum(s.max_arrivals * s.deadline for s in default_sim.services)
+    capacity = sum(s.max_arrivals * s.deadline for s in default_sim.services)
+    link = (capacity,) * default_sim.trajectory.num_frames
+    sim = LinkSim(**{f.name: getattr(default_sim, f.name) for f in fields(default_sim)}, profile=link)
     traces = {}
     for policy in POLICIES:
-        cfg = replace(default_sim, scheduler=policy, capacity_override=override)
-        traces[policy] = run(cfg)
+        traces[policy] = run(replace(sim, scheduler=policy))
     return traces
 
 

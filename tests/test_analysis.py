@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import LinkSim, certified_planner, links
 from hsrsched import (
     ServiceSpec,
     SimConfig,
@@ -458,14 +459,14 @@ def test_deficits_divide_only_the_requested_rows():
 
 @pytest.mark.parametrize("policy", ["dcsa", "rr", "edf"])
 def test_array_checks_match_reference_loops_on_engine_traces(policy, table1_traj, table1_radio):
-    cfg = SimConfig(
+    cfg = LinkSim(
         trajectory=table1_traj,
         radio=table1_radio,
         services=MIXED_SERVICES,
         scheduler=policy,
         seed=3,
         num_frames=1500,
-        capacity_override=90,
+        profile=(90,) * table1_traj.num_frames,
     )
     trace = run(cfg)
     assert trace.drops.sum() > 0
@@ -507,13 +508,13 @@ def test_sample_drift_flags_a_one_unit_fault_worth_under_1e9(table1_traj, table1
     # of 4.6e-10 packets squared, below any float tolerance of 1e-9
     spec = ServiceSpec(arrival_rate=12.5, deadline=1, delivery_ratio=0.98765432101)
     assert spec.loss_allowance == Fraction(1234567899, 8000000000)
-    cfg = SimConfig(
+    cfg = LinkSim(
         trajectory=table1_traj,
         radio=table1_radio,
         services=(spec,),
         seed=42,
         num_frames=2000,
-        capacity_override=13,
+        profile=(13,) * table1_traj.num_frames,
     )
     trace = run(cfg)
     assert check_sample_drift(trace)["passed"]
@@ -538,29 +539,28 @@ def _exact_check_runs(draw):
                 delivery_ratio=draw(st.integers(1, 10**places - 1)) / 10**places,
             )
         )
-    return (
-        tuple(services),
-        draw(st.sampled_from(SCHEDULER_POLICIES)),
-        draw(st.integers(0, 80)),
-        draw(st.integers(1, 60)),
-        draw(st.integers(0, 2**32 - 1)),
-    )
+    policy = draw(st.sampled_from(SCHEDULER_POLICIES))
+    frames = draw(st.integers(1, 60))
+    # the link covers the run and dcsa's lookahead of up to 3 frames past it
+    return tuple(services), policy, draw(links(frames + 3, 80)), frames, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=100, deadline=None)
 @given(params=_exact_check_runs(), data=st.data())
 def test_exact_checks_flag_a_one_unit_fault_either_way(params, data, table1_traj, table1_radio):
     services, policy, link, frames, seed = params
-    cfg = SimConfig(
+    cfg = LinkSim(
         trajectory=table1_traj,
         radio=table1_radio,
         services=services,
         scheduler=policy,
         seed=seed,
         num_frames=frames,
-        capacity_override=link,
+        profile=link,
     )
-    trace = run(cfg)
+    # every call of dcsa's planner is certified as it is made
+    with certified_planner():
+        trace = run(cfg)
     drift, lemma1 = _assert_checks_match_reference(trace)
     assert drift["passed"] and lemma1["passed"]
     j = data.draw(st.integers(0, len(services) - 1))

@@ -170,6 +170,7 @@ def test_retired_kind_key_is_read_and_ignored(name, tmp_path):
     "section, line, name",
     [
         ("experiment", "num_frame = 10", "num_frame"),
+        ("experiment", "capacity_override = 100", "capacity_override"),
         ("sweep", "seeds_per_pont = 1", "seeds_per_pont"),
         ("service.1", "tail_esp = 1e-3", "tail_esp"),
         ("service.1", "tail_eps = 1e-3", "tail_eps"),
@@ -753,16 +754,6 @@ def test_run_walks_the_pmf_of_its_own_service_only(tmp_path, monkeypatch):
     monkeypatch.setattr(traffic, "truncated_poisson_pmf", lambda *args: walks.append(args) or pmf(*args))
     assert main(["run", FIG3_CONFIG, "--frames", "50", "--out", str(tmp_path / "r")]) == EXIT_OK
     assert walks == [(90.0,)]
-
-
-def test_capacity_override_beyond_int64_is_a_config_error(tmp_path, capsys):
-    path = tmp_path / "cap.ini"
-    text = serialize_config(parse_config(DEFAULT_CONFIG))
-    path.write_text(text.replace("[experiment]\n", "[experiment]\ncapacity_override = 100000000000000000000\n"))
-    out = tmp_path / "x"
-    assert main(["run", str(path), "--frames", "10", "--out", str(out)]) == EXIT_CONFIG
-    assert "capacity_override must be in 0..9223372036854775807" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("field, value", [("bandwidth", 1.0e300), ("tx_power_over_noise", 3300.0)])

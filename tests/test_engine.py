@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import hsrsched.cli as cli
 import hsrsched.engine as engine
-from conftest import backlog, fifo_drops
+from conftest import LinkSim, backlog, certified_planner, fifo_drops, links
 from hsrsched import ContractViolation, ServiceSpec, SimConfig, build_capacity_profile, run
 from hsrsched.cli import fig3_rows, parse_config
 from hsrsched.engine import CSV_CHUNK_ROWS, INT64_MAX, fifo_chunk, single_service_ratios
@@ -22,8 +22,12 @@ REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 SWEEP_CONFIG = os.path.join(REPO, "perfbench", "configs", "sweep.ini")
 
 
-def _config(table1_traj, table1_radio, services, **kw):
-    return SimConfig(trajectory=table1_traj, radio=table1_radio, services=services, **kw)
+def _config(table1_traj, table1_radio, services, profile=None, **kw):
+    """A run of ``services`` on the table1 trip: on the link ``profile`` when
+    given, else on the link model's."""
+    if profile is None:
+        return SimConfig(trajectory=table1_traj, radio=table1_radio, services=services, **kw)
+    return LinkSim(trajectory=table1_traj, radio=table1_radio, services=services, profile=profile, **kw)
 
 
 @pytest.mark.parametrize("frames", [0, -1])
@@ -96,7 +100,7 @@ def test_cohort_drop_equivalence(table1_traj, table1_radio, two_services):
                 scheduler=policy,
                 seed=4,
                 num_frames=3000,
-                capacity_override=link,
+                profile=(link,) * table1_traj.num_frames,
             )
             trace = run(cfg)
             assert trace.drops.sum() > 0
@@ -163,7 +167,7 @@ def test_engine_rejects_wrong_total_count(frame, count, table1_traj, table1_radi
 
 @pytest.mark.parametrize("policy", SCHEDULER_POLICIES)
 def test_saturated_link_drops_nothing(policy, table1_traj, table1_radio, two_services):
-    override = sum(s.max_arrivals * s.deadline for s in two_services)
+    capacity = sum(s.max_arrivals * s.deadline for s in two_services)
     cfg = _config(
         table1_traj,
         table1_radio,
@@ -171,7 +175,7 @@ def test_saturated_link_drops_nothing(policy, table1_traj, table1_radio, two_ser
         scheduler=policy,
         seed=3,
         num_frames=2000,
-        capacity_override=override,
+        profile=(capacity,) * table1_traj.num_frames,
     )
     trace = run(cfg)
     assert trace.drops.sum() == 0
@@ -202,7 +206,7 @@ def test_delivery_ratio_zero_with_dead_link(table1_traj, table1_radio):
         ServiceSpec(arrival_rate=20.0, deadline=1, delivery_ratio=0.9),
         ServiceSpec(arrival_rate=5.0, deadline=1, delivery_ratio=0.8),
     )
-    cfg = _config(table1_traj, table1_radio, services, seed=3, num_frames=500, capacity_override=0)
+    cfg = _config(table1_traj, table1_radio, services, seed=3, num_frames=500, profile=())
     assert run(cfg).delivery_ratios() == [0.0, 0.0]
 
 
@@ -213,17 +217,15 @@ def test_config_validation(table1_traj, table1_radio, two_services):
         _config(table1_traj, table1_radio, two_services, num_frames=30001)
     with pytest.raises(ValueError):
         _config(table1_traj, table1_radio, (), seed=0)
-    with pytest.raises(ValueError):
-        _config(table1_traj, table1_radio, two_services, capacity_override=-1)
 
 
-def test_capacity_override_beyond_int64_rejected(table1_traj, table1_radio, two_services):
-    with pytest.raises(ValueError, match="capacity_override must be in 0..9223372036854775807"):
-        _config(table1_traj, table1_radio, two_services, capacity_override=2**63)
-    cfg = _config(table1_traj, table1_radio, two_services, num_frames=20, capacity_override=2**63 - 1)
+def test_every_policy_runs_on_an_int64_max_link(table1_traj, table1_radio, two_services):
+    # the link model allows frames of up to 2**63 - 1 packets
+    link = (INT64_MAX,) * table1_traj.num_frames
+    cfg = _config(table1_traj, table1_radio, two_services, num_frames=20, profile=link)
     for policy in SCHEDULER_POLICIES:
         trace = run(replace(cfg, scheduler=policy))
-        assert (trace.capacity == 2**63 - 1).all()
+        assert (trace.capacity == INT64_MAX).all()
         assert trace.drops.sum() == 0
 
 
@@ -233,7 +235,7 @@ def test_allowance_beyond_int64_numerators_rejected(table1_traj, table1_radio):
     assert spec.loss_allowance.denominator > 10**14
     with pytest.raises(ValueError, match="may not fit int64"):
         _config(table1_traj, table1_radio, (spec,))
-    short = _config(table1_traj, table1_radio, (spec,), num_frames=20, capacity_override=0)
+    short = _config(table1_traj, table1_radio, (spec,), num_frames=20, profile=())
     assert run(short).deficit_num[-1, 0] > 0
 
 
@@ -272,7 +274,13 @@ def test_backlog_is_what_the_buckets_hold_frame_by_frame(policy, table1_traj, ta
         ServiceSpec(arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
     )
     cfg = _config(
-        table1_traj, table1_radio, services, scheduler=policy, seed=8, num_frames=1500, capacity_override=100
+        table1_traj,
+        table1_radio,
+        services,
+        scheduler=policy,
+        seed=8,
+        num_frames=1500,
+        profile=(100,) * table1_traj.num_frames,
     )
     trace = run(cfg)
     # the backlog columns as written, carried across two CSV_CHUNK_ROWS boundaries
@@ -325,12 +333,9 @@ def _small_runs(draw):
         )
         for _ in range(draw(st.integers(1, 3)))
     )
-    return (
-        services,
-        draw(st.integers(0, 250)),
-        draw(st.integers(1, 400)),
-        draw(st.integers(0, 2**32 - 1)),
-    )
+    frames = draw(st.integers(1, 400))
+    # the link covers the run and dcsa's lookahead of up to 9 frames past it
+    return services, draw(links(frames + 9, 250)), frames, draw(st.integers(0, 2**32 - 1))
 
 
 @pytest.mark.parametrize("policy", SCHEDULER_POLICIES)
@@ -345,9 +350,11 @@ def test_engine_conservation_laws(policy, params, table1_traj, table1_radio):
         scheduler=policy,
         seed=seed,
         num_frames=frames,
-        capacity_override=link,
+        profile=link,
     )
-    trace = run(cfg)
+    # every call of dcsa's planner is certified as it is made
+    with certified_planner():
+        trace = run(cfg)
     assert (trace.served >= 0).all()
     assert (trace.served.sum(axis=1) <= trace.capacity).all()
     assert (trace.deficits(slice(None)) >= 0.0).all()
@@ -378,15 +385,16 @@ def _lockstep_grids(draw):
     """One-service trips on one capacity profile and frame count, with mixed
     deadlines; rates and seeds repeat, so some trips share an arrival stream."""
     frames = draw(st.integers(1, 1100))
-    override = draw(st.sampled_from([None, 0, 3, 50, 120]))
+    # a constant link, or None for the link model's
+    level = draw(st.sampled_from([None, 0, 3, 50, 120]))
     trips = st.tuples(st.integers(1, 12), st.sampled_from([0.01, 5.0, 60.0, 130.0]), st.integers(0, 3))
-    return frames, override, draw(st.lists(trips, min_size=1, max_size=4))
+    return frames, level, draw(st.lists(trips, min_size=1, max_size=4))
 
 
 @settings(max_examples=50, deadline=None)
 @given(grid=_lockstep_grids())
 def test_lockstep_ratios_equal_run_under_every_policy(grid, table1_traj, table1_radio):
-    frames, override, trips = grid
+    frames, level, trips = grid
     sims = [
         _config(
             table1_traj,
@@ -394,7 +402,7 @@ def test_lockstep_ratios_equal_run_under_every_policy(grid, table1_traj, table1_
             (ServiceSpec(arrival_rate=rate, deadline=m, delivery_ratio=0.9),),
             seed=seed,
             num_frames=frames,
-            capacity_override=override,
+            profile=None if level is None else (level,) * table1_traj.num_frames,
         )
         for m, rate, seed in trips
     ]
@@ -431,7 +439,7 @@ def _fifo_drops(arrivals, capacity, m):
 
 
 def test_lockstep_deadline_one_drops_the_excess_of_each_frame(table1_traj, table1_radio):
-    sim = _one_service(table1_traj, table1_radio, 1, num_frames=700, capacity_override=120)
+    sim = _one_service(table1_traj, table1_radio, 1, num_frames=700)
     a = _arrivals(sim)
     drops = sum(max(0, x - 120) for x in a)
     assert drops > 0
@@ -441,13 +449,13 @@ def test_lockstep_deadline_one_drops_the_excess_of_each_frame(table1_traj, table
 def test_lockstep_zero_capacity_drops_all_but_the_last_deadline(table1_traj, table1_radio):
     # the arrivals of the last m - 1 frames are still queued at the end
     m, n = 7, 600
-    sim = _one_service(table1_traj, table1_radio, m, num_frames=n, capacity_override=0)
+    sim = _one_service(table1_traj, table1_radio, m, num_frames=n)
     total = np.cumsum(_arrivals(sim)).tolist()
     assert single_service_ratios((0,) * n, _trips([sim])) == [(total[n - 1] - total[n - m]) / total[n - 1]]
 
 
 def test_lockstep_trip_shorter_than_its_deadline_drops_nothing(table1_traj, table1_radio):
-    sim = _one_service(table1_traj, table1_radio, 8, num_frames=5, capacity_override=0)
+    sim = _one_service(table1_traj, table1_radio, 8, num_frames=5)
     assert single_service_ratios((0,) * 5, _trips([sim])) == [1.0]
 
 
@@ -465,7 +473,7 @@ def test_lockstep_mixed_deadlines_across_chunk_boundaries(table1_traj, table1_ra
     # 1030 frames: the arrival totals carry over the chunks at 512 and 1024;
     # the two rates share a seed, so deadlines 1 and 12 share each stream
     sims = [
-        _one_service(table1_traj, table1_radio, m, rate, seed=seed, num_frames=1030, capacity_override=120)
+        _one_service(table1_traj, table1_radio, m, rate, seed=seed, num_frames=1030)
         for m in (1, 12)
         for rate, seed in ((130.0, 4), (130.0, 5), (60.0, 4))
     ]

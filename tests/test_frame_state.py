@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hsrsched.engine as engine_mod
-from conftest import backlog
-from hsrsched import ContractViolation, ServiceSpec, SimConfig, run
+from conftest import LinkSim, backlog
+from hsrsched import ContractViolation, ServiceSpec, run
 
 
 def _spec(deadline=1, rate=10.0, ratio=0.9):
@@ -39,7 +39,7 @@ def _drive(traj, radio, spec, arrivals, decide=None):
         def sample_run(self, n):
             return np.array(arrivals, dtype=np.int64).reshape(n, 1)
 
-    cfg = SimConfig(traj, radio, (spec,), num_frames=len(arrivals), capacity_override=10**6)
+    cfg = LinkSim(traj, radio, (spec,), num_frames=len(arrivals), profile=(10**6,) * len(arrivals))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine_mod, "ArrivalGenerator", Arrivals)
         mp.setattr(engine_mod, "make_scheduler", lambda policy, specs, caps: scripted)

@@ -1,17 +1,15 @@
 import os
 import random
 from fractions import Fraction
-from itertools import accumulate
 from operator import sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hsrsched.engine as engine
+from conftest import LinkSim, certified_planner, first_rank_mismatch
 from hsrsched import (
     ServiceSpec,
-    SimConfig,
     allocate_cohorts,
     make_scheduler,
     run,
@@ -138,40 +136,13 @@ def _greedy_inputs(draw):
     return draw(st.permutations(range(len(rows)))), rows, available
 
 
-def _first_rank_mismatch(order, rows, available, grants):
-    """Edmonds' greedy theorem, checked without the greedy: take the cohorts
-    in processing order (positions in ``order``, each position's cohorts by
-    ascending r), cohort c holding a_c packets with window end w_c = r - 1.
-    The greedy grants every prefix P of that order exactly its rank
-
-        r(P) = min(sum of a over P, min_d [C(d) + sum of a_c over c in P with w_c > d])
-
-    with C the prefix sum of ``available``: a minimum cut of the nested
-    windows' flow network.  Each grant is then r(P_k) - r(P_(k-1)).
-
-    Returns None when ``grants`` gives every prefix its rank, else the first
-    prefix that differs: its last cohort (position, bucket), what the
-    prefix was granted and its rank."""
-    # cut[t]: capacity over offsets 0..t-1 plus the prefix's packets whose
-    # window ends at or past offset t; t = 0 cuts every packet of the prefix
-    cut = [0, *accumulate(available)]
-    total = 0
-    for j in order:
-        for i, a in enumerate(rows[j]):
-            cut[: i + 1] = [v + a for v in cut[: i + 1]]
-            total += grants[j][i]
-            if total != min(cut):
-                return {"position": j, "bucket": i, "granted": total, "rank": min(cut)}
-    return None
-
-
 @settings(max_examples=500, deadline=None)
 @given(_greedy_inputs())
 def test_allocate_grants_every_prefix_its_min_cut_rank(inputs):
     order, rows, available = inputs
     grants = allocate_cohorts(order, rows, available)
     assert [len(granted) for granted in grants] == [len(row) for row in rows]
-    assert _first_rank_mismatch(order, rows, available, grants) is None
+    assert first_rank_mismatch(order, rows, available, grants) is None
 
 
 @pytest.mark.parametrize(
@@ -179,39 +150,15 @@ def test_allocate_grants_every_prefix_its_min_cut_rank(inputs):
     [(MIXED_CONFIG, 7861), (TABLE1_CONFIG, 23653)],
     ids=["mixed.ini", "table1_fig2.ini"],
 )
-def test_every_planner_call_of_a_mixed_deadline_trip_grants_min_cut_ranks(config, contended, monkeypatch):
+def test_every_planner_call_of_a_mixed_deadline_trip_grants_min_cut_ranks(config, contended):
     # dcsa at seed 42 over perfbench/configs/mixed.ini (deadlines 2, 5 and
-    # 10) and over the shipped configs/table1_fig2.ini (both deadlines 10):
-    # the dcsa closure looks allocate_cohorts up at each call, and a wrapped
-    # decide tells the recording which frame it belongs to
-    frame = [None]
-    calls = []
-
-    def recorded(order, rows, available):
-        grants = allocate_cohorts(order, rows, available)
-        calls.append((frame[0], list(order), [list(row) for row in rows], list(available), grants))
-        return grants
-
-    def framed(policy, specs, capacities):
-        decide = make_scheduler(policy, specs, capacities)
-
-        def at(k, buckets, nums):
-            frame[0] = k
-            return decide(k, buckets, nums)
-
-        return at
-
-    monkeypatch.setattr(schedulers, "allocate_cohorts", recorded)
-    monkeypatch.setattr(engine, "make_scheduler", framed)
+    # 10) and over the shipped configs/table1_fig2.ini (both deadlines 10)
     sim = parse_config(config).sim
     assert (sim.scheduler, sim.seed) == ("dcsa", 42)
-    run(sim)
+    with certified_planner() as calls:
+        run(sim)
     # the frames where services contend, of 15,000 and of 30,000
     assert len(calls) == contended
-    for k, order, rows, available, grants in calls:
-        assert [len(granted) for granted in grants] == [len(row) for row in rows], f"frame {k}"
-        mismatch = _first_rank_mismatch(order, rows, available, grants)
-        assert mismatch is None, f"frame {k}: first prefix off its rank {mismatch}"
 
 
 @st.composite
@@ -422,7 +369,8 @@ def test_greedy_runs_only_when_services_contend(table1_traj, table1_radio, monke
 
     def trip(*services):
         # a constant 100 packets per frame, below either offered load
-        cfg = SimConfig(table1_traj, table1_radio, services, seed=42, num_frames=2000, capacity_override=100)
+        link = (100,) * table1_traj.num_frames
+        cfg = LinkSim(table1_traj, table1_radio, services, seed=42, num_frames=2000, profile=link)
         run(cfg)
         return len(calls)
 

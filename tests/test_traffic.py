@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import LinkSim
 from hsrsched import (
     ArrivalGenerator,
     ServiceSpec,
-    SimConfig,
     build_capacity_profile,
     run,
     traffic,
@@ -211,14 +211,9 @@ def _feasibility(trace):
     return dict(line.split(" = ") for line in lines[3:7])
 
 
-def _constant_link_run(traj, radio, services, capacity, frames):
-    sim = SimConfig(traj, radio, tuple(services), seed=5, num_frames=frames, capacity_override=capacity)
-    return run(sim)
-
-
 def test_feasibility_single_service_slack(table1_traj, table1_radio):
     spec = ServiceSpec(arrival_rate=1.0, deadline=2, delivery_ratio=0.5)
-    trace = _constant_link_run(table1_traj, table1_radio, [spec], 1, 10)
+    trace = run(LinkSim(table1_traj, table1_radio, (spec,), seed=5, num_frames=10, profile=(1,) * 10))
     assert _feasibility(trace) == {
         "feasible": "True",
         "feasibility_margin": "0.5",
@@ -230,7 +225,7 @@ def test_feasibility_single_service_slack(table1_traj, table1_radio):
 def test_feasibility_boundary_is_feasible(table1_traj, table1_radio):
     # requirement exactly equals mean capacity: non-strict inequality
     spec = ServiceSpec(arrival_rate=2.0, deadline=2, delivery_ratio=0.5)
-    trace = _constant_link_run(table1_traj, table1_radio, [spec], 1, 5)
+    trace = run(LinkSim(table1_traj, table1_radio, (spec,), seed=5, num_frames=5, profile=(1,) * 5))
     assert _feasibility(trace) == {
         "feasible": "True",
         "feasibility_margin": "0",
@@ -241,7 +236,7 @@ def test_feasibility_boundary_is_feasible(table1_traj, table1_radio):
 
 def test_feasibility_default_mix_is_infeasible(table1_traj, table1_radio, two_services, table1_trace):
     # 100 * 0.99 + 60 * 0.9 = 153 packets a frame, one more than the link holds
-    trace = _constant_link_run(table1_traj, table1_radio, two_services, 152, 20)
+    trace = run(LinkSim(table1_traj, table1_radio, two_services, seed=5, num_frames=20, profile=(152,) * 20))
     assert _feasibility(trace) == {
         "feasible": "False",
         "feasibility_margin": "-1",
@@ -262,5 +257,5 @@ def test_feasibility_default_mix_is_infeasible(table1_traj, table1_radio, two_se
 
 def test_feasibility_mean_capacity_is_exact_at_the_int64_limit(table1_traj, table1_radio, two_services):
     # three frames of 2**63 - 1 sum past int64; a wrapped sum would read 2**63 - 3
-    trace = _constant_link_run(table1_traj, table1_radio, two_services, INT64_MAX, 3)
+    trace = run(LinkSim(table1_traj, table1_radio, two_services, seed=5, num_frames=3, profile=(INT64_MAX,) * 3))
     assert _feasibility(trace)["mean_capacity"] == f"{INT64_MAX:.9g}" == "9.22337204e+18"
