@@ -1,10 +1,11 @@
 """Frame loop wiring the link profile, traffic, the frame state and a scheduler.
 
 A run's state is plain data: per service, deadline buckets (``row[i]`` holds
-the packets with i + 1 frames to go) and the exact deficit numerator.  Each
-frame executes, in order: admit sampled arrivals into the top buckets, take
-the scheduler's decision (packets per service), check it, serve it oldest
-first and age the buckets (unserved r = 1 packets expire), update the deficit
+the packets with i + 1 frames to go, ``deadline - 1`` of them between frames)
+and the exact deficit numerator.  Each frame executes, in order: admit
+sampled arrivals by appending the top buckets, take the scheduler's decision
+(packets per service), check it, serve it oldest first and age the buckets
+in place (pop r = 1, whose unserved packets expire), update the deficit
 numerators and record the frame's served, dropped and deficit counts.  The
 trace keeps only what the run measured; the backlog and the float deficits
 are derived where they are written.  Runs are deterministic given the
@@ -218,8 +219,9 @@ def run(config: SimConfig) -> TraceLog:
     arrivals = ArrivalGenerator(specs, config.seed).sample_run(n)
     decide = make_scheduler(config.scheduler, specs, caps)
 
-    # buckets[j][i]: service j's packets with i + 1 frames to go
-    buckets = [[0] * s.deadline for s in specs]
+    # buckets[j][i]: service j's packets with i + 1 frames to go; between
+    # frames a row holds deadline - 1 of them, and admission appends the top one
+    buckets = [[0] * (s.deadline - 1) for s in specs]
     # nums[j]: service j's deficit times q for its loss allowance p / q
     nums = [0] * n_svc
     allowances = [s.loss_allowance.as_integer_ratio() for s in specs]
@@ -229,7 +231,7 @@ def run(config: SimConfig) -> TraceLog:
     for lo in range(0, n, CSV_CHUNK_ROWS):
         for k, arrived in enumerate(arrivals[lo : lo + CSV_CHUNK_ROWS].tolist(), lo):
             for row, a in zip(buckets, arrived):
-                row[-1] = a
+                row.append(a)
             totals = decide(k, buckets, nums)
             # the decision contract: one total per service, the frame
             # capacity, then each total within what its service holds
@@ -240,16 +242,17 @@ def run(config: SimConfig) -> TraceLog:
             for j, (row, x, (p, q)) in enumerate(zip(buckets, totals, allowances)):
                 if not 0 <= x <= sum(row):
                     raise ContractViolation(f"frame {k}: service {j + 1}: served {x} of {sum(row)} queued")
-                # serve x oldest first: the rest of r = 1 drops, the others age
-                left = row[1:] + [0]
-                dropped = max(row[0] - x, 0)
-                rest, i = x - row[0], 0
-                while rest > 0:
-                    rest -= left[i]
-                    left[i] = max(-rest, 0)
+                # serve x oldest first and age in place: pop r = 1, whose
+                # packets x leaves drop; while that count is negative, x
+                # takes the rest from the aged row, oldest first
+                dropped = row.pop(0) - x
+                i = 0
+                while dropped < 0:
+                    left = row[i] + dropped
+                    row[i] = left if left > 0 else 0
+                    dropped = left if left < 0 else 0
                     i += 1
-                buckets[j] = left
-                nums[j] = num = max(nums[j] - p, 0) + dropped * q
+                nums[j] = num = (nums[j] - p if nums[j] > p else 0) + dropped * q
                 record.extend((x, dropped, num))
 
     served, drops, deficit_num = np.frombuffer(record, dtype=np.int64).reshape(n, n_svc, 3).transpose(2, 0, 1)

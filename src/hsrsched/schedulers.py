@@ -6,7 +6,8 @@ builds once per run.  Given the frame index, each service's deadline buckets
 frame's arrivals already admitted) and exact deficit numerators in spec order,
 it returns per service the packets it sends this frame, never more than the
 service holds nor, summed, than the frame's capacity, read from the trip's
-capacities alone.  The engine serves each total oldest first.
+capacities alone.  The engine serves each total oldest first, changing the
+rows in place, so ``decide`` must neither keep nor mutate them.
 
 There are two kinds.  A fixed-order policy (round robin, EDF) serves the
 buckets in cell orders built before the trip, taken in turn by frame.  The

@@ -6,6 +6,10 @@ The hashes were taken from 2,000-frame runs of each policy, seed 42: those of
 speed, those of the summary text before it was read off the trace arrays
 directly.  Any change to them must be a recorded defect fix, not a side
 effect of a refactor.
+
+Those short runs drop packets under rr alone, so the whole 30,000-frame trip
+of each policy is pinned too; there all three drop.  Its hashes were taken
+before the frame step aged the buckets in place.
 """
 
 import hashlib
@@ -44,6 +48,13 @@ SUMMARY_SHA256 = {
     ("mixed", "edf"): "9aafb1837b836db6f21121f19a0ebc8c5603f417a7cebf724a4ef8ddd740f6d9",
 }
 
+# trace.csv of the whole trip of configs/table1_fig2.ini at its seed 42
+TRIP_SHA256 = {
+    "dcsa": "8551ea7ad45fd3a3cb3c4773795d9ff362f2d39d2422c044e953e905cc6ac4c5",
+    "rr": "33b3120978f4afd60367a134493ea5780737cc56a5ddc1d36d5d4d4e7d27008f",
+    "edf": "51375f51abbf5eb026da3cceee20c6791f373c1e84923aeba7f9b2047728d169",
+}
+
 
 def _sim(mix, policy):
     sim = replace(parse_config(DEFAULT_CONFIG).sim, scheduler=policy, seed=42, num_frames=2000)
@@ -61,3 +72,12 @@ def test_trace_csv_bytes_pinned(mix, policy, tmp_path):
 def test_summary_text_bytes_pinned(mix, policy):
     text = run(_sim(mix, policy)).summary_text()
     assert hashlib.sha256(text.encode()).hexdigest() == SUMMARY_SHA256[mix, policy]
+
+
+@pytest.mark.parametrize("policy", sorted(TRIP_SHA256))
+def test_whole_trip_trace_csv_bytes_pinned(policy, table1_run, tmp_path):
+    trace = table1_run(policy)
+    assert trace.drops.sum() > 0
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRIP_SHA256[policy]

@@ -1,7 +1,7 @@
 """The frame state ``engine.run`` keeps per service: deadline buckets (entry i
 holds the packets with i + 1 frames to go) and the exact deficit numerator.
-Each case scripts one service's arrivals and the decision of every frame (the
-packets it sends, which the engine serves oldest first), and reads the
+Each case scripts the services' arrivals and the decision of every frame (the
+packets each sends, which the engine serves oldest first), and reads the
 buckets each decision saw and the trace the run left."""
 
 import random
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hsrsched.engine as engine_mod
-from conftest import LinkSim, backlog
+from conftest import LinkSim, backlog, fifo_drops, links
 from hsrsched import ContractViolation, ServiceSpec, run
 
 
@@ -22,28 +22,43 @@ def _spec(deadline=1, rate=10.0, ratio=0.9):
     return ServiceSpec(arrival_rate=rate, deadline=deadline, delivery_ratio=ratio)
 
 
-def _drive(traj, radio, spec, arrivals, decide=None):
-    """Run ``spec`` alone with ``arrivals[k]`` admitted at frame k, deciding
-    ``decide(frame, row)``, a list of totals (nothing served by default), on
-    an unlimited link; returns the trace and the bucket row each decision saw."""
+def _scripted_run(traj, radio, specs, arrivals, profile, decide):
+    """Run ``specs`` with ``arrivals[k][j]`` admitted to service j at frame k,
+    over the link ``profile``, deciding ``decide(frame, rows)``, a list of
+    totals; returns the trace and a copy of the bucket rows each decision saw."""
     seen = []
 
     def scripted(frame, buckets, nums):
-        seen.append(list(buckets[0]))
-        return decide(frame, list(buckets[0])) if decide else [0]
+        seen.append([list(row) for row in buckets])
+        return decide(frame, seen[-1])
 
     class Arrivals:
         def __init__(self, specs, seed):
             pass
 
         def sample_run(self, n):
-            return np.array(arrivals, dtype=np.int64).reshape(n, 1)
+            return np.array(arrivals, dtype=np.int64).reshape(n, -1)
 
-    cfg = LinkSim(traj, radio, (spec,), num_frames=len(arrivals), profile=(10**6,) * len(arrivals))
+    cfg = LinkSim(traj, radio, tuple(specs), num_frames=len(arrivals), profile=tuple(profile))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine_mod, "ArrivalGenerator", Arrivals)
         mp.setattr(engine_mod, "make_scheduler", lambda policy, specs, caps: scripted)
         return run(cfg), seen
+
+
+def _drive(traj, radio, spec, arrivals, decide=None):
+    """Run ``spec`` alone with ``arrivals[k]`` admitted at frame k, deciding
+    ``decide(frame, row)``, a list of totals (nothing served by default), on
+    an unlimited link; returns the trace and the bucket row each decision saw."""
+    trace, seen = _scripted_run(
+        traj,
+        radio,
+        [spec],
+        [[a] for a in arrivals],
+        (10**6,) * len(arrivals),
+        lambda k, rows: decide(k, rows[0]) if decide else [0],
+    )
+    return trace, [rows[0] for rows in seen]
 
 
 def _nums(traj, radio, spec, drops):
@@ -62,7 +77,7 @@ def test_admit_zero_is_noop_on_contents(table1_traj, table1_radio):
 
 def test_admit_places_arrivals_in_top_bucket(table1_traj, table1_radio):
     trace, seen = _drive(table1_traj, table1_radio, _spec(3), [7, 2])
-    # aging empties the top bucket, so it holds only this frame's arrivals
+    # admission appends the top bucket, so it holds only this frame's arrivals
     assert seen == [[0, 0, 7], [0, 7, 2]]
     assert backlog(trace)[:, 0].tolist() == [7, 9]
 
@@ -143,6 +158,61 @@ def test_engine_serves_each_total_oldest_first(m, arrivals, data, table1_traj, t
             queue.popleft()
             dropped += 1
         assert trace.drops[k, 0] == dropped, k
+
+
+def _aged(row, total):
+    """``row`` a frame on, after ``total`` packets of it were sent oldest
+    first: each bucket less what the total took of it, moved down one, and
+    the r = 1 bucket gone."""
+    left = []
+    for a in row:
+        took = min(a, total)
+        total -= took
+        left.append(a - took)
+    return left[1:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # (deadline, arrival rate) per service; the rate sets the loss allowance
+    services=st.lists(
+        st.tuples(st.integers(1, 10), st.sampled_from([10.0, 15.0, 17.5, 61.3])), min_size=1, max_size=3
+    ),
+    frames=st.integers(1, 40),
+    data=st.data(),
+)
+def test_frame_step_ages_full_rows_in_place(services, frames, data, table1_traj, table1_radio):
+    # every service-frame: a random total inside the contract; the rows each
+    # decision saw, read against the previous frame's rows aged by _aged
+    specs = [_spec(m, rate) for m, rate in services]
+    deadlines = [m for m, _ in services]
+    profile = data.draw(links(frames, 30), label="link")
+    per_frame = st.lists(st.integers(0, 12), min_size=len(specs), max_size=len(specs))
+    arrivals = data.draw(st.lists(per_frame, min_size=frames, max_size=frames), label="arrivals")
+    totals = []
+
+    def decide(k, rows):
+        left, sent = profile[k], []
+        for j, row in enumerate(rows):
+            sent.append(data.draw(st.integers(0, min(sum(row), left)), label=f"total at frame {k}, service {j + 1}"))
+            left -= sent[-1]
+        totals.append(sent)
+        return sent
+
+    trace, seen = _scripted_run(table1_traj, table1_radio, specs, arrivals, profile, decide)
+    assert trace.served.tolist() == totals
+    for k, rows in enumerate(seen):
+        for j, (row, m) in enumerate(zip(rows, deadlines)):
+            assert len(row) == m and row[-1] == arrivals[k][j], (k, j)
+            before = _aged(seen[k - 1][j], totals[k - 1][j]) if k else [0] * (m - 1)
+            assert row[:-1] == before, (k, j)
+    assert (trace.drops == fifo_drops(trace, deadlines)).all()
+    for j, spec in enumerate(specs):
+        p, q = spec.loss_allowance.as_integer_ratio()
+        num = 0
+        for k in range(frames):
+            num = max(num - p, 0) + int(trace.drops[k, j]) * q
+            assert trace.deficit_num[k, j] == num, (k, j)
 
 
 def test_deficit_update_examples(table1_traj, table1_radio):
