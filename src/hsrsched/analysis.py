@@ -43,6 +43,8 @@ CHECK_BLOCK_FRAMES = 2048
 def _exact_blocks(trace: TraceLog, j: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Service j's columns in blocks of ``CHECK_BLOCK_FRAMES`` frames: each
     block's first frame, deficit numerators and drops, as Python integers."""
+    if trace.num_frames < 1:
+        raise ValueError("trace too short")
     for start in range(0, trace.num_frames, CHECK_BLOCK_FRAMES):
         rows = slice(start, start + CHECK_BLOCK_FRAMES)
         yield start, trace.deficit_num[rows, j].astype(object), trace.drops[rows, j].astype(object)
@@ -97,8 +99,6 @@ def check_lemma1(trace: TraceLog) -> dict:
     integers.  Returns the verdict as its ``verify_report.json`` row, one
     entry per service under ``services``, each with its first worst prefix.
     """
-    if trace.num_frames < 1:
-        raise ValueError("trace too short")
     n = trace.num_frames
     services = []
     for j, allowance in enumerate(trace.loss_allowances):

@@ -5,8 +5,8 @@ see configs/ for the checked-in defaults.  Commands write CSV files and
 structured-text summaries under the configured output directory and nothing
 anywhere else.
 
-Exit codes: 0 success, 1 config/validation error, 2 runtime error,
-3 verification failure.
+Exit codes: 0 success, 1 config, usage or validation error, 2 runtime
+error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -356,8 +356,13 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1 as a config error, not 2 as argparse's
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hsrsched",
         description="Deadline-constrained downlink scheduling simulator",
     )
@@ -372,14 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("HSRSCHED_LOG", "WARNING").upper()
-    # checked here: basicConfig would raise past the error handling below
-    if not isinstance(logging.getLevelName(level), int):
-        print(f"error: HSRSCHED_LOG = {level!r} is not a logging level", file=sys.stderr)
-        return EXIT_CONFIG
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
     try:
+        level = os.environ.get("HSRSCHED_LOG", "WARNING").upper()
+        # checked here: basicConfig's ValueError would read as a runtime error
+        if not isinstance(logging.getLevelName(level), int):
+            raise ConfigError(f"HSRSCHED_LOG = {level!r} is not a logging level")
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+        args = build_parser().parse_args(argv)
         cfg = parse_config(args.config, args.seed, args.frames, args.out)
         return COMMANDS[args.command](cfg)
     except ConfigError as exc:

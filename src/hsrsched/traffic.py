@@ -24,8 +24,8 @@ def truncated_poisson_pmf(rate: float) -> np.ndarray:
     Its support is {0..a}, where ``a`` is the smallest integer whose Poisson
     upper-tail mass beyond it is below ``TAIL_EPS``, and it sums to 1.
     """
-    if rate <= 0:
-        raise ValueError("rate must be strictly positive")
+    if not 0 < rate < math.inf:
+        raise ValueError("rate must be strictly positive and finite")
     log_rate = math.log(rate)
 
     def term(i: int) -> float:

@@ -4,6 +4,7 @@ import itertools
 import os
 import warnings
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -110,6 +111,54 @@ def certified_planner():
 
     with mock.patch.object(schedulers, "allocate_cohorts", certified):
         yield calls
+
+
+# the three services of perfbench/configs/mixed.ini: deadlines 2, 5 and 10
+MIXED_SERVICES = (
+    ServiceSpec(arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
+    ServiceSpec(arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
+    ServiceSpec(arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
+)
+
+
+def exact_deficits(drops, allowance):
+    """The deficit counter after each frame of a service that drops
+    ``drops[k]`` at frame k: Y <- max(Y - allowance, 0) + D from Y = 0, in
+    exact ``Fraction``s."""
+    y, deficits = Fraction(0), []
+    for d in drops:
+        y = max(y - allowance, Fraction(0)) + d
+        deficits.append(y)
+    return deficits
+
+
+def oldest_first(row, total):
+    """Per bucket of ``row``, the packets taken when ``total`` are served
+    oldest first (r = 1 first)."""
+    served = []
+    for a in row:
+        served.append(min(a, total))
+        total -= served[-1]
+    return served
+
+
+def fifo_walk(arrivals, capacities, m):
+    """Per frame of one service served oldest first, batch by batch: the
+    packets gone (served or dropped) so far and the frame's drops.  Each
+    frame admits its batch, serves its capacity from the oldest batches and
+    drops the batch that has had its m frames."""
+    batches, gone, steps = [], 0, []
+    for t, (a, c) in enumerate(zip(arrivals, capacities)):
+        batches.append([t, a])
+        for batch in batches:
+            taken = min(c, batch[1])
+            batch[1] -= taken
+            c -= taken
+            gone += taken
+        dropped = batches.pop(0)[1] if batches[0][0] == t - m + 1 else 0
+        gone += dropped
+        steps.append((gone, dropped))
+    return steps
 
 
 def backlog(trace):

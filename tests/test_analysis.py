@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LinkSim, certified_planner, links
+from conftest import MIXED_SERVICES, LinkSim, certified_planner, exact_deficits, links
 from hsrsched import (
     ServiceSpec,
     SimConfig,
@@ -32,13 +32,6 @@ from hsrsched.analysis import (
 )
 from hsrsched.schedulers import SCHEDULER_POLICIES
 
-# the shipped link with three services of deadlines 2, 5 and 10
-MIXED_SERVICES = (
-    ServiceSpec(arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
-    ServiceSpec(arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
-    ServiceSpec(arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
-)
-
 
 def _hand_trace(drops_per_frame, loss_allowance, deficits=None):
     """Single-service trace with just the columns the checks consume.
@@ -49,11 +42,7 @@ def _hand_trace(drops_per_frame, loss_allowance, deficits=None):
     n = len(drops_per_frame)
     drops = np.array(drops_per_frame, dtype=np.int64).reshape(n, 1)
     if deficits is None:
-        y = Fraction(0)
-        deficits = []
-        for d in drops_per_frame:
-            y = max(y - allowance, Fraction(0)) + d
-            deficits.append(y)
+        deficits = exact_deficits(drops_per_frame, allowance)
     nums = [Fraction(y) * allowance.denominator for y in deficits]
     assert all(v.denominator == 1 for v in nums)
     zeros = np.zeros((n, 1), dtype=np.int64)
@@ -248,6 +237,12 @@ def test_lemma1_names_the_worst_prefix_frame(table1_traj, table1_radio, two_serv
 def test_lemma1_rejects_empty_trace():
     with pytest.raises(ValueError):
         check_lemma1(_hand_trace([], 1))
+
+
+def test_sample_drift_rejects_empty_trace():
+    # no transition to check is no evidence either way, not a pass
+    with pytest.raises(ValueError, match="^trace too short$"):
+        check_sample_drift(_hand_trace([], 1))
 
 
 def test_oracle_zero_drops_when_capacity_ample():

@@ -80,6 +80,20 @@ seeds_per_point = {seeds}
     return str(path)
 
 
+def _config_error(tmp_path, capsys, text, command, *flags):
+    """Runs ``command`` with ``flags`` on a config file holding ``text``;
+    asserts exit 1, an ``error: `` line on stderr and no ``--out``
+    directory, and returns stderr."""
+    path = tmp_path / "edited.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, str(path), *flags, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert not out.exists()
+    return err
+
+
 def test_missing_config_file_exits_one(capsys, tmp_path):
     rc = main(["run", str(tmp_path / "nope.ini")])
     assert rc == EXIT_CONFIG
@@ -133,22 +147,15 @@ def test_fig2_on_one_service_exits_one(tmp_path, capsys):
     cfg = parse_config(DEFAULT_CONFIG)
     text, dropped = re.subn(r"^\[service\.2\]\n(?:.+\n)*", "", serialize_config(cfg), flags=re.M)
     assert dropped == 1
-    path = tmp_path / "one.ini"
-    path.write_text(text)
-    out = tmp_path / "x"
-    assert main(["fig2", str(path), "--frames", "10", "--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == "error: fig2 needs exactly two services\n"
-    assert not out.exists()
+    err = _config_error(tmp_path, capsys, text, "fig2", "--frames", "10")
+    assert err == "error: fig2 needs exactly two services\n"
 
 
 @pytest.mark.parametrize("axis", ["deadlines", "lambdas"])
 def test_fig3_on_an_empty_grid_exits_one(axis, tmp_path, capsys):
-    path = tmp_path / "empty.ini"
-    path.write_text(re.sub(rf"^{axis} = .*$", f"{axis} =", serialize_config(parse_config(FIG3_CONFIG)), flags=re.M))
-    out = tmp_path / "x"
-    assert main(["fig3", str(path), "--frames", "10", "--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == "error: fig3 needs a non-empty sweep grid\n"
-    assert not out.exists()
+    text = re.sub(rf"^{axis} = .*$", f"{axis} =", serialize_config(parse_config(FIG3_CONFIG)), flags=re.M)
+    err = _config_error(tmp_path, capsys, text, "fig3", "--frames", "10")
+    assert err == "error: fig3 needs a non-empty sweep grid\n"
 
 
 @pytest.mark.parametrize("name", ["mixed.ini", "sweep.ini"])
@@ -183,14 +190,7 @@ def test_unknown_key_or_section_is_a_config_error(section, line, name, tmp_path,
         text = fh.read()
     header = f"[{section}]\n"
     text = text.replace(header, header + line + "\n") if header in text else text + header + line + "\n"
-    path = tmp_path / "typo.ini"
-    path.write_text(text)
-    out = tmp_path / "f3"
-    rc = main(["fig3", str(path), "--frames", "10", "--out", str(out)])
-    assert rc == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and name in err
-    assert not out.exists()
+    assert name in _config_error(tmp_path, capsys, text, "fig3", "--frames", "10")
 
 
 FLOAT_KEYS = [f.name for cls in (TrajectoryConfig, RadioConfig) for f in fields(cls)] + [
@@ -206,13 +206,7 @@ def test_non_finite_float_is_a_config_error(key, value, tmp_path, capsys):
     text = serialize_config(parse_config(FIG3_CONFIG))
     text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
     assert count == 1
-    path = tmp_path / "inf.ini"
-    path.write_text(text)
-    out = tmp_path / "x"
-    rc = main(["run", str(path), "--frames", "10", "--out", str(out)])
-    assert rc == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists()
+    _config_error(tmp_path, capsys, text, "run", "--frames", "10")
 
 
 def test_percent_in_a_value_is_literal(tmp_path, monkeypatch):
@@ -444,11 +438,8 @@ def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
 
 
 def test_negative_seed_key_is_a_config_error(tmp_path, capsys):
-    path = tmp_path / "neg.ini"
-    path.write_text(serialize_config(parse_config(DEFAULT_CONFIG)).replace("seed = 42", "seed = -1"))
-    rc = main(["run", str(path), "--frames", "10", "--out", str(tmp_path / "x")])
-    assert rc == EXIT_CONFIG
-    assert "seed must be non-negative" in capsys.readouterr().err
+    text = serialize_config(parse_config(DEFAULT_CONFIG)).replace("seed = 42", "seed = -1")
+    assert "seed must be non-negative" in _config_error(tmp_path, capsys, text, "run", "--frames", "10")
 
 
 def test_empty_out_flag_is_a_config_error(tmp_path, monkeypatch, capsys):
@@ -521,25 +512,14 @@ def test_verify_report_key_sets_are_pinned(tmp_path):
 
 
 def test_unknown_scheduler_is_a_config_error(tmp_path, capsys):
-    path = tmp_path / "sched.ini"
-    text = serialize_config(parse_config(DEFAULT_CONFIG))
-    path.write_text(text.replace("scheduler = dcsa", "scheduler = fifo"))
-    out = tmp_path / "x"
-    rc = main(["run", str(path), "--frames", "10", "--out", str(out)])
-    assert rc == EXIT_CONFIG
-    assert "error: unknown scheduler 'fifo'" in capsys.readouterr().err
-    assert not out.exists()
+    text = serialize_config(parse_config(DEFAULT_CONFIG)).replace("scheduler = dcsa", "scheduler = fifo")
+    assert "error: unknown scheduler 'fifo'" in _config_error(tmp_path, capsys, text, "run", "--frames", "10")
 
 
 def test_negative_oracle_instances_is_a_config_error(tmp_path, capsys):
-    path = tmp_path / "neg.ini"
-    text = serialize_config(parse_config(DEFAULT_CONFIG))
-    path.write_text(text.replace("oracle_instances = 200", "oracle_instances = -5"))
-    out = tmp_path / "v"
-    rc = main(["verify", str(path), "--frames", "100", "--out", str(out)])
-    assert rc == EXIT_CONFIG
-    assert "error: oracle_instances must be non-negative" in capsys.readouterr().err
-    assert not out.exists()
+    text = serialize_config(parse_config(DEFAULT_CONFIG)).replace("oracle_instances = 200", "oracle_instances = -5")
+    err = _config_error(tmp_path, capsys, text, "verify", "--frames", "100")
+    assert "error: oracle_instances must be non-negative" in err
 
 
 @pytest.mark.parametrize(
@@ -550,28 +530,15 @@ def test_negative_oracle_instances_is_a_config_error(tmp_path, capsys):
     ],
 )
 def test_bad_fig3_grid_point_is_a_config_error(key, value, message, tmp_path, capsys):
-    path = tmp_path / "grid.ini"
-    text = serialize_config(parse_config(FIG3_CONFIG))
-    path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M))
-    out = tmp_path / "f3"
-    rc = main(["fig3", str(path), "--out", str(out)])
-    assert rc == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert not out.exists()
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", serialize_config(parse_config(FIG3_CONFIG)), flags=re.M)
+    assert message in _config_error(tmp_path, capsys, text, "fig3")
 
 
 def test_rate_too_small_to_draw_an_arrival_is_a_config_error(tmp_path, capsys):
-    path = tmp_path / "tiny.ini"
-    text = serialize_config(parse_config(FIG3_CONFIG))
-    path.write_text(re.sub(r"^lambda = .*$", "lambda = 1e-7", text, flags=re.M))
-    out = tmp_path / "o"
-    rc = main(["run", str(path), "--frames", "10", "--out", str(out)])
-    assert rc == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "burst bound below mean arrival rate" in err
+    text = re.sub(r"^lambda = .*$", "lambda = 1e-7", serialize_config(parse_config(FIG3_CONFIG)), flags=re.M)
+    err = _config_error(tmp_path, capsys, text, "run", "--frames", "10")
+    assert "burst bound below mean arrival rate" in err
     assert "tail_eps" not in err
-    assert not out.exists()
 
 
 def _verify_with_fault(tmp_path, frames, verify="oracle_instances = 0\ninject_fault = deficit"):
@@ -664,6 +631,30 @@ def test_unknown_log_level_is_a_config_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "HSRSCHED_LOG" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", DEFAULT_CONFIG, "--bogus"], "unrecognized arguments: --bogus"),
+        (["run", DEFAULT_CONFIG, "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (["plot", DEFAULT_CONFIG], "invalid choice: 'plot'"),
+        (["run"], "the following arguments are required: config"),
+    ],
+    ids=["unknown-flag", "bad-seed", "unknown-command", "missing-config"],
+)
+def test_usage_error_exits_one(argv, message, capsys):
+    # a usage error is reported as a config error, not as argparse's exit 2
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--help"])
+    assert info.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: hsrsched run")
 
 
 def test_cmd_verify_default_config_passes(tmp_path):
@@ -785,12 +776,8 @@ SERVICE_BODY = "lambda = 20.0\ndeadline = 2\ndelivery_ratio = 0.95\n"
 )
 def test_service_section_ids_are_checked_by_the_parser(sections, message, tmp_path, capsys):
     text = re.sub(r"^\[service\.\d+\]\n(?:.+\n)*", "", serialize_config(parse_config(MIXED_CONFIG)), flags=re.M)
-    path = tmp_path / "ids.ini"
-    path.write_text(text + "".join(f"\n[{name}]\n{SERVICE_BODY}" for name in sections))
-    out = tmp_path / "x"
-    assert main(["run", str(path), "--frames", "10", "--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
+    text += "".join(f"\n[{name}]\n{SERVICE_BODY}" for name in sections)
+    assert _config_error(tmp_path, capsys, text, "run", "--frames", "10") == f"error: {message}\n"
 
 
 def test_service_sections_are_taken_in_id_order(tmp_path):

@@ -18,17 +18,11 @@ from dataclasses import replace
 
 import pytest
 
-from hsrsched import ServiceSpec, run
+from conftest import MIXED_SERVICES
+from hsrsched import run
 from hsrsched.cli import parse_config
 
 DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "table1_fig2.ini")
-
-# the shipped link with three services of deadlines 2, 5 and 10
-MIXED_SERVICES = (
-    ServiceSpec(arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
-    ServiceSpec(arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
-    ServiceSpec(arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
-)
 
 EXPECTED_SHA256 = {
     ("table1_fig2", "dcsa"): "8ed7411aeb44201cebbeb1b63a9eb4ffcf63965609dd2ef757b248b81956754d",

@@ -1,7 +1,6 @@
 import os
 import tracemalloc
 from dataclasses import replace
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 import hsrsched.cli as cli
 import hsrsched.engine as engine
-from conftest import LinkSim, backlog, certified_planner, fifo_drops, links
+from conftest import MIXED_SERVICES, LinkSim, backlog, certified_planner, exact_deficits, fifo_drops, fifo_walk, links
 from hsrsched import ContractViolation, ServiceSpec, SimConfig, build_capacity_profile, run
 from hsrsched.cli import fig3_rows, parse_config
 from hsrsched.engine import CSV_CHUNK_ROWS, INT64_MAX, fifo_chunk, single_service_ratios
@@ -86,12 +85,7 @@ def test_cohort_drop_equivalence(table1_traj, table1_radio, two_services):
     # a mix of deadlines 2/5/10 gives each service a different ring length in
     # the dcsa planner and different bucket counts in the queues; both links
     # carry less than the offered load, so batches do drop
-    mixed = (
-        ServiceSpec(arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
-        ServiceSpec(arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
-        ServiceSpec(arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
-    )
-    for services, link in ((two_services, 150), (mixed, 100)):
+    for services, link in ((two_services, 150), (MIXED_SERVICES, 100)):
         for policy in SCHEDULER_POLICIES:
             cfg = _config(
                 table1_traj,
@@ -187,13 +181,8 @@ def test_dcsa_serves_the_tight_service_at_least_as_well_as_edf(table1_traj, tabl
     # deadlines 2/5/10 over the full trip, inside the feasibility bound:
     # re-planning every cohort by current deficit lets the deadline-2
     # service reclaim capacity that EDF hands to whoever is most urgent
-    services = (
-        ServiceSpec(arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
-        ServiceSpec(arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
-        ServiceSpec(arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
-    )
     dcsa, edf = (
-        run(_config(table1_traj, table1_radio, services, scheduler=policy, seed=42))
+        run(_config(table1_traj, table1_radio, MIXED_SERVICES, scheduler=policy, seed=42))
         for policy in ("dcsa", "edf")
     )
     assert dcsa.delivery_ratios()[0] >= edf.delivery_ratios()[0]
@@ -268,15 +257,10 @@ def test_backlog_is_what_the_buckets_hold_frame_by_frame(policy, table1_traj, ta
         return recorded
 
     monkeypatch.setattr(engine_mod, "make_scheduler", recording)
-    services = (
-        ServiceSpec(arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
-        ServiceSpec(arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
-        ServiceSpec(arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
-    )
     cfg = _config(
         table1_traj,
         table1_radio,
-        services,
+        MIXED_SERVICES,
         scheduler=policy,
         seed=8,
         num_frames=1500,
@@ -366,12 +350,9 @@ def test_engine_conservation_laws(policy, params, table1_traj, table1_radio):
         assert arrivals.sum() == served.sum() + drops.sum() + backlog(trace)[-1, j]
         assert (expected[:, j] == drops).all()
         assert not drops[: m - 1].any()
-        # the deficit numerators follow Y <- max(Y - allowance, 0) + drops in
-        # exact rationals, frame by frame
+        # the deficit numerators follow the exact recurrence, frame by frame
         allowance = trace.loss_allowances[j]
-        y = Fraction(0)
-        for d, num in zip(drops.tolist(), trace.deficit_num[:, j].tolist()):
-            y = max(y - allowance, 0) + d
+        for y, num in zip(exact_deficits(drops.tolist(), allowance), trace.deficit_num[:, j].tolist()):
             assert num == y * allowance.denominator
 
 
@@ -421,23 +402,6 @@ def _arrivals(sim):
     return ArrivalGenerator(sim.services, sim.seed).sample_run(sim.frames)[:, 0].tolist()
 
 
-def _fifo_drops(arrivals, capacity, m):
-    """Drops of one service served oldest first, batch by batch: each frame
-    admits its batch, serves ``capacity`` packets from the oldest batches and
-    drops the batch that has had its m frames."""
-    batches, drops = [], 0
-    for t, a in enumerate(arrivals):
-        batches.append([t, a])
-        left = capacity
-        for batch in batches:
-            taken = min(left, batch[1])
-            batch[1] -= taken
-            left -= taken
-        if batches[0][0] == t - m + 1:
-            drops += batches.pop(0)[1]
-    return drops
-
-
 def test_lockstep_deadline_one_drops_the_excess_of_each_frame(table1_traj, table1_radio):
     sim = _one_service(table1_traj, table1_radio, 1, num_frames=700)
     a = _arrivals(sim)
@@ -480,26 +444,10 @@ def test_lockstep_mixed_deadlines_across_chunk_boundaries(table1_traj, table1_ra
     expected = []
     for sim in sims:
         a = _arrivals(sim)
-        expected.append((sum(a) - _fifo_drops(a, 120, sim.services[0].deadline)) / sum(a))
+        drops = sum(d for _, d in fifo_walk(a, (120,) * len(a), sim.services[0].deadline))
+        expected.append((sum(a) - drops) / sum(a))
     assert len(set(expected[:2] + expected[3:5])) == 4
     assert single_service_ratios((120,) * 1030, _trips(sims)) == expected
-
-
-def _fifo_steps(arrivals, capacities, m):
-    """Per frame of one service served oldest first, batch by batch: the
-    packets gone (served or dropped) so far and the frame's drops."""
-    batches, gone, steps = [], 0, []
-    for t, (a, c) in enumerate(zip(arrivals, capacities)):
-        batches.append([t, a])
-        for batch in batches:
-            taken = min(c, batch[1])
-            batch[1] -= taken
-            c -= taken
-            gone += taken
-        dropped = batches.pop(0)[1] if batches[0][0] == t - m + 1 else 0
-        gone += dropped
-        steps.append((gone, dropped))
-    return steps
 
 
 @st.composite
@@ -531,7 +479,7 @@ def test_fifo_chunk_matches_a_per_frame_fifo(case):
     # cum[r, pad + 1 + t] = stream r's arrivals through frame t, zero before frame 0
     cum = np.zeros((len(streams), pad + 1 + frames), dtype=np.int64)
     cum[:, pad + 1 :] = np.cumsum(streams, axis=1)
-    steps = [_fifo_steps(streams[r], capacities, m) for r, m in lanes]
+    steps = [fifo_walk(streams[r], capacities, m) for r, m in lanes]
     gone = np.zeros(len(lanes), dtype=np.int64)
     with mock.patch.object(engine, "FIFO_LANE_BUDGET", budget):
         for lo, hi in zip([0, *cuts], [*cuts, frames]):

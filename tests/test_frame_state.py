@@ -7,6 +7,7 @@ buckets each decision saw and the trace the run left."""
 import random
 from collections import deque
 from fractions import Fraction
+from operator import sub
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hsrsched.engine as engine_mod
-from conftest import LinkSim, backlog, fifo_drops, links
+from conftest import LinkSim, backlog, exact_deficits, fifo_drops, links, oldest_first
 from hsrsched import ContractViolation, ServiceSpec, run
 
 
@@ -160,18 +161,6 @@ def test_engine_serves_each_total_oldest_first(m, arrivals, data, table1_traj, t
         assert trace.drops[k, 0] == dropped, k
 
 
-def _aged(row, total):
-    """``row`` a frame on, after ``total`` packets of it were sent oldest
-    first: each bucket less what the total took of it, moved down one, and
-    the r = 1 bucket gone."""
-    left = []
-    for a in row:
-        took = min(a, total)
-        total -= took
-        left.append(a - took)
-    return left[1:]
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     # (deadline, arrival rate) per service; the rate sets the loss allowance
@@ -183,7 +172,7 @@ def _aged(row, total):
 )
 def test_frame_step_ages_full_rows_in_place(services, frames, data, table1_traj, table1_radio):
     # every service-frame: a random total inside the contract; the rows each
-    # decision saw, read against the previous frame's rows aged by _aged
+    # decision saw, read against the previous frame's rows aged by oldest_first
     specs = [_spec(m, rate) for m, rate in services]
     deadlines = [m for m, _ in services]
     profile = data.draw(links(frames, 30), label="link")
@@ -204,15 +193,15 @@ def test_frame_step_ages_full_rows_in_place(services, frames, data, table1_traj,
     for k, rows in enumerate(seen):
         for j, (row, m) in enumerate(zip(rows, deadlines)):
             assert len(row) == m and row[-1] == arrivals[k][j], (k, j)
-            before = _aged(seen[k - 1][j], totals[k - 1][j]) if k else [0] * (m - 1)
-            assert row[:-1] == before, (k, j)
+            # each bucket of the previous row less what its total took oldest
+            # first, moved down one, and the r = 1 bucket gone
+            prev, sent = (seen[k - 1][j], totals[k - 1][j]) if k else ([0] * m, 0)
+            assert row[:-1] == list(map(sub, prev, oldest_first(prev, sent)))[1:], (k, j)
     assert (trace.drops == fifo_drops(trace, deadlines)).all()
     for j, spec in enumerate(specs):
-        p, q = spec.loss_allowance.as_integer_ratio()
-        num = 0
-        for k in range(frames):
-            num = max(num - p, 0) + int(trace.drops[k, j]) * q
-            assert trace.deficit_num[k, j] == num, (k, j)
+        q = spec.loss_allowance.denominator
+        for k, y in enumerate(exact_deficits(trace.drops[:, j].tolist(), spec.loss_allowance)):
+            assert trace.deficit_num[k, j] == y * q, (k, j)
 
 
 def test_deficit_update_examples(table1_traj, table1_radio):
@@ -250,9 +239,7 @@ def test_deficit_queue_matches_scalar_updates(table1_traj, table1_radio):
     assert allowance == Fraction(7, 4)
     drops = [rng.choice([0, 0, 1, 3, 7]) for _ in range(5000)]
     nums = _nums(table1_traj, table1_radio, _spec(rate=17.5), drops)
-    y = Fraction(0)
-    for d, num in zip(drops, nums):
-        y = max(y - allowance, 0) + d
+    for y, num in zip(exact_deficits(drops, allowance), nums):
         assert num == y * 4
 
 
@@ -262,9 +249,7 @@ def test_deficit_queue_exact_value_is_exact(table1_traj, table1_radio):
     assert allowance == Fraction("4.291")
     rng = random.Random(5)
     drops = [rng.choice([0, 0, 0, 2, 9]) for _ in range(3000)]
-    y = Fraction(0)
-    for d, num in zip(drops, _nums(table1_traj, table1_radio, spec, drops)):
-        y = max(y - allowance, Fraction(0)) + d
+    for y, num in zip(exact_deficits(drops, allowance), _nums(table1_traj, table1_radio, spec, drops)):
         assert Fraction(num, allowance.denominator) == y
 
 
@@ -302,7 +287,5 @@ def test_deficit_queue_matches_fraction_recurrence(
     spec = ServiceSpec(arrival_rate=float(rate_text), deadline=1, delivery_ratio=float(ratio_text))
     allowance = (1 - Fraction(ratio_text)) * Fraction(rate_text)
     assert spec.loss_allowance == allowance
-    y = Fraction(0)
-    for d, num in zip(drops, _nums(table1_traj, table1_radio, spec, drops)):
-        y = max(y - allowance, Fraction(0)) + d
+    for y, num in zip(exact_deficits(drops, allowance), _nums(table1_traj, table1_radio, spec, drops)):
         assert Fraction(num, allowance.denominator) == y

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LinkSim, certified_planner, first_rank_mismatch
+from conftest import MIXED_SERVICES, LinkSim, certified_planner, first_rank_mismatch, oldest_first
 from hsrsched import (
     ServiceSpec,
     allocate_cohorts,
@@ -39,16 +39,6 @@ def _buckets(specs):
     return [[0] * s.deadline for s in specs]
 
 
-def _oldest_first(row, total):
-    """Per bucket of ``row``, the packets taken when ``total`` are served
-    oldest first (r = 1 first)."""
-    served = []
-    for a in row:
-        served.append(min(a, total))
-        total -= served[-1]
-    return served
-
-
 def _step(decide, specs, frame, buckets, nums, arrivals):
     """One engine frame: admit, decide, serve each total oldest first and
     age, update the deficit numerators; returns the decision and each
@@ -59,7 +49,7 @@ def _step(decide, specs, frame, buckets, nums, arrivals):
     drops = []
     for j, (row, total, spec) in enumerate(zip(buckets, totals, specs)):
         p, q = spec.loss_allowance.as_integer_ratio()
-        served = _oldest_first(row, total)
+        served = oldest_first(row, total)
         drops.append(row[0] - served[0])
         row[:-1] = map(sub, row[1:], served[1:])
         row[-1] = 0
@@ -329,7 +319,7 @@ def test_contention_guard_matches_always_ranked_decide(state):
     # the grants' serve takes each service's packets oldest first, so the
     # engine's oldest-first serve of the totals sends the same packets
     buckets = state[3]
-    assert served == [_oldest_first(row, sum(took)) for row, took in zip(buckets, served)]
+    assert served == [oldest_first(row, sum(took)) for row, took in zip(buckets, served)]
 
 
 def _counting_allocate(monkeypatch):
@@ -376,12 +366,7 @@ def test_greedy_runs_only_when_services_contend(table1_traj, table1_radio, monke
 
     # one service never contends, however overloaded
     assert trip(ServiceSpec(arrival_rate=130.0, deadline=3, delivery_ratio=0.99)) == 0
-    mix = (
-        ServiceSpec(arrival_rate=20.0, deadline=2, delivery_ratio=0.95),
-        ServiceSpec(arrival_rate=40.0, deadline=5, delivery_ratio=0.90),
-        ServiceSpec(arrival_rate=50.0, deadline=10, delivery_ratio=0.80),
-    )
-    assert trip(*mix) > 0
+    assert trip(*MIXED_SERVICES) > 0
 
 
 class TestRoundRobin:

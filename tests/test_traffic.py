@@ -78,6 +78,9 @@ def test_pmf_argument_validation():
         truncated_poisson_pmf(0.0)
     with pytest.raises(ValueError):
         truncated_poisson_pmf(-1.0)
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            truncated_poisson_pmf(rate)
 
 
 def test_service_spec_validation():
