@@ -162,8 +162,10 @@ def brute_force_min_weighted_drops(
     best_cost = sum(weights[j][i] * rows[j][i] for j, i in cells) + 1
     best: list[list[int]] = []
     drops = [[0] * len(row) for row in rows]
+    # the capacity left, one copy that each branch takes from and restores
+    caps = list(available)
 
-    def place(idx: int, caps: list[int], cost: int) -> None:
+    def place(idx: int, cost: int) -> None:
         nonlocal best, best_cost
         if cost >= best_cost:
             return
@@ -171,21 +173,23 @@ def brute_force_min_weighted_drops(
             best, best_cost = [row.copy() for row in drops], cost
             return
         j, i = cells[idx]
-        m, total, weight = i + 1, rows[j][i], weights[j][i]
+        weight, drop = weights[j][i], drops[j]
 
-        def spread(offset: int, left: int, caps2: list[int]) -> None:
-            if offset == m:
-                drops[j][i] = left
-                place(idx + 1, caps2, cost + weight * left)
-                return
-            for x in range(min(left, caps2[offset]), -1, -1):
-                nxt = caps2.copy()
-                nxt[offset] -= x
-                spread(offset + 1, left - x, nxt)
+        def spread(offset: int, left: int) -> None:
+            # take x of those left here, most first; the window's last offset drops the rest
+            c = caps[offset]
+            for x in range(min(left, c), -1, -1):
+                caps[offset] = c - x
+                if offset < i:
+                    spread(offset + 1, left - x)
+                else:
+                    drop[i] = left - x
+                    place(idx + 1, cost + weight * (left - x))
+            caps[offset] = c
 
-        spread(0, total, caps)
+        spread(0, rows[j][i])
 
-    place(0, list(available), 0)
+    place(0, 0)
     return best
 
 
@@ -226,23 +230,34 @@ def random_oracle_instances(seed: int, count: int) -> list[OracleInstance]:
     and one to three non-empty bucket cells among theirs, so a service may
     hold several cohorts.  Priority order is a random permutation standing in
     for the deficit sort, with integer weights in 0..9 that never increase
-    along it (ties allowed), as the deficits behind such a sort would.
+    along it (ties allowed), as the deficits behind such a sort would.  Each
+    instance maps its own row of 19 uniforms, drawn 64 rows at a time, so the
+    first n instances are the same for any count: a uniform u picks
+    ``int(u * n)`` of n choices, the cells are the head of a Fisher-Yates
+    shuffle and the order is one.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     out = []
-    for _ in range(count):
-        n_svc = int(rng.integers(1, ORACLE_MAX_SERVICES + 1))
-        rows = [[0] * int(rng.integers(1, ORACLE_MAX_DEADLINE + 1)) for _ in range(n_svc)]
-        cells = [(j, i) for j, row in enumerate(rows) for i in range(len(row))]
-        n_cells = int(rng.integers(1, min(ORACLE_MAX_COHORTS, len(cells)) + 1))
-        for c in rng.choice(len(cells), n_cells, replace=False).tolist():
-            rows[cells[c][0]][cells[c][1]] = int(rng.integers(1, ORACLE_MAX_ARRIVALS + 1))
-        horizon = max(map(len, rows))
-        available = tuple(rng.integers(0, ORACLE_MAX_CAPACITY + 1, horizon).tolist())
-        order = rng.permutation(n_svc).tolist()
-        ranked = sorted(rng.integers(0, 10, n_svc).tolist(), reverse=True)
-        weights = tuple(ranked[order.index(j)] for j in range(n_svc))
-        out.append(OracleInstance(tuple(order), rows, available, weights))
+    for lo in range(0, count, 64):
+        # for guard bounds of three: u[0] services, u[1:4] row lengths, u[4] cells,
+        # u[5:8] the cells, u[8:11] their packets, u[11:14] capacities,
+        # u[14:16] the order and u[16:19] the weights
+        for u in rng.random((64, 19))[: count - lo].tolist():
+            n_svc = 1 + int(u[0] * ORACLE_MAX_SERVICES)
+            rows = [[0] * (1 + int(x * ORACLE_MAX_DEADLINE)) for x in u[1 : 1 + n_svc]]
+            cells = [(j, i) for j, row in enumerate(rows) for i in range(len(row))]
+            for k in range(1 + int(u[4] * min(ORACLE_MAX_COHORTS, len(cells)))):
+                c = k + int(u[5 + k] * (len(cells) - k))
+                cells[k], cells[c] = cells[c], cells[k]
+                rows[cells[k][0]][cells[k][1]] = 1 + int(u[8 + k] * ORACLE_MAX_ARRIVALS)
+            available = tuple(int(x * (ORACLE_MAX_CAPACITY + 1)) for x in u[11 : 11 + max(map(len, rows))])
+            order = list(range(n_svc))
+            for k in range(n_svc - 1):
+                c = k + int(u[14 + k] * (n_svc - k))
+                order[k], order[c] = order[c], order[k]
+            ranked = sorted((int(x * 10) for x in u[16 : 16 + n_svc]), reverse=True)
+            weights = tuple(ranked[order.index(j)] for j in range(n_svc))
+            out.append(OracleInstance(tuple(order), rows, available, weights))
     return out
 
 

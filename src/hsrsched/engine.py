@@ -233,25 +233,29 @@ def run(config: SimConfig) -> TraceLog:
             for row, a in zip(buckets, arrived):
                 row.append(a)
             totals = decide(k, buckets, nums)
-            # the decision contract: one total per service, the frame
-            # capacity, then each total within what its service holds
+            # the decision contract: one total per service, the frame capacity,
+            # then each total not negative (nor NaN) and within what its service
+            # holds, which the oldest-first walk checks
             if len(totals) != n_svc:
                 raise ContractViolation(f"frame {k}: {len(totals)} totals decided for {n_svc} services")
             if sum(totals) > caps[k]:
                 raise ContractViolation(f"frame {k}: served total {sum(totals)} exceeds frame capacity {caps[k]}")
             for j, (row, x, (p, q)) in enumerate(zip(buckets, totals, allowances)):
-                if not 0 <= x <= sum(row):
+                if not x >= 0:
                     raise ContractViolation(f"frame {k}: service {j + 1}: served {x} of {sum(row)} queued")
                 # serve x oldest first and age in place: pop r = 1, whose
                 # packets x leaves drop; while that count is negative, x
-                # takes the rest from the aged row, oldest first
+                # takes the rest from the aged row, oldest first, or runs off it
                 dropped = row.pop(0) - x
                 i = 0
-                while dropped < 0:
-                    left = row[i] + dropped
-                    row[i] = left if left > 0 else 0
-                    dropped = left if left < 0 else 0
-                    i += 1
+                try:
+                    while dropped < 0:
+                        left = row[i] + dropped
+                        row[i] = left if left > 0 else 0
+                        dropped = left if left < 0 else 0
+                        i += 1
+                except IndexError:
+                    raise ContractViolation(f"frame {k}: service {j + 1}: served {x} of {x + dropped} queued") from None
                 nums[j] = num = (nums[j] - p if nums[j] > p else 0) + dropped * q
                 record.extend((x, dropped, num))
 

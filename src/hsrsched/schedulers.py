@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, zip_longest
-from operator import le, sub
+from operator import le, mul, sub
 from typing import Callable, Sequence
 
 from .traffic import ServiceSpec
@@ -140,8 +140,9 @@ def make_scheduler(policy: str, specs: Sequence[ServiceSpec], capacities: Sequen
         if sum(map(any, buckets)) > 1 and not all(
             map(le, accumulate(map(sum, zip_longest(*buckets, fillvalue=0))), accumulate(available))
         ):
-            # sorted is stable: equal deficits keep ascending position
-            order = sorted(range(len(buckets)), key=lambda j: -nums[j] * scales[j])
+            # sorted is stable, also reversed: equal deficits keep ascending position
+            keys = list(map(mul, nums, scales))
+            order = sorted(range(len(buckets)), key=keys.__getitem__, reverse=True)
             return serve(cells, allocate_cohorts(order, buckets, available), frame)
         return serve(cells, buckets, frame)
 

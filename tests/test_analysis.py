@@ -373,10 +373,26 @@ def test_random_instances_hold_several_cohorts_per_service_within_the_guard():
 def test_random_oracle_instances_stream_is_pinned():
     # the verify verdict counts are taken over this stream, by position
     assert random_oracle_instances(42, 3) == [
-        OracleInstance((0,), [[1, 5, 0]], (1, 0, 3), (9,)),
-        OracleInstance((2, 0, 1), [[0, 3, 0], [0, 0, 0], [0, 4, 0]], (1, 6, 5), (5, 4, 8)),
-        OracleInstance((1, 0), [[5], [6]], (1,), (1, 7)),
+        OracleInstance((1, 0, 2), [[0, 0], [0, 0, 0], [0, 0, 1]], (6, 4, 5), (5, 8, 0)),
+        OracleInstance((0, 1), [[5, 1, 0], [1, 0]], (5, 6, 2), (1, 1)),
+        OracleInstance((0,), [[3, 5, 2]], (0, 1, 0), (7,)),
     ]
+
+
+@pytest.mark.parametrize("count", [0, 3, 64, 65])
+def test_random_oracle_instances_are_a_prefix_of_a_longer_stream(count):
+    # 65 crosses from the first block of uniforms into the second
+    assert random_oracle_instances(42, count) == random_oracle_instances(42, 1000)[:count]
+
+
+def test_both_searches_leave_the_callers_lists_unchanged():
+    for inst in random_oracle_instances(8, 300):
+        order, rows, available = list(inst.order), [list(row) for row in inst.rows], list(inst.available)
+        weights = [[w] * len(row) for w, row in zip(inst.weights, inst.rows)]
+        brute_force_lex_min_drops(order, rows, available)
+        brute_force_min_weighted_drops(rows, weights, available)
+        assert (order, rows, available) == (list(inst.order), inst.rows, list(inst.available))
+        assert weights == [[w] * len(row) for w, row in zip(inst.weights, inst.rows)]
 
 
 def test_oracle_report_fails_on_weighted_disagreement(monkeypatch):

@@ -4,6 +4,7 @@ Each case scripts the services' arrivals and the decision of every frame (the
 packets each sends, which the engine serves oldest first), and reads the
 buckets each decision saw and the trace the run left."""
 
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -106,15 +107,59 @@ def test_empty_queue_stays_empty(table1_traj, table1_radio):
 
 
 def test_serve_and_age_contract_violations(table1_traj, table1_radio):
-    # frame 1 holds 1 packet at r = 1 and 2 at r = 2, or 2 and 3
-    for arrivals, totals, message in (
-        ([1, 2], [4], "service 1: served 4 of 3 queued"),
-        ([1, 2], [-1], "service 1: served -1 of 3 queued"),
-        ([1, 2], [0, 0], "2 totals decided for 1 services"),
-        ([2, 3], [6], "service 1: served 6 of 5 queued"),
+    # deadline 2: the last frame holds 1 packet at r = 1 and 2 at r = 2, or 2
+    # and 3; deadline 1: the aged row is empty, so an over-serve runs off it at
+    # once; deadline 4: an over-serve empties every aged bucket before it runs off
+    for m, arrivals, totals, message in (
+        (2, [1, 2], [4], "service 1: served 4 of 3 queued"),
+        (2, [1, 2], [-1], "service 1: served -1 of 3 queued"),
+        (2, [1, 2], [0, 0], "2 totals decided for 1 services"),
+        (2, [2, 3], [6], "service 1: served 6 of 5 queued"),
+        (1, [0, 2], [3], "service 1: served 3 of 2 queued"),
+        (1, [0, 2], [math.nan], "service 1: served nan of 2 queued"),
+        (4, [1, 1, 1, 1], [5], "service 1: served 5 of 4 queued"),
     ):
-        with pytest.raises(ContractViolation, match=f"^frame 1: {message}$"):
-            _drive(table1_traj, table1_radio, _spec(2), arrivals, lambda k, row: totals if k else [0])
+        last = len(arrivals) - 1
+        with pytest.raises(ContractViolation, match=f"^frame {last}: {message}$"):
+            _drive(table1_traj, table1_radio, _spec(m), arrivals, lambda k, row: totals if k == last else [0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(deadlines=st.lists(st.integers(1, 10), min_size=1, max_size=3), frames=st.integers(1, 20), data=st.data())
+def test_contract_holds_each_total_to_what_its_service_holds(deadlines, frames, data, table1_traj, table1_radio):
+    # totals inside the contract up to a drawn frame, then each in
+    # -2..held + 2 or NaN there, and inside again after it: the run raises
+    # exactly when a check fails, with the first failing check's message
+    specs = [_spec(m) for m in deadlines]
+    profile = data.draw(links(frames, 200), label="link")
+    per_frame = st.lists(st.integers(0, 12), min_size=len(specs), max_size=len(specs))
+    arrivals = data.draw(st.lists(per_frame, min_size=frames, max_size=frames), label="arrivals")
+    wide = data.draw(st.integers(0, frames - 1), label="frame of the wide totals")
+    totals, failures = [], []
+
+    def decide(k, rows):
+        left, sent = profile[k], []
+        for j, row in enumerate(rows):
+            held = sum(row)
+            # -3 stands for NaN
+            wide_total = st.integers(-3, held + 2).map(lambda x: math.nan if x == -3 else x)
+            total = wide_total if k == wide else st.integers(0, min(held, left))
+            sent.append(data.draw(total, label=f"total at frame {k}, service {j + 1}"))
+            left -= sent[-1]
+        if sum(sent) > profile[k]:
+            failures.append(f"frame {k}: served total {sum(sent)} exceeds frame capacity {profile[k]}")
+        for j, (row, x) in enumerate(zip(rows, sent)):
+            if not 0 <= x <= sum(row):
+                failures.append(f"frame {k}: service {j + 1}: served {x} of {sum(row)} queued")
+        totals.append(sent)
+        return sent
+
+    try:
+        trace, _ = _scripted_run(table1_traj, table1_radio, specs, arrivals, profile, decide)
+    except ContractViolation as err:
+        assert failures and str(err) == failures[0]
+    else:
+        assert not failures and trace.served.tolist() == totals
 
 
 def test_conservation_over_random_operations(table1_traj, table1_radio):

@@ -263,6 +263,19 @@ class TestDcsa:
             nums[bumped] += rng.randint(0, 10)
             assert served(nums) >= before
 
+    def test_a_served_service_sends_its_older_cohort_first(self):
+        # frame 1 is contended, and service 1, ranked first, holds one packet
+        # with 1 frame to go and one with 2: the packet it sends is the older,
+        # so nothing drops until service 2's packet expires at frame 2
+        specs = [_spec(deadline=2), _spec(deadline=2)]
+        decide = make_scheduler("dcsa", specs, (1, 1, 1))
+        buckets, nums = _buckets(specs), [0, 0]
+        assert _step(decide, specs, 0, buckets, nums, [2, 0]) == ([1, 0], [0, 0])
+        assert buckets == [[1, 0], [0, 0]]
+        assert _step(decide, specs, 1, buckets, nums, [1, 1]) == ([1, 0], [0, 0])
+        assert buckets == [[1, 0], [1, 0]]
+        assert _step(decide, specs, 2, buckets, nums, [0, 0]) == ([1, 0], [0, 1])
+
     def test_higher_deficit_wins_contested_capacity(self):
         specs = [_spec(deadline=2), _spec(deadline=2)]
         decide = make_scheduler("dcsa", specs, (4, 0))
